@@ -86,12 +86,13 @@ class AnalysisConfig:
         (``FlowAnalysis.kernel_series``) for comparison against the
         simulator's flight-recorder ground truth.
     columnar:
-        Decode pcap slabs into parallel arrays and analyze flows on
-        the columnar fast path when it provably matches the object
-        pipeline, falling back to full object analysis otherwise (see
+        Decode pcap slabs into parallel arrays and replay every flow
+        on its columns — clean flows on the fast replay, the rest on
+        the full analyzer — without building packet objects (see
         :mod:`repro.packet.columnar`).  Reports are byte-identical
-        either way; ``False`` forces the object path everywhere (the
-        CLI spells this ``--no-columnar``).
+        either way; ``False`` decodes and demuxes packet objects and
+        feeds the analyzer from them (the CLI spells this
+        ``--no-columnar``).
     verify_checksums:
         Verify each packet's TCP checksum during object-path decode
         and count failures (``repro_fault_checksum_errors_total``).

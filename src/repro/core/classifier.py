@@ -34,9 +34,7 @@ Timeout-retransmission breakdown (Table 5, rules examined in order)::
 
 from __future__ import annotations
 
-from ..packet.flow import Direction, FlowTrace
-from ..packet.packet import PacketRecord
-from ..packet.seqnum import seq_before, seq_geq, seq_leq
+from ..packet.seqnum import seq_before, seq_geq
 from .flow_analyzer import FlowAnalysis
 from .segments import AnalyzedSegment, SegmentTracker
 from .stalls import CaState, DoubleKind, RetxCause, Stall, StallCause
@@ -55,7 +53,6 @@ class StallClassifier:
     def __init__(self, analysis: FlowAnalysis, tracker: SegmentTracker):
         self.analysis = analysis
         self.tracker = tracker
-        self.packets = analysis.flow.packets
 
     def classify_all(self) -> None:
         for stall in self.analysis.stalls:
@@ -207,15 +204,13 @@ class StallClassifier:
         """No new data above the stalled hole until the next request
         (or the end of the flow): the loss sat at the end of a file."""
         snd_nxt = stall.context.snd_nxt
-        for pkt, direction in self.packets[stall.cur_pkt_index + 1 :]:
-            if direction is Direction.IN and pkt.payload_len > 0:
-                return True
-            if (
-                direction is Direction.OUT
-                and pkt.payload_len > 0
-                and seq_geq(pkt.seq, snd_nxt)
-            ):
-                return False
+        rows = self.analysis.flow.rows(stall.cur_pkt_index + 1)
+        for _t, dir_in, seq, _ack, _flags, _window, payload, *_ in rows:
+            if payload > 0:
+                if dir_in:
+                    return True
+                if seq_geq(seq, snd_nxt):
+                    return False
         return True
 
     # -- positions (Fig. 7a / 10a) -------------------------------------------

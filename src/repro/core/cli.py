@@ -323,6 +323,13 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             print(
+                f"replay: {tapo.fast_flows} flows on the clean fast "
+                f"replay, {tapo.fallback_flows} replayed by the "
+                f"analyzer, {tapo.materialized_flows} materialized as "
+                "packet objects",
+                file=sys.stderr,
+            )
+            print(
                 f"faults: {faults.corrupt_records} corrupt records "
                 f"({faults.resyncs} resyncs), "
                 f"{faults.option_errors} option errors, "

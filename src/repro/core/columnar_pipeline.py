@@ -11,18 +11,18 @@ accounting — but keys flows by packed integers and buffers per-flow
 packet list materializes only if someone actually needs the objects.
 
 :func:`fast_replay_flow` is the first-pass screen.  It replays a
-flow's columns through the same arithmetic the object
+flow's rows through the same arithmetic
 :class:`~repro.core.flow_analyzer.FlowAnalyzer` performs — including a
 real :class:`~repro.tcp.rto.RTOEstimator` — for as long as the flow
 stays *clean*: no stall (``gap > min(tau*SRTT, RTO)``), no SACK
 blocks, no duplicate ACKs, no retransmitted or out-of-order data.  A
 clean flow never leaves the ``Open`` congestion state and its
-:class:`~repro.core.flow_analyzer.FlowAnalysis` is reproduced exactly
-without materializing one packet object.  The moment any of those
-conditions trips, the replay *bails*: it returns ``None``, the caller
-materializes the packets, and the unmodified object pipeline — the
-oracle — analyzes the flow.  Reports are therefore byte-identical
-with the fast path on or off; only the work per clean flow changes.
+:class:`~repro.core.flow_analyzer.FlowAnalysis` is reproduced exactly.
+The moment any of those conditions trips, the replay *bails*: it
+returns ``None`` and the caller hands the flow to the full analyzer,
+which reads the same rows (:meth:`LazyFlowTrace.rows`) off the same
+columns.  Neither replay builds a packet object; reports are
+byte-identical with the columnar path on or off.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from ..packet.flow import (
     Direction,
     FlowKey,
     FlowTrace,
+    PacketRow,
     ServerPredicate,
     StreamStats,
 )
@@ -56,12 +57,9 @@ from .flow_analyzer import FlowAnalysis
 
 #: One full 32-bit sequence space.  A flow that consumes this much is
 #: about to collide new sequence numbers with recorded segment starts,
-#: where the object tracker reuses segment state; such flows take the
-#: object path.
+#: where the segment tracker reuses segment state; such flows go to the
+#: full analyzer.
 _SEQ_SPACE = 1 << 32
-
-_FIN_OR_RST = FLAG_FIN | FLAG_RST
-
 
 def _endpoint(packed: int) -> tuple[int, int]:
     """Unpack a 48-bit ``(ip << 16) | port`` endpoint."""
@@ -136,6 +134,27 @@ class _FlowStore:
                 ts_val=self.ts_val[index], ts_ecr=self.ts_ecr[index]
             )
         return TCPOptions()
+
+    def rows(self, start: int = 0) -> Iterator[PacketRow]:
+        """Rows ``start..`` as :data:`~repro.packet.flow.PacketRow`\\ s,
+        read off the columns.  Only odd-option rows (SYN options, SACK
+        blocks) carry an options object; their ``ts_ecr`` comes from it,
+        the column holding 0 for them."""
+        server = self.server_pk
+        cut = slice(start, None)
+        ts_ecr = self.ts_ecr[cut].tolist()
+        options: list[TCPOptions | None] = [None] * len(ts_ecr)
+        for index, odd in self.odd.items():
+            if index >= start:
+                options[index - start] = odd
+                ts_ecr[index - start] = odd.ts_ecr or 0
+        return zip(
+            self.times[cut].tolist(),
+            [src != server for src in self.src_pk[cut]],
+            self.seq[cut].tolist(), self.ack[cut].tolist(),
+            self.flags[cut].tolist(), self.window[cut].tolist(),
+            self.payload[cut].tolist(), ts_ecr, options,
+        )
 
     def resolve_server_by_volume(self) -> None:
         """Mirror of :meth:`FlowDemuxer._resolve_pending`: the heavier
@@ -255,6 +274,13 @@ class LazyFlowTrace(FlowTrace):
             packets=_LazyPackets(store),
         )
         self._store = store
+
+    def rows(self, start: int = 0) -> Iterator[PacketRow]:
+        return self._store.rows(start)
+
+    @property
+    def materialized(self) -> bool:
+        return self.packets._store is None
 
     @property
     def first_time(self) -> float:
@@ -534,12 +560,12 @@ def fast_replay_flow(
 ) -> FlowAnalysis | None:
     """Replay a columnar flow on its columns if it is provably clean.
 
-    Returns the exact :class:`FlowAnalysis` the object pipeline would
-    produce, or ``None`` when the flow needs the object oracle —
-    because it stalled, carried SACK/duplicate-ACK loss signals,
-    retransmitted, isn't columnar at all, or the replay itself failed
-    (any internal error falls back rather than propagating; the object
-    path is always the authority).
+    Returns the exact :class:`FlowAnalysis` the full analyzer would
+    produce, or ``None`` when the flow needs it — because it stalled,
+    carried SACK/duplicate-ACK loss signals, retransmitted, isn't
+    columnar at all, or the replay itself failed (any internal error
+    falls back rather than propagating; the analyzer is always the
+    authority).
     """
     if not config.columnar or config.record_series:
         return None
@@ -563,8 +589,6 @@ def _replay(
     rto_est = RTOEstimator()
     stall_threshold = rto_est.stall_threshold
     observe = rto_est.observe
-    server_pk = store.server_pk
-    odd_bit = OPT_ODD
 
     # Mirrored FlowAnalyzer state (clean-flow subset: the congestion
     # state machine stays in Open, so cwnd/state never need tracking).
@@ -597,32 +621,28 @@ def _replay(
     rtt_samples: list[float] = []
     in_flight: list[int] = []
 
-    rows = zip(
-        store.times.tolist(), store.src_pk.tolist(), store.seq.tolist(),
-        store.ack.tolist(), store.flags.tolist(), store.window.tolist(),
-        store.payload.tolist(), store.ts_ecr.tolist(),
-        store.optbits.tolist(),
-    )
-    for index, (t, src, seq, ack, flags, window, payload, ts_ecr,
-                optbits) in enumerate(rows):
+    for t, dir_in, seq, ack, flags, window, payload, ts_ecr, options in (
+        store.rows()
+    ):
         syn = flags & FLAG_SYN
         if prev_time is not None and established and not syn:
             # The first-pass stall screen: the same threshold the
-            # object analyzer applies.  Any stall -> object oracle.
+            # analyzer applies.  Any stall -> full analyzer.
             if t - prev_time > stall_threshold(tau):
                 return None
-        if src != server_pk:
+        if dir_in:
             # -- incoming (client -> server), FlowAnalyzer._process_in
             if syn:
-                options = store.options_at(index)
-                wscale = options.wscale or 0
+                wscale = 0
+                if options is not None:
+                    wscale = options.wscale or 0
+                    if options.mss:
+                        mss = min(mss, options.mss)
                 init_rwnd = window << wscale
-                if options.mss:
-                    mss = min(mss, options.mss)
                 rwnd = init_rwnd
                 prev_time = t
                 continue
-            if optbits & odd_bit:
+            if options is not None:
                 return None  # SACK blocks / unusual options possible
             rwnd = window << wscale
             if rwnd < mss and bytes_out > 0:
@@ -667,13 +687,11 @@ def _replay(
                         if rtt > 0:
                             observe(rtt, now=t)
                             rtt_samples.append(rtt)
-            elif (
-                payload == 0
-                and not flags & _FIN_OR_RST
-                and ack == snd_una
-                and head < tx_len
-            ):
-                return None  # duplicate ACK: loss signals start here
+            elif ack == snd_una and head < tx_len:
+                # Duplicate ACK: loss signals start here.  Any packet
+                # repeating snd_una counts, payload- or FIN-bearing
+                # too, as in the analyzer (DESIGN.md 6).
+                return None
             in_flight.append(tx_len - head)
             prev_time = t
             continue

@@ -23,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..config import AnalysisConfig
-from ..packet.flow import Direction, FlowTrace
+from ..packet.flow import Direction, FlowTrace, packet_row
+from ..packet.headers import FLAG_ACK, FLAG_FIN, FLAG_SYN
+from ..packet.options import TCPOptions
 from ..packet.packet import PacketRecord
-from ..packet.seqnum import seq_before, seq_leq
+from ..packet.seqnum import SEQ_HALF, SEQ_MASK, SEQ_SPACE, seq_before, seq_leq
 from ..tcp.constants import ts_to_time
 from ..tcp.rto import RTOEstimator
 from .segments import AnalyzedSegment, SegmentTracker
@@ -108,7 +110,15 @@ class FlowAnalysis:
 
 
 class FlowAnalyzer:
-    """Replays one flow; produces a :class:`FlowAnalysis`."""
+    """Replays one flow; produces a :class:`FlowAnalysis`.
+
+    The core is row-level: :meth:`feed_row` and everything below it
+    consume the primitive fields of a
+    :data:`~repro.packet.flow.PacketRow`, which :meth:`run` reads from
+    ``flow.rows()`` — straight off the columns for a column-backed
+    trace, so a stalled flow is replayed without one packet object.
+    :meth:`feed` is the packet-object adapter.
+    """
 
     def __init__(self, flow: FlowTrace, tau: float = STALL_TAU,
                  init_cwnd: int = 3, record_series: bool = False,
@@ -132,26 +142,27 @@ class FlowAnalyzer:
         self._request_pending = False
         self._response_started = False
         self._bytes_sent = 0
-        self._lost_out = 0
         self._last_new_ack_time: float | None = None
         self._last_in_packet_time: float | None = None
         self._counted_recovery_point: int | None = None
         self._prev_time: float | None = None
+        #: ``rto_est.stall_threshold(tau)``, or ``None`` after anything
+        #: that moves it (an RTT sample, a new ACK, a timeout).
+        self._threshold: float | None = None
         self._fed = 0
 
     # -- public API -------------------------------------------------------
     def run(self) -> FlowAnalysis:
         """Replay the whole flow: feed every packet, then finish."""
-        packets = self.flow.packets
-        if not packets:
+        if not self.flow.packets:
             return self.analysis
-        feed = self.feed  # hoist the bound-method lookup out of the loop
-        for pkt, direction in packets:
-            feed(pkt, direction)
+        feed_row = self.feed_row  # hoist the bound-method lookup
+        for row in self.flow.rows():
+            feed_row(*row)
         return self.finish()
 
     def feed(self, pkt: PacketRecord, direction: Direction) -> None:
-        """Process one packet incrementally.
+        """Process one packet object incrementally.
 
         The analyzer's own state is O(window) — the segment tracker
         and estimators drop segments as they are cumulatively acked —
@@ -160,23 +171,34 @@ class FlowAnalyzer:
         per-trace state here.  Feeding the whole flow in order then
         calling :meth:`finish` is exactly :meth:`run`.
         """
-        timestamp = pkt.timestamp
+        self.feed_row(*packet_row(pkt, direction))
+
+    def feed_row(
+        self, t: float, dir_in: bool, seq: int, ack: int, flags: int,
+        window: int, payload: int, ts_ecr: int = 0,
+        options: TCPOptions | None = None,
+    ) -> None:
+        """Process one packet given as a
+        :data:`~repro.packet.flow.PacketRow`."""
         prev_time = self._prev_time
-        if prev_time is not None and self.established and not pkt.syn:
+        if prev_time is not None and self.established and not flags & FLAG_SYN:
             # Handshake retransmissions (SYN / SYN+ACK) are not
             # data-transfer stalls; the paper's analysis starts at
             # established connections.
-            gap = timestamp - prev_time
-            threshold = self.rto_est.stall_threshold(self.tau)
-            if gap > threshold:
-                self._record_stall(
-                    self._fed, pkt, direction, prev_time, threshold
+            threshold = self._threshold
+            if threshold is None:
+                threshold = self._threshold = self.rto_est.stall_threshold(
+                    self.tau
                 )
-        if direction is Direction.IN:
-            self._process_in(pkt)
+            if t - prev_time > threshold:
+                self._record_stall(
+                    t, dir_in, seq, flags, payload, prev_time, threshold
+                )
+        if dir_in:
+            self._process_in(t, ack, flags, window, payload, ts_ecr, options)
         else:
-            self._process_out(pkt)
-        self._prev_time = timestamp
+            self._process_out(t, seq, flags, payload)
+        self._prev_time = t
         self._fed += 1
 
     def finish(self) -> FlowAnalysis:
@@ -186,31 +208,27 @@ class FlowAnalyzer:
 
     # -- stall snapshots -----------------------------------------------------
     def _record_stall(
-        self,
-        index: int,
-        pkt: PacketRecord,
-        direction: Direction,
-        start_time: float,
-        threshold: float,
+        self, t: float, dir_in: bool, seq: int, flags: int, payload: int,
+        start_time: float, threshold: float,
     ) -> None:
-        is_data = pkt.payload_len > 0 or pkt.fin
+        is_data = payload > 0 or bool(flags & FLAG_FIN)
         is_retrans = (
-            direction is Direction.OUT
+            not dir_in
             and is_data
-            and seq_before(pkt.seq, self.tracker.transmitted_max)
+            and seq_before(seq, self.tracker.transmitted_max)
         )
         context = self._snapshot_context()
         self.analysis.stalls.append(
             Stall(
                 start_time=start_time,
-                end_time=pkt.timestamp,
+                end_time=t,
                 threshold=threshold,
-                cur_pkt_index=index,
-                cur_pkt_dir_in=direction is Direction.IN,
+                cur_pkt_index=self._fed,
+                cur_pkt_dir_in=dir_in,
                 cur_pkt_is_data=is_data,
                 cur_pkt_is_retrans=is_retrans,
-                cur_pkt_seq=pkt.seq,
-                cur_pkt_payload=pkt.payload_len,
+                cur_pkt_seq=seq,
+                cur_pkt_payload=payload,
                 context=context,
             )
         )
@@ -244,112 +262,123 @@ class FlowAnalyzer:
         )
 
     def _estimate_lost_out(self) -> int:
-        """Mimic the kernel's loss marking for the current instant."""
-        if self.ca.state == CaState.LOSS:
-            return len(self.tracker.outstanding_unsacked())
-        if self.ca.state != CaState.RECOVERY:
-            return 0
-        sacked_above = self.tracker.sacked_out
-        lost = 0
-        for segment in self.tracker.outstanding():
-            if segment.sacked:
-                sacked_above -= 1
-                continue
-            if sacked_above >= self.ca.dup_thresh:
-                lost += 1
-        return lost
+        """Mimic the kernel's loss marking for the current instant:
+        everything unSACKed in Loss, what has dupthres SACKed segments
+        above it in Recovery."""
+        state = self.ca.state
+        if state is CaState.LOSS:
+            return self.tracker.unsacked_below_sacked(0)
+        if state is CaState.RECOVERY:
+            return self.tracker.unsacked_below_sacked(self.ca.dup_thresh)
+        return 0
+
+    def _observe(self, rtt: float, now: float) -> None:
+        """Fold one positive RTT sample into the estimator and the
+        flow's sample list."""
+        self.rto_est.observe(rtt, now=now)
+        self.analysis.rtt_samples.append(rtt)
+        self._threshold = None
 
     # -- packet processing ---------------------------------------------------
-    def _process(self, pkt: PacketRecord, direction: Direction) -> None:
-        if direction is Direction.IN:
-            self._process_in(pkt)
-        else:
-            self._process_out(pkt)
-
-    def _process_in(self, pkt: PacketRecord) -> None:
-        if pkt.syn:
+    def _process_in(
+        self, t: float, ack: int, flags: int, window: int, payload: int,
+        ts_ecr: int, options: TCPOptions | None,
+    ) -> None:
+        analysis = self.analysis
+        if flags & FLAG_SYN:
             # Client SYN: initial receive window and options.
-            self.analysis.wscale = pkt.options.wscale or 0
-            self.analysis.init_rwnd = pkt.window << self.analysis.wscale
-            if pkt.options.mss:
-                self.analysis.mss = min(self.analysis.mss, pkt.options.mss)
-            self.rwnd = self.analysis.init_rwnd
+            analysis.wscale = 0
+            if options is not None:
+                analysis.wscale = options.wscale or 0
+                if options.mss:
+                    analysis.mss = min(analysis.mss, options.mss)
+            self.rwnd = analysis.init_rwnd = window << analysis.wscale
             return
         # Window update (scaled after the handshake).
-        self.rwnd = pkt.window << self.analysis.wscale
-        if self.rwnd < self.analysis.mss and self.analysis.bytes_out > 0:
+        self.rwnd = rwnd = window << analysis.wscale
+        if rwnd < analysis.mss and analysis.bytes_out > 0:
             # The advertised window cannot hold one full segment: the
             # sender is (or is about to be) blocked on the receiver.
-            self.analysis.zero_window_seen = True
+            analysis.zero_window_seen = True
 
+        has_ack = flags & FLAG_ACK
         # Handshake RTT sample (SYN+ACK -> first ACK), Karn-guarded.
         if (
             not self._handshake_sampled
-            and pkt.has_ack
+            and has_ack
             and self._synack_time is not None
         ):
             self._handshake_sampled = True
             if self._synack_count == 1:
-                rtt = pkt.timestamp - self._synack_time
+                rtt = t - self._synack_time
                 if rtt > 0:
-                    self.rto_est.observe(rtt, now=pkt.timestamp)
-                    self.analysis.rtt_samples.append(rtt)
+                    self._observe(rtt, t)
 
-        if pkt.payload_len > 0:
+        if payload > 0:
             # Client request data.
-            self.analysis.request_count += 1 if not self._request_pending else 0
+            if not self._request_pending:
+                analysis.request_count += 1
             self._request_pending = True
             self._response_started = False
 
-        if not pkt.has_ack:
+        if not has_ack:
             return
-        snd_una_before = self.tracker.snd_una
-        newly_sacked, dsack = self.tracker.apply_sack(
-            pkt.sack_blocks, pkt.ack, pkt.timestamp
-        )
-        if dsack:
-            self.analysis.spurious_retransmissions += 1
-        acked_segments = self.tracker.apply_ack(pkt.ack, pkt.timestamp)
-        new_ack = bool(acked_segments) or seq_before(snd_una_before, pkt.ack)
-        self._last_in_packet_time = pkt.timestamp
+        tracker = self.tracker
+        ca = self.ca
+        snd_una_before = tracker.snd_una
+        blocks = options.sack_blocks if options is not None else None
+        if blocks:
+            newly_sacked, dsack = tracker.apply_sack(blocks, ack, t)
+            if dsack:
+                analysis.spurious_retransmissions += 1
+        else:
+            newly_sacked = ()
+            dsack = False
+        acked_segments = tracker.apply_ack(ack, t)
+        # seq_before(snd_una_before, ack)
+        new_ack = (snd_una_before - ack) & SEQ_MASK >= SEQ_HALF
+        self._last_in_packet_time = t
         if new_ack:
-            self._last_new_ack_time = pkt.timestamp
+            self._last_new_ack_time = t
             self.rto_est.on_ack()
+            self._threshold = None
         if new_ack or newly_sacked:
-            self._sample_rtts(pkt, acked_segments, newly_sacked)
+            self._sample_rtts(t, ts_ecr, acked_segments, newly_sacked)
+        packets_out = tracker.packets_out
+        # Known deviation (DESIGN.md 6): any ACK-bearing packet that
+        # repeats snd_una counts, pure or not -- the historical rule
+        # tested ``pkt.is_pure_ack`` without calling it.
         is_dupack = (
-            pkt.is_pure_ack
-            and pkt.ack == snd_una_before
-            and self.tracker.packets_out > 0
-            and not new_ack
+            not new_ack and ack == snd_una_before and packets_out > 0
         )
-        self.ca.on_ack(
-            pkt.timestamp,
-            self.tracker,
+        ca.on_ack(
+            t,
+            tracker,
             new_ack=new_ack,
             acked_segments=len(acked_segments),
             is_dupack=is_dupack,
             dsack=dsack,
         )
         # Per-ACK in-flight sample (Fig. 11), Equation (1).
-        packets_out = self.tracker.packets_out
-        sacked_out = self.tracker.sacked_out
-        lost_out = self._estimate_lost_out()
-        retrans_out = self.tracker.retrans_out()
-        self.analysis.in_flight_on_ack.append(
-            max(0, packets_out + retrans_out - (sacked_out + lost_out))
+        in_flight = (
+            packets_out
+            + tracker.retrans_out()
+            - tracker.sacked_out
+            - self._estimate_lost_out()
         )
+        analysis.in_flight_on_ack.append(in_flight if in_flight > 0 else 0)
         if self.record_series:
             # Inferred counterpart of the sender's per-ACK ``vars``
             # flight-recorder snapshot, sampled at the same capture
             # timestamps (the tap stamps an arriving ACK with the
             # simulation time at which the sender processes it).
-            self.analysis.kernel_series.append(
-                (pkt.timestamp, self.ca.cwnd, self.rto_est.srtt,
-                 self.rto_est.rto)
+            analysis.kernel_series.append(
+                (t, ca.cwnd, self.rto_est.srtt, self.rto_est.rto)
             )
 
-    def _sample_rtts(self, pkt, acked_segments, newly_sacked) -> None:
+    def _sample_rtts(
+        self, now: float, ts_ecr: int, acked_segments, newly_sacked
+    ) -> None:
         """RTT samples for an ACK carrying new information, exactly as
         the mimicked sender computes them.
 
@@ -358,13 +387,10 @@ class FlowAnalyzer:
         SACK time for SACKed segments and skipping stale cumulative
         ACKs of segments SACKed earlier.
         """
-        now = pkt.timestamp
-        ts_ecr = pkt.options.ts_ecr
         if ts_ecr:
             rtt = now - ts_to_time(ts_ecr)
             if rtt > 0:
-                self.rto_est.observe(rtt, now=now)
-                self.analysis.rtt_samples.append(rtt)
+                self._observe(rtt, now)
             return
         # FLAG_RETRANS_DATA_ACKED (see the sender): a batch containing
         # a retransmitted segment yields no sequence-based samples.
@@ -374,88 +400,91 @@ class FlowAnalyzer:
                     continue
                 rtt = segment.acked_at - segment.tx_times[0]
                 if rtt > 0:
-                    self.rto_est.observe(rtt, now=now)
-                    self.analysis.rtt_samples.append(rtt)
+                    self._observe(rtt, now)
         for segment in newly_sacked:
             if segment.retrans_count == 0 and segment.tx_times:
                 rtt = now - segment.tx_times[0]
                 if rtt > 0:
-                    self.rto_est.observe(rtt, now=now)
-                    self.analysis.rtt_samples.append(rtt)
+                    self._observe(rtt, now)
 
-    def _process_out(self, pkt: PacketRecord) -> None:
-        if pkt.syn:
+    def _process_out(
+        self, t: float, seq: int, flags: int, payload: int
+    ) -> None:
+        tracker = self.tracker
+        if flags & FLAG_SYN:
             # SYN+ACK from the server.
-            self.tracker.init_seq(pkt.seq)
+            tracker.init_seq(seq)
             self.established = True
-            self._synack_time = pkt.timestamp
+            self._synack_time = t
             self._synack_count += 1
             return
-        is_data = pkt.payload_len > 0 or pkt.fin
-        if not is_data:
+        fin = flags & FLAG_FIN
+        if not payload > 0 and not fin:
             return
+        end_seq = (seq + payload + (1 if fin else 0)) % SEQ_SPACE
+        snd_una = tracker.snd_una
         # Zero-window probe: one already-acked byte.
-        if pkt.payload_len == 1 and seq_before(
-            pkt.seq, self.tracker.snd_una
-        ) and seq_leq(pkt.end_seq, self.tracker.snd_una):
+        if (
+            payload == 1
+            and seq_before(seq, snd_una)
+            and seq_leq(end_seq, snd_una)
+        ):
             return
-        segment, is_retrans = self.tracker.record_transmission(
-            pkt, pkt.timestamp
+        segment, is_retrans = tracker.record_segment(
+            seq, end_seq, payload, bool(fin), t
         )
-        self.analysis.data_packets += 1
-        if is_retrans:
-            self.analysis.retransmissions += 1
-            kind = self.ca.classify_retransmission(
-                segment,
-                pkt.timestamp,
-                self.tracker,
-                rto=self.rto_est.rto,
-                srtt=self.rto_est.srtt,
-                last_new_ack=self._last_new_ack_time,
-                last_in_packet=self._last_in_packet_time,
-            )
-            if kind == RTO:
-                # Count timer *expiries*, not go-back-N continuations:
-                # a new timeout either enters Loss or re-fires for the
-                # head after another RTO-scale silence (backoff).
-                previous_tx = (
-                    segment.tx_times[-2]
-                    if len(segment.tx_times) >= 2
-                    else None
-                )
-                is_head = segment.seq == self.tracker.snd_una
-                new_expiry = self.ca.state != CaState.LOSS or (
-                    is_head
-                    and segment.rto_retrans_times  # backoff re-expiry
-                    and previous_tx is not None
-                    and pkt.timestamp - previous_tx
-                    >= 0.85 * self.rto_est.rto
-                )
-                if new_expiry:
-                    self.analysis.rto_samples.append(self.rto_est.rto)
-                    self.analysis.timeouts += 1
-                    self.rto_est.on_timeout()
-                segment.rto_retrans_times.append(pkt.timestamp)
-            elif kind == FAST:
-                # The kernel performs one fast retransmit per Recovery
-                # episode; follow-up hole repairs are recovery
-                # retransmissions, not new fast-retransmit events.  The
-                # shadow machine enters Recovery on the triggering ACK,
-                # so episodes are keyed by its recovery point.
-                if self._counted_recovery_point != self.ca.high_seq:
-                    self.analysis.fast_retransmits += 1
-                    self._counted_recovery_point = self.ca.high_seq
-                segment.fast_retrans_times.append(pkt.timestamp)
-            else:
-                self.analysis.probe_retransmissions += 1
-                segment.probe_retrans_times.append(pkt.timestamp)
-            self.ca.on_retransmission(kind, pkt.timestamp, self.tracker)
-        else:
-            self.analysis.bytes_out += pkt.payload_len
-            self._bytes_sent += pkt.payload_len
-            if self._request_pending:
-                self._request_pending = False
+        analysis = self.analysis
+        analysis.data_packets += 1
+        if not is_retrans:
+            analysis.bytes_out += payload
+            self._bytes_sent += payload
+            self._request_pending = False
             self._response_started = True
+            return
+        analysis.retransmissions += 1
+        ca = self.ca
+        rto = self.rto_est.rto
+        kind = ca.classify_retransmission(
+            segment,
+            t,
+            tracker,
+            rto=rto,
+            srtt=self.rto_est.srtt,
+            last_new_ack=self._last_new_ack_time,
+            last_in_packet=self._last_in_packet_time,
+        )
+        if kind == RTO:
+            # Count timer *expiries*, not go-back-N continuations:
+            # a new timeout either enters Loss or re-fires for the
+            # head after another RTO-scale silence (backoff).
+            tx_times = segment.tx_times
+            previous_tx = tx_times[-2] if len(tx_times) >= 2 else None
+            new_expiry = ca.state != CaState.LOSS or (
+                segment.seq == tracker.snd_una
+                and segment.rto_retrans_times  # backoff re-expiry
+                and previous_tx is not None
+                and t - previous_tx >= 0.85 * rto
+            )
+            if new_expiry:
+                analysis.rto_samples.append(rto)
+                analysis.timeouts += 1
+                self.rto_est.on_timeout()
+                self._threshold = None
+            segment.rto_retrans_times.append(t)
+        elif kind == FAST:
+            # The kernel performs one fast retransmit per Recovery
+            # episode; follow-up hole repairs are recovery
+            # retransmissions, not new fast-retransmit events.  The
+            # shadow machine enters Recovery on the triggering ACK,
+            # so episodes are keyed by its recovery point.
+            if self._counted_recovery_point != ca.high_seq:
+                analysis.fast_retransmits += 1
+                self._counted_recovery_point = ca.high_seq
+            segment.fast_retrans_times.append(t)
+        else:
+            analysis.probe_retransmissions += 1
+            segment.probe_retrans_times.append(t)
+        ca.on_retransmission(kind, t, tracker)
 
     def _finalize(self) -> None:
         self.analysis.duration = self.flow.duration

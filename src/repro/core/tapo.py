@@ -142,13 +142,40 @@ class Tapo:
         #: call (reset per call); quarantined flows live in
         #: ``faults.skipped``.
         self.faults = FaultStats()
-        #: Flows settled by the columnar fast replay versus flows that
-        #: fell back to the object pipeline, for the most recent
-        #: multi-flow call on *this* instance (worker processes count
-        #: on their own instances).  Diagnostic only — results are
-        #: identical either way.
+        #: Flows settled by the clean-flow fast replay, flows replayed
+        #: by the full analyzer, and flows whose packet objects were
+        #: built at all, for the most recent multi-flow call on *this*
+        #: instance (worker processes count on their own instances).
+        #: Diagnostic only — results are identical either way.
         self.fast_flows = 0
         self.fallback_flows = 0
+        self.materialized_flows = 0
+
+    def _reset_flow_counts(self) -> None:
+        self.fast_flows = self.fallback_flows = self.materialized_flows = 0
+
+    def flow_counts(self) -> tuple[int, int, int]:
+        """``(fast, replayed, materialized)`` flow counts."""
+        return self.fast_flows, self.fallback_flows, self.materialized_flows
+
+    def add_flow_counts(self, fast: int, replayed: int, materialized: int) -> None:
+        """Fold in the counts of flows a worker process analyzed."""
+        self.fast_flows += fast
+        self.fallback_flows += replayed
+        self.materialized_flows += materialized
+
+    def flow_counts_to_registry(self, registry) -> None:
+        """Export the flow counts — the fast-replay miss rate and what
+        it costs in packet objects — to a metrics registry."""
+        for name, help_text, value in zip(
+            ("repro_flows_fast_total", "repro_flows_replayed_total",
+             "repro_flows_materialized_total"),
+            ("Flows settled by the clean-flow fast replay",
+             "Flows replayed by the full analyzer",
+             "Flows whose packet objects were built"),
+            self.flow_counts(),
+        ):
+            registry.counter(name, help_text).inc(value)
 
     @property
     def skipped_flows(self) -> list[SkippedFlow]:
@@ -160,10 +187,12 @@ class Tapo:
         """Analyze and classify one flow.
 
         Columnar flows that are provably clean settle on the fast
-        replay (:func:`~repro.core.columnar_pipeline.fast_replay_flow`)
-        without materializing packet objects; everything else — and
-        everything when ``config.columnar`` is off — runs the object
-        pipeline.  The resulting analysis is identical either way.
+        replay (:func:`~repro.core.columnar_pipeline.fast_replay_flow`);
+        everything else — and everything when ``config.columnar`` is
+        off — is replayed by :class:`FlowAnalyzer`, which reads a
+        columnar flow's rows off its columns.  Either way a columnar
+        flow is analyzed and classified without materializing packet
+        objects, and the resulting analysis is identical.
 
         Any analyzer crash surfaces as a typed
         :class:`~repro.errors.FlowAnalysisError` carrying the flow key
@@ -183,6 +212,8 @@ class Tapo:
                 self.fallback_flows += 1
             else:
                 self.fast_flows += 1
+            if flow.materialized:
+                self.materialized_flows += 1
         except ReproError:
             raise
         except Exception as exc:
@@ -238,7 +269,7 @@ class Tapo:
         core with eviction disabled.
         """
         self.faults = FaultStats()
-        self.fast_flows = self.fallback_flows = 0
+        self._reset_flow_counts()
         if self.config.columnar and not self.config.record_series:
             flows = demux_columns_stream(
                 _iter_column_batches(packets),
@@ -260,9 +291,9 @@ class Tapo:
         """Analyze every flow in a pcap file.
 
         On the columnar path (the default) packets never exist as
-        objects unless their flow needs the object pipeline: the file
-        is decoded slab-by-slab into :class:`PacketColumns` batches
-        and demultiplexed on the columns.
+        objects: the file is decoded slab-by-slab into
+        :class:`PacketColumns` batches, demultiplexed on the columns,
+        and every flow — clean or stalled — is replayed on them.
         """
         config = self.config
         with PcapReader(
@@ -272,7 +303,7 @@ class Tapo:
         ) as reader:
             if config.columnar and not config.record_series:
                 self.faults = FaultStats()
-                self.fast_flows = self.fallback_flows = 0
+                self._reset_flow_counts()
                 flows = demux_columns_stream(
                     reader.iter_columns(),
                     server_side,
@@ -322,7 +353,7 @@ class Tapo:
 
         run = run or RunConfig()
         self.faults = FaultStats()
-        self.fast_flows = self.fallback_flows = 0
+        self._reset_flow_counts()
         opened: PcapReader | None = None
         if isinstance(source, (str, Path)):
             opened = PcapReader(
@@ -340,6 +371,7 @@ class Tapo:
             max_retries=run.max_retries,
             retry_backoff=run.retry_backoff,
             faults=self.faults,
+            analyzer=self,
         )
         # The columnar demux hands the pool lazy flows; that is only a
         # win in-process, so fan-out to worker processes (which would
@@ -374,6 +406,7 @@ class Tapo:
                 stream_stats.to_registry(registry)
                 pool.stats.to_registry(registry)
                 self.faults.to_registry(registry)
+                self.flow_counts_to_registry(registry)
             if opened is not None:
                 opened.close()
 

@@ -208,10 +208,13 @@ _ANALYZE_CHUNK_FLOWS = 32
 
 def _analyze_chunk(
     flows: list[FlowTrace], config: AnalysisConfig
-) -> tuple[list, list[SkippedFlow]]:
+) -> tuple[list, list[SkippedFlow], tuple[int, int, int]]:
     """Worker entry point: run TAPO over one chunk of completed flows.
 
-    Returns ``(analyses, skipped)``.  Under a tolerant
+    Returns ``(analyses, skipped, flow_counts)``, the last being the
+    worker's ``(fast, replayed, materialized)`` flow counts (see
+    :meth:`Tapo.flow_counts <repro.core.tapo.Tapo.flow_counts>`).
+    Under a tolerant
     ``config.errors`` budget a crashing flow is quarantined into the
     ``skipped`` list instead of failing the chunk; budget caps are
     *not* enforced here (``enforce=False``) because only the parent
@@ -221,7 +224,7 @@ def _analyze_chunk(
 
     tapo = Tapo(config=config)
     analyses = list(tapo._analyze_flows(flows, tapo.faults, enforce=False))
-    return analyses, list(tapo.faults.skipped)
+    return analyses, list(tapo.faults.skipped), tapo.flow_counts()
 
 
 @dataclass
@@ -274,6 +277,10 @@ class AnalysisPool:
     matter how fast the packet source is.
 
     ``workers=1`` analyzes inline with no pool and no pickling.
+    ``analyzer`` is the :class:`~repro.core.tapo.Tapo` the caller
+    watches: the inline path runs on it and worker chunks fold their
+    flow counts into it, so its ``fast_flows`` / ``fallback_flows`` /
+    ``materialized_flows`` are live whatever the worker count.
 
     Failure handling distinguishes *deterministic* faults from
     *transient* ones.  A :class:`~repro.errors.ReproError` escaping a
@@ -298,6 +305,7 @@ class AnalysisPool:
     retry_backoff: float = 0.1
     stats: AnalysisPoolStats = field(default_factory=AnalysisPoolStats)
     faults: FaultStats = field(default_factory=FaultStats)
+    analyzer: object = None
 
     def map_stream(self, flows: Iterable[FlowTrace]) -> Iterator:
         workers = resolve_workers(self.workers)
@@ -327,7 +335,7 @@ class AnalysisPool:
     def _map_serial(self, flows: Iterable[FlowTrace]) -> Iterator:
         from ..core.tapo import Tapo
 
-        tapo = Tapo(config=self.config)
+        tapo = self.analyzer or Tapo(config=self.config)
         stats = self.stats
         before = self.faults.flows_skipped
         for analysis in tapo._analyze_flows(flows, self.faults):
@@ -359,16 +367,18 @@ class AnalysisPool:
     def _drain_one(self, in_flight: deque) -> Iterator:
         future, chunk = in_flight.popleft()
         if future is None:
-            results, skipped = self._retry_chunk(chunk)
+            results, skipped, counts = self._retry_chunk(chunk)
         else:
             try:
-                results, skipped = future.result()
+                results, skipped, counts = future.result()
             except ReproError:
                 # Deterministic: the analyzer itself refused the input
                 # under a strict budget.  Retrying cannot help.
                 raise
             except Exception:
-                results, skipped = self._retry_chunk(chunk)
+                results, skipped, counts = self._retry_chunk(chunk)
+        if self.analyzer is not None:
+            self.analyzer.add_flow_counts(*counts)
         self.stats.in_flight_chunks = len(in_flight)
         self.stats.flows += len(results)
         self.stats.flows_skipped += len(skipped)
@@ -383,7 +393,7 @@ class AnalysisPool:
 
     def _retry_chunk(
         self, chunk: list[FlowTrace]
-    ) -> tuple[list, list[SkippedFlow]]:
+    ) -> tuple[list, list[SkippedFlow], tuple[int, int, int]]:
         """Recover a chunk whose worker died or whose pool broke.
 
         Fresh single-worker pools isolate each attempt from the (very
@@ -416,7 +426,7 @@ class AnalysisPool:
 
     def _poison_chunk(
         self, chunk: list[FlowTrace], cause: Exception
-    ) -> tuple[list, list[SkippedFlow]]:
+    ) -> tuple[list, list[SkippedFlow], tuple[int, int, int]]:
         """Quarantine a chunk that killed every worker that ran it."""
         self.stats.chunks_poisoned += 1
         self.faults.tasks_poisoned += 1
@@ -427,9 +437,8 @@ class AnalysisPool:
         )
         if not self.config.errors.tolerant:
             raise error from cause
-        return [], [
-            SkippedFlow.from_exception(flow, error) for flow in chunk
-        ]
+        skipped = [SkippedFlow.from_exception(flow, error) for flow in chunk]
+        return [], skipped, (0, 0, 0)
 
 
 def _assemble(

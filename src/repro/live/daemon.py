@@ -503,6 +503,7 @@ class LiveDaemon:
             self.stats.to_registry(registry)
             self._faults_snapshot().to_registry(registry)
             self.store.to_registry(registry)
+            self.tapo.flow_counts_to_registry(registry)
             registry.counter(
                 "repro_live_records_total", "Packet records ingested"
             ).inc(self.records_in)

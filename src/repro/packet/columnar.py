@@ -6,9 +6,9 @@ packet *before* demux ever sees it, which is the analyzer's
 single-core throughput ceiling.  This module parses a whole slab of
 framed pcap records into :class:`PacketColumns` — parallel arrays of
 timestamps, endpoints, seq/ack numbers, flags, windows and payload
-lengths — so the demux and the first-pass stall screen can run over
-plain integers and only the flows that need the full object oracle
-pay for materialization.
+lengths — so the demux, the first-pass stall screen and the analyzer
+itself run over plain integers, and packet objects are built only for
+a caller that asks for ``flow.packets``.
 
 Two decoders produce identical columns:
 

@@ -13,6 +13,7 @@ import enum
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import starmap
 
 from .packet import PacketRecord
 
@@ -88,6 +89,23 @@ class FlowKey:
 
 ServerPredicate = Callable[[PacketRecord], bool]
 
+#: One packet as the primitive fields the analyzer core consumes:
+#: ``(time, dir_in, seq, ack, flags, window, payload_len, ts_ecr,
+#: options)``.  ``ts_ecr`` is 0 when the packet carries no timestamp;
+#: ``options`` is the full :class:`~repro.packet.options.TCPOptions`,
+#: and may be ``None`` when it holds nothing beyond the timestamp.
+PacketRow = tuple
+
+
+def packet_row(pkt: PacketRecord, direction: "Direction") -> PacketRow:
+    """The :data:`PacketRow` of one packet object."""
+    options = pkt.options
+    return (
+        pkt.timestamp, direction is Direction.IN, pkt.seq, pkt.ack,
+        pkt.flags, pkt.window, pkt.payload_len, options.ts_ecr or 0,
+        options,
+    )
+
 
 def server_by_ip(*server_ips: int) -> ServerPredicate:
     """Predicate: the server endpoint is any of the given IPs."""
@@ -130,6 +148,21 @@ class FlowTrace:
 
     def append(self, pkt: PacketRecord) -> None:
         self.packets.append((pkt, self.direction_of(pkt)))
+
+    def rows(self, start: int = 0) -> Iterator[PacketRow]:
+        """The packets from index ``start`` on as :data:`PacketRow`\\ s.
+
+        What the analyzer and the classifier's lookahead read, so that
+        a column-backed trace
+        (:class:`~repro.core.columnar_pipeline.LazyFlowTrace`) can
+        answer without building packet objects.
+        """
+        return starmap(packet_row, self.packets[start:])
+
+    @property
+    def materialized(self) -> bool:
+        """Whether the packets exist as objects (always, here)."""
+        return True
 
     @property
     def first_time(self) -> float:

@@ -5,13 +5,22 @@ comparisons must therefore be made modulo 2**32 using signed circular
 distance, exactly as the Linux kernel's ``before()``/``after()`` macros
 do.  Every module in this repository that touches sequence numbers goes
 through these helpers so that wraparound is handled in exactly one
-place.
+place — except the analyzer's per-packet loops, which spell the same
+comparisons inline on :data:`SEQ_MASK` / :data:`SEQ_HALF` (two function
+calls per comparison are measurable there).  With
+``d = (a - b) & SEQ_MASK``::
+
+    seq_geq(a, b)     d < SEQ_HALF
+    seq_before(a, b)  d >= SEQ_HALF
+    seq_after(a, b)   0 < d < SEQ_HALF
+    seq_leq(a, b)     not 0 < d < SEQ_HALF
 """
 
 from __future__ import annotations
 
 SEQ_SPACE = 1 << 32
-_HALF_SPACE = 1 << 31
+SEQ_MASK = SEQ_SPACE - 1
+SEQ_HALF = 1 << 31
 
 
 def seq_add(seq: int, delta: int) -> int:
@@ -29,7 +38,7 @@ def seq_sub(a: int, b: int) -> int:
     real TCP windows).
     """
     diff = (a - b) % SEQ_SPACE
-    if diff >= _HALF_SPACE:
+    if diff >= SEQ_HALF:
         diff -= SEQ_SPACE
     return diff
 
