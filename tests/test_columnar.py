@@ -626,9 +626,9 @@ class TestColumnDrivenReplay:
         for seed in range(40):
             packets = lossy_flow(random.Random(seed))
             analysis = Tapo(config=AnalysisConfig()).analyze_packets(packets)[0]
-            tracker = FlowAnalyzer(analysis.flow, config=AnalysisConfig())
-            tracker.run()
-            if tracker.tracker._last_unordered >= 0:
+            analyzer = FlowAnalyzer(analysis.flow, config=AnalysisConfig())
+            analyzer.run()
+            if analyzer.tracker._last_unordered >= 0:
                 seen.add("unordered")
             if analysis.spurious_retransmissions:
                 seen.add("dsack")
