@@ -106,7 +106,6 @@ def measure_cluster_scaling(
     flows: int = DEFAULT_CLUSTER_FLOWS,
     seed: int = DEFAULT_SEED,
     shards_list: tuple[int, ...] = DEFAULT_SHARDS,
-    transport: str = "pipe",
 ) -> dict:
     """Time the sharded cluster at each shard count over one capture.
 
@@ -137,9 +136,7 @@ def measure_cluster_scaling(
         points = []
         for shards in shards_list:
             started = time.perf_counter()
-            result = run_cluster(
-                pcap, shards=shards, transport=transport, service="bench"
-            )
+            result = run_cluster(pcap, shards=shards, service="bench")
             wall = time.perf_counter() - started
             identical = result.report.to_json() == reference_json
             if not identical:
@@ -159,7 +156,6 @@ def measure_cluster_scaling(
     return {
         "flows": flows,
         "seed": seed,
-        "transport": transport,
         "cpu_count": os.cpu_count(),
         "single_process_wall_time": baseline_wall,
         "points": points,
@@ -204,7 +200,6 @@ def build_report(
     cluster: bool = False,
     cluster_flows: int = DEFAULT_CLUSTER_FLOWS,
     shards_list: tuple[int, ...] = DEFAULT_SHARDS,
-    transport: str = "pipe",
 ) -> dict:
     report = measure_scaling(
         flows=flows, seed=seed, service=service, workers_list=workers_list
@@ -215,7 +210,6 @@ def build_report(
             flows=cluster_flows,
             seed=seed,
             shards_list=shards_list,
-            transport=transport,
         )
     return report
 
@@ -293,12 +287,6 @@ def main(argv: list[str] | None = None) -> int:
         help="shard counts for the cluster section (default: 1 2 4)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("pipe", "socket"),
-        default="pipe",
-        help="cluster coordinator/worker transport",
-    )
-    parser.add_argument(
         "--min-cluster-speedup",
         type=float,
         default=None,
@@ -325,7 +313,6 @@ def main(argv: list[str] | None = None) -> int:
         cluster=cluster,
         cluster_flows=args.cluster_flows,
         shards_list=tuple(args.shards),
-        transport=args.transport,
     )
     _emit.emit_result(
         "parallel_scaling",

@@ -4,8 +4,11 @@
 Drives the sharded coordinator the way production would, as a real
 subprocess:
 
-1. generate two capture files from the workload trace generator and
-   damage one of them with :func:`repro.testing.faults.corrupt_pcap_records`;
+1. generate two capture files from the workload trace generator,
+   damage one of them with :func:`repro.testing.faults.corrupt_pcap_records`,
+   and simulate a third — cloud-storage flows on the stock lossy path,
+   megabytes spanning several decode slabs, the later ones full of
+   SACK-bearing ACKs and free of SYNs: the paper's traffic;
 2. run ``repro-paper cluster`` with 4 shards and a kill-once injection
    (``REPRO_CLUSTER_KILL_SHARD``) so exactly one worker dies mid-run —
    the coordinator must detect the death, retry the shard, and finish;
@@ -33,16 +36,20 @@ from repro.config import AnalysisConfig
 from repro.core.report import ServiceReport
 from repro.core.tapo import Tapo
 from repro.errors import ErrorBudget
+from repro.experiments.runner import run_flows
 from repro.packet.pcap import write_pcap
 from repro.testing.faults import corrupt_pcap_records
 from repro.testing.traces import generate_trace
+from repro.workload import generate_flows, get_profile
 
 KILL_SHARD = 2
 
 
 def generate_captures(capdir: Path, flows: int, seed: int) -> list[Path]:
-    """Two rotated captures; the second gets a sprinkling of corrupt
-    records so the lenient budget and fault merge are exercised."""
+    """Three captures: two rotated ones of scripted flows, the second
+    with a sprinkling of corrupt records so the lenient budget and
+    fault merge are exercised, then one of simulated loss-heavy flows
+    (about 0.4 MB each, so a couple of dozen span several slabs)."""
     first = capdir / "cap-000.pcap"
     second = capdir / "cap-001.pcap"
     half = flows // 2
@@ -53,7 +60,19 @@ def generate_captures(capdir: Path, flows: int, seed: int) -> list[Path]:
     )
     corrupt_pcap_records(clean, second, fraction=0.03, seed=seed)
     clean.unlink()
-    return [first, second]
+    lossy = capdir / "cap-002.pcap"
+    simulated = run_flows(
+        generate_flows(get_profile("cloud_storage"), flows, seed=seed),
+        workers=1,
+    ).results
+    write_pcap(
+        lossy,
+        sorted(
+            (packet for result in simulated for packet in result.packets),
+            key=lambda packet: packet.timestamp,
+        ),
+    )
+    return [first, second, lossy]
 
 
 def run_cli(

@@ -121,9 +121,9 @@ def main(argv: list[str] | None = None) -> int:
 
         return cluster_main(rest)
     if command == "cluster-worker":
-        from .cluster.worker_cli import main as cluster_worker_main
+        from .cluster.worker_cli import main as worker_cli_main
 
-        return cluster_worker_main(rest)
+        return worker_cli_main(rest)
     if command == "run":
         from .experiments.cli import main as run_main
 

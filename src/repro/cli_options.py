@@ -227,7 +227,7 @@ def add_server_endpoint(parser: argparse.ArgumentParser) -> None:
 def add_cluster_options(
     parser: argparse.ArgumentParser, default_shards: int = 4
 ) -> None:
-    """``--shards`` / ``--transport`` — the sharded-cluster pair."""
+    """``--shards`` — the sharded-cluster worker count."""
     parser.add_argument(
         "--shards",
         type=int,
@@ -237,15 +237,6 @@ def add_cluster_options(
             "flow-hash shards, one worker process each (1 = run "
             f"in-process; merged output is byte-identical for every "
             f"value; default {default_shards})"
-        ),
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("pipe", "socket"),
-        default="pipe",
-        help=(
-            "coordinator<->worker channel: inherited pipes or a "
-            "socketpair speaking the identical framing (default pipe)"
         ),
     )
 

@@ -1,18 +1,21 @@
 """Sharded analysis cluster: coordinator, shard workers, wire protocol.
 
-Scale the analyzer past one core (and, via the socket transport, past
-one machine design-wise) without changing a single result bit: flows
-hash to shards (:func:`repro.packet.flow.flow_shard`), each shard runs
-the ordinary pipeline in its own process, and the coordinator merges
-the partial reports into one fleet-level
-:class:`~repro.core.report.ServiceReport` byte-identical to a
-single-process run.
+Scale the analyzer past one core — and past one machine — without
+changing a single result bit: flows hash to shards
+(:func:`repro.packet.flow.flow_shard`), each shard runs the ordinary
+pipeline in a worker process, and the coordinator merges the partial
+reports into one fleet-level :class:`~repro.core.report.ServiceReport`
+byte-identical to a single-process run.
 
-Across hosts, the coordinator's TCP listener mode
-(:class:`~repro.cluster.net.NetConfig`, ``repro-paper cluster
---listen``) accepts dial-in workers (:func:`~repro.cluster.net.
-run_worker`, ``repro-paper cluster-worker``) behind a mutual HMAC
-handshake, with heartbeat liveness, jittered-backoff shard
+There is one event loop (:func:`~repro.cluster.net.run_sessions`) and
+one worker loop (:func:`~repro.cluster.net.serve_assignments`), both
+speaking the framed protocol over a connected socket.  Local workers
+are forked by the coordinator, one end of a ``socketpair`` each;
+across hosts, listener mode (:class:`~repro.cluster.net.NetConfig`,
+``repro-paper cluster --listen``) accepts dial-in workers
+(:func:`~repro.cluster.net.run_worker`, ``repro-paper
+cluster-worker``) behind a mutual HMAC handshake.  Both kinds of
+session get the same heartbeat liveness, jittered-backoff shard
 reassignment, and in-process fallback — the merged report stays
 byte-identical through every failure mode.
 
@@ -49,13 +52,11 @@ from .protocol import (
     AuthError,
     Message,
     MessageKind,
-    PipeTransport,
     ProtocolError,
     SocketTransport,
     Transport,
     auth_digest,
     client_handshake,
-    make_transport_pair,
     server_handshake,
 )
 from .worker import (
@@ -64,7 +65,6 @@ from .worker import (
     ShardSpec,
     heartbeat_pump,
     run_shard,
-    worker_main,
 )
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "Message",
     "MessageKind",
     "NetConfig",
-    "PipeTransport",
     "ProtocolError",
     "ShardProgress",
     "ShardResult",
@@ -89,12 +88,10 @@ __all__ = [
     "backoff_delay",
     "client_handshake",
     "heartbeat_pump",
-    "make_transport_pair",
     "merge_shard_results",
     "run_cluster",
     "run_shard",
     "run_worker",
     "serve_cluster",
     "server_handshake",
-    "worker_main",
 ]

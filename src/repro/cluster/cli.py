@@ -153,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     coordinator = Coordinator(
         args.pcaps,
         n_shards=args.shards,
-        transport=args.transport,
         service=args.service,
         analysis=AnalysisConfig(tau=args.tau, errors=args.errors),
         server_ip=server_ip,

@@ -7,18 +7,21 @@ sharding (:func:`repro.packet.flow.flow_shard`), the streaming
 analysis pipeline, mergeable :class:`~repro.obs.metrics.MetricsRegistry`
 objects — into one fleet:
 
-1. fork one :mod:`~repro.cluster.worker` per shard, each connected
-   over a schema-versioned framed :class:`~repro.cluster.protocol.
-   Transport` (pipes by default, sockets via ``transport="socket"``);
-2. multiplex their HELLO/PROGRESS/RESULT/ERROR frames with
-   ``selectors``, checkpointing per-shard offsets and completed
-   results to a spool directory (atomic ``tmp + os.replace``, the
-   live daemon's checkpoint discipline);
-3. detect worker *death* (end-of-stream before RESULT) and retry the
-   shard in a fresh worker with exponential backoff — the
+1. hand the shards still to do to the cluster's one event loop
+   (:func:`~repro.cluster.net.run_sessions`), which forks a local
+   worker per shard over a ``socketpair`` — or, with a
+   :class:`~repro.cluster.net.NetConfig`, serves authenticated TCP
+   workers that dial in — and multiplexes their
+   HEARTBEAT/PROGRESS/RESULT/ERROR frames with ``selectors``;
+2. checkpoint per-shard offsets and completed results to a spool
+   directory (:func:`~repro.persist.atomic_write`) as those frames
+   arrive;
+3. leave worker *death* (end-of-stream before RESULT) and *silence*
+   (nothing within the heartbeat deadline) to that loop: the shard is
+   retried in another worker with jittered exponential backoff — the
    :class:`~repro.experiments.parallel.AnalysisPool` retry ladder —
    falling back to running the shard in-process in the parent after
-   ``run.max_retries`` deaths;
+   ``run.max_retries`` losses;
 4. merge the per-shard reports (canonically sorted, provenance
    tagged), registries, and fault counters into one fleet-level
    :class:`ClusterResult` whose report is byte-identical to a
@@ -32,30 +35,23 @@ gate compares against.
 from __future__ import annotations
 
 import json
-import logging
 import multiprocessing
-import os
 import pickle
 import random
-import selectors
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..config import AnalysisConfig, RunConfig
+from ..config import AnalysisConfig, RunConfig, warn_deprecated_kwargs
 from ..core.report import ServiceReport
-from ..errors import FaultStats, ReproError, WorkerError
+from ..errors import FaultStats
 from ..obs.metrics import MetricsRegistry
-from .net import NetConfig, backoff_delay, bind_listener, run_listener
-from .protocol import (
-    MessageKind,
-    ProtocolError,
-    Transport,
-    make_transport_pair,
-)
-from .worker import ShardResult, ShardSpec, run_shard, worker_main
+from ..persist import atomic_write
+from .net import NetConfig, bind_listener, run_sessions
+from .worker import ShardResult, ShardSpec, run_shard
 
-logger = logging.getLogger("repro.cluster")
+#: What the deprecation warning tells callers of ``transport=`` to pass.
+_NO_TRANSPORT = "nothing (local workers always talk over a socketpair)"
 
 #: Checkpoint schema version (see :class:`Coordinator` ``checkpoint_dir``).
 CHECKPOINT_VERSION = 1
@@ -79,7 +75,7 @@ class ClusterResult:
     faults: FaultStats
     shards: list[dict] = field(default_factory=list)
     n_shards: int = 1
-    transport: str = "pipe"
+    transport: str = "socket"  #: ``"socket"`` local, ``"tcp"`` listener
     wall_time: float = 0.0
     workers_died: int = 0
     shards_resumed: int = 0
@@ -134,7 +130,7 @@ class Coordinator:
         Worker processes; each owns the flows hashing to its shard.
         ``1`` runs in-process (no fork) — the single-process baseline.
     transport:
-        ``"pipe"`` (default) or ``"socket"``; same framing either way.
+        Deprecated and ignored: local workers always get a socketpair.
     service:
         Label on the merged report.
     analysis / run:
@@ -172,7 +168,7 @@ class Coordinator:
         source,
         n_shards: int = 4,
         *,
-        transport: str = "pipe",
+        transport: str | None = None,
         service: str = "cluster",
         analysis: AnalysisConfig | None = None,
         run: RunConfig | None = None,
@@ -193,14 +189,13 @@ class Coordinator:
             raise ValueError("cluster needs at least one capture path")
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if net is None and transport not in ("pipe", "socket"):
-            raise ValueError(
-                f"unknown cluster transport {transport!r}; expected "
-                "'pipe' or 'socket'"
+        if transport is not None:
+            warn_deprecated_kwargs(
+                "Coordinator", ["transport"], _NO_TRANSPORT
             )
         self.paths = paths
         self.n_shards = n_shards
-        self.transport = "tcp" if net is not None else transport
+        self.transport = "tcp" if net is not None else "socket"
         self.service = service
         self.analysis = analysis or AnalysisConfig()
         self.run_config = run or RunConfig()
@@ -264,14 +259,13 @@ class Coordinator:
         results: dict[int, ShardResult] = {}
         self._load_checkpoint(results)
         todo = [s for s in range(self.n_shards) if s not in results]
-        if todo:
-            if self.net is not None:
-                run_listener(self, todo, results)
-            elif self.n_shards == 1 or not _fork_available():
-                for shard in todo:
-                    self._finish_shard(results, run_shard(self.spec_for(shard)))
-            else:
-                self._run_workers(todo, results)
+        if self.net is None and (
+            self.n_shards == 1 or not _fork_available()
+        ):
+            for shard in todo:
+                self._finish_shard(results, run_shard(self.spec_for(shard)))
+        elif todo:
+            run_sessions(self, todo, results)
         report, registry, faults = merge_shard_results(
             list(results.values()), self.service
         )
@@ -301,165 +295,6 @@ class Coordinator:
             auth_failures=self.auth_failures,
             workers=list(self.worker_stats),
         )
-
-    # -- worker orchestration -----------------------------------------
-    def _run_workers(
-        self, todo: list[int], results: dict[int, ShardResult]
-    ) -> None:
-        ctx = multiprocessing.get_context("fork")
-        selector = selectors.DefaultSelector()
-        live: dict[int, dict] = {}  # shard -> {transport, process, ...}
-        attempts: dict[int, int] = {shard: 0 for shard in todo}
-        deadline = self.heartbeat_deadline
-
-        def launch(shard: int) -> None:
-            coord_end, worker_end = make_transport_pair(self.transport)
-            process = ctx.Process(
-                target=_worker_entry,
-                args=(
-                    worker_end, coord_end, self.spec_for(shard),
-                    self.heartbeat_interval,
-                ),
-                daemon=True,
-            )
-            process.start()
-            # The parent must drop the worker's end or peer death never
-            # reads as end-of-stream.
-            worker_end.close()
-            stat = {
-                "worker": f"fork:{process.pid}",
-                "state": "working",
-                "shard": shard,
-                "shards_done": 0,
-                "heartbeats": 0,
-                "heartbeat_misses": 0,
-            }
-            live[shard] = {
-                "transport": coord_end,
-                "process": process,
-                "last_seen": time.monotonic(),
-                "stat": stat,
-            }
-            self.worker_stats.append(stat)
-            selector.register(coord_end.fileno(), selectors.EVENT_READ, shard)
-
-        def retire(shard: int, *, final: str = "done") -> None:
-            state = live.pop(shard)
-            try:
-                selector.unregister(state["transport"].fileno())
-            except (KeyError, ValueError):
-                pass
-            state["transport"].close()
-            process = state["process"]
-            # A worker declared lost (silent past the heartbeat
-            # deadline) may still be alive and wedged: reap it so the
-            # shard's replacement doesn't race a zombie.
-            if final == "lost" and process.is_alive():
-                process.terminate()
-            process.join(timeout=10)
-            state["stat"]["state"] = final
-            state["stat"]["shard"] = None
-
-        def on_death(shard: int, why: str) -> None:
-            self.workers_died += 1
-            retire(shard, final="lost")
-            attempts[shard] += 1
-            attempt = attempts[shard]
-            if attempt <= self.run_config.max_retries:
-                self.reassignments += 1
-                delay = backoff_delay(
-                    self.run_config.retry_backoff, attempt, self._jitter_rng
-                )
-                logger.warning(
-                    "shard %d worker died (%s); retry %d/%d in %.2fs",
-                    shard, why, attempt, self.run_config.max_retries, delay,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                launch(shard)
-            else:
-                # Last rung of the AnalysisPool ladder: the parent runs
-                # the shard itself.  In-process execution cannot "die",
-                # so this always settles the shard (or raises the
-                # shard's own typed error).
-                logger.warning(
-                    "shard %d worker died %d times; running in-process",
-                    shard, attempt,
-                )
-                self._finish_shard(results, run_shard(self.spec_for(shard)))
-
-        def poll_timeout() -> float:
-            if not deadline:
-                return 60.0
-            now = time.monotonic()
-            nearest = min(
-                state["last_seen"] + deadline - now
-                for state in live.values()
-            )
-            return max(0.05, min(60.0, nearest))
-
-        try:
-            for shard in todo:
-                launch(shard)
-            while live:
-                for key, _events in selector.select(timeout=poll_timeout()):
-                    shard = key.data
-                    state = live.get(shard)
-                    if state is None:
-                        continue
-                    transport: Transport = state["transport"]
-                    try:
-                        message = transport.recv()
-                    except ProtocolError as exc:
-                        on_death(shard, str(exc))
-                        continue
-                    if message is None:
-                        if shard in live:  # EOF before RESULT = death
-                            on_death(shard, "end of stream before RESULT")
-                        continue
-                    state["last_seen"] = time.monotonic()
-                    if message.kind is MessageKind.HELLO:
-                        state["pid"] = message.payload.get("pid")
-                    elif message.kind is MessageKind.HEARTBEAT:
-                        state["stat"]["heartbeats"] += 1
-                    elif message.kind is MessageKind.PROGRESS:
-                        self._progress[shard] = message.payload
-                        self._write_checkpoint(results)
-                    elif message.kind is MessageKind.ERROR:
-                        retire(shard, final="errored")
-                        raise _rebuild_error(message.payload)
-                    elif message.kind is MessageKind.RESULT:
-                        state["stat"]["shards_done"] += 1
-                        retire(shard)
-                        self._finish_shard(results, message.payload)
-                if deadline:
-                    now = time.monotonic()
-                    for shard in list(live):
-                        state = live.get(shard)
-                        if (
-                            state is not None
-                            and now - state["last_seen"] > deadline
-                        ):
-                            self.heartbeat_misses += 1
-                            state["stat"]["heartbeat_misses"] += 1
-                            on_death(
-                                shard,
-                                f"silent past heartbeat deadline "
-                                f"({deadline:.1f}s)",
-                            )
-        finally:
-            for shard in list(live):
-                state = live.pop(shard)
-                try:
-                    selector.unregister(state["transport"].fileno())
-                except (KeyError, ValueError):
-                    pass
-                state["transport"].close()
-                process = state["process"]
-                if process.is_alive():
-                    process.terminate()
-                process.join(timeout=10)
-            selector.close()
 
     def _finish_shard(
         self, results: dict[int, ShardResult], result: ShardResult
@@ -505,17 +340,14 @@ class Coordinator:
     def _spool_result(self, result: ShardResult) -> None:
         if self.checkpoint_dir is None:
             return
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        name = f"shard-{result.shard}.pkl"
-        tmp = self.checkpoint_dir / (name + ".tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, self.checkpoint_dir / name)
+        atomic_write(
+            self.checkpoint_dir / f"shard-{result.shard}.pkl",
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def _write_checkpoint(self, results: dict[int, ShardResult]) -> None:
         if self.checkpoint_dir is None:
             return
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         state = {
             "version": CHECKPOINT_VERSION,
             "signature": self._signature(),
@@ -530,9 +362,10 @@ class Coordinator:
                 for shard in range(self.n_shards)
             },
         }
-        tmp = self.checkpoint_dir / (STATE_FILE + ".tmp")
-        tmp.write_text(json.dumps(state, indent=2, sort_keys=True))
-        os.replace(tmp, self.checkpoint_dir / STATE_FILE)
+        atomic_write(
+            self.checkpoint_dir / STATE_FILE,
+            json.dumps(state, indent=2, sort_keys=True),
+        )
 
 
 class ClusterProvider:
@@ -601,7 +434,7 @@ def analyze_cluster(
     source,
     shards: int = 4,
     *,
-    transport: str = "pipe",
+    transport: str | None = None,
     service: str = "cluster",
     config: AnalysisConfig | None = None,
     run: RunConfig | None = None,
@@ -621,11 +454,15 @@ def analyze_cluster(
     including ``shards=1`` (fully in-process) — sharding is a pure
     execution strategy, never a semantic one.  For the full fleet
     result (registry, per-shard detail), build a :class:`Coordinator`.
+    ``transport`` is deprecated and ignored.
     """
+    if transport is not None:
+        warn_deprecated_kwargs(
+            "analyze_cluster", ["transport"], _NO_TRANSPORT
+        )
     return run_cluster(
         source,
         shards=shards,
-        transport=transport,
         service=service,
         config=config,
         run=run,
@@ -640,8 +477,7 @@ def analyze_cluster(
     ).report
 
 
-def run_cluster(source, shards: int = 4, *, transport: str = "pipe",
-                service: str = "cluster",
+def run_cluster(source, shards: int = 4, *, service: str = "cluster",
                 config: AnalysisConfig | None = None,
                 run: RunConfig | None = None,
                 server_ip: int | None = None,
@@ -657,7 +493,6 @@ def run_cluster(source, shards: int = 4, *, transport: str = "pipe",
     return Coordinator(
         source,
         n_shards=shards,
-        transport=transport,
         service=service,
         analysis=config,
         run=run,
@@ -673,32 +508,5 @@ def run_cluster(source, shards: int = 4, *, transport: str = "pipe",
 
 
 # -- internals --------------------------------------------------------
-def _worker_entry(
-    worker_end: Transport, coord_end: Transport, spec: ShardSpec,
-    heartbeat_interval: float | None = None,
-) -> None:
-    """Child-process entry: drop the parent's end, run the shard."""
-    coord_end.close()
-    raise SystemExit(worker_main(worker_end, spec, heartbeat_interval))
-
-
-def _rebuild_error(payload: dict) -> ReproError:
-    """Re-raise a worker's ERROR frame as its original typed error."""
-    from .. import errors as errors_module
-
-    error_type = payload.get("error_type", "WorkerError")
-    message = (
-        f"shard {payload.get('shard')}: "
-        f"{error_type}: {payload.get('error')}"
-    )
-    cls = getattr(errors_module, error_type, None)
-    if isinstance(cls, type) and issubclass(cls, ReproError):
-        try:
-            return cls(message)
-        except TypeError:
-            pass
-    return WorkerError(message)
-
-
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()

@@ -1,35 +1,40 @@
-"""Cross-host cluster networking: TCP listener, dial-in workers.
+"""The cluster's one event loop and one worker loop.
 
-This module turns the single-host sharded cluster into a deployable
-service.  The coordinator binds a TCP listener
-(:class:`NetConfig`, ``repro-paper cluster --listen``); workers on any
-host that can read the capture paths dial in
-(:func:`run_worker`, ``repro-paper cluster-worker --connect``),
-authenticate with a mutual HMAC handshake
-(:func:`~repro.cluster.protocol.server_handshake`), and pull shard
-assignments until the fleet's work queue drains.
+Every worker is a *session*: a connected socket, an assigned shard (or
+none), and a liveness deadline.  :func:`run_sessions` is the only
+``selectors`` loop in the cluster, whichever way a session came to be:
 
-Failure handling at every layer:
+* **local** — the coordinator forks a child per outstanding shard,
+  each on one end of a ``socket.socketpair()``.  The descriptor is
+  made by the coordinator and inherited across its own fork, never
+  reachable from outside, so the session counts as authenticated;
+* **dial-in** — with a :class:`NetConfig` (``repro-paper cluster
+  --listen``) workers on any host that can read the capture paths
+  connect over TCP (:func:`run_worker`, ``repro-paper cluster-worker
+  --connect``) and pass a mutual HMAC handshake
+  (:func:`~repro.cluster.protocol.server_handshake`) first.
 
-* **Auth** — a peer with the wrong (or no) secret is refused with a
-  typed ``AuthError`` frame and never receives a shard spec; a
+From then on both run :func:`serve_assignments` and pull shards until
+the queue drains.  Failure handling at every layer:
+
+* **Auth** — a dialing peer with the wrong (or no) secret is refused
+  with a typed ``AuthError`` frame and never receives a shard spec; a
   slowloris peer is cut off by the handshake deadline.
-* **Liveness** — workers send HEARTBEAT frames on an interval the
-  WELCOME message announces; the coordinator's selectors loop keeps a
-  per-worker deadline.  A worker that *closes* is dead; one that goes
-  *silent* past the deadline (half-open TCP, a blackholed path) is
-  declared lost just the same.
+* **Liveness** — workers send HEARTBEAT frames on an interval and the
+  loop keeps a per-session deadline.  A worker that *closes* is dead;
+  one that goes *silent* past the deadline (a wedged child, half-open
+  TCP, a blackholed path) is declared lost just the same.
 * **Reassignment** — a lost worker's in-flight shard is re-queued with
-  seeded, jittered exponential backoff; after ``run.max_retries``
-  losses the coordinator runs the shard in-process (the same
-  last-rung fallback the local pool uses), so the run always
+  seeded, jittered exponential backoff (a lost local worker is killed,
+  reaped and replaced by a fresh fork); after ``run.max_retries``
+  losses the coordinator runs the shard in-process, so the run always
   terminates.  Completed shards are never re-run: results land in the
   coordinator's result map (and checkpoint spool) the moment they
   arrive, and only in-flight work moves.
-* **No workers at all** — after ``worker_grace`` seconds with pending
-  work and nobody connected, the coordinator drains the queue
-  in-process (``fallback=True``), so a mis-deployed fleet still
-  produces the byte-identical report, just slower.
+* **No workers at all** (listener mode) — after ``worker_grace``
+  seconds with pending work and nobody connected, the coordinator
+  drains the queue in-process (``fallback=True``), so a mis-deployed
+  fleet still produces the byte-identical report, just slower.
 
 Jitter everywhere (:func:`backoff_delay`) is deterministic under a
 seed, so tests can assert exact retry schedules while production
@@ -39,6 +44,7 @@ restarts spread out instead of thundering back in lockstep.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import random
 import selectors
@@ -47,6 +53,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from .. import errors as errors_module
 from ..errors import ReproError, WorkerError
 from .protocol import (
     FEATURES,
@@ -122,12 +129,15 @@ def bind_listener(net: NetConfig) -> socket.socket:
 
 
 class _Session:
-    """Coordinator-side state for one authenticated worker."""
+    """Coordinator-side state for one worker; ``process`` is the
+    forked child behind a local session, ``None`` for a dial-in one."""
 
-    def __init__(self, transport: SocketTransport, addr, info: dict):
+    def __init__(self, transport: SocketTransport, addr, info: dict,
+                 process=None):
         self.transport = transport
         self.fd = transport.fileno()  # cached: closed sockets return -1
         self.addr = addr
+        self.process = process
         self.name = f"{info.get('host', addr[0])}:{info.get('pid', '?')}"
         self.shard: int | None = None
         self.last_seen = time.monotonic()
@@ -143,25 +153,29 @@ class _Session:
         }
 
 
-def run_listener(coord, todo: list[int], results: dict) -> None:
-    """The coordinator's cross-host event loop.
+def run_sessions(coord, todo: list[int], results: dict) -> None:
+    """The coordinator's event loop, local and cross-host alike.
 
-    ``coord`` is a :class:`~repro.cluster.coordinator.Coordinator`
-    whose ``net`` attribute carries a :class:`NetConfig`; this function
-    owns the listener, the sessions, and the shard queue, and settles
-    every shard in ``todo`` into ``results`` before returning (workers,
-    reassignment, or in-process fallback — whichever it takes).
+    ``coord`` is a :class:`~repro.cluster.coordinator.Coordinator`;
+    with ``coord.net`` set its sessions are authenticated dial-in
+    workers, without it forked local ones.  Either way this function
+    owns the sessions and the shard queue, and settles every shard in
+    ``todo`` into ``results`` before returning (workers, reassignment,
+    or in-process fallback — whichever it takes).
     """
-    net: NetConfig = coord.net
-    if not net.secret:
+    net: NetConfig | None = coord.net
+    if net is not None and not net.secret:
         raise ValueError(
             "cluster listener mode requires a shared secret "
             "(--cluster-secret / NetConfig.secret)"
         )
-    listener = coord.bind_socket()
-    listener.setblocking(False)
     selector = selectors.DefaultSelector()
-    selector.register(listener, selectors.EVENT_READ, "accept")
+    if net is not None:
+        listener = coord.bind_socket()
+        listener.setblocking(False)
+        selector.register(listener, selectors.EVENT_READ, "accept")
+    else:
+        fork = multiprocessing.get_context("fork")
 
     pending: deque[int] = deque(sorted(todo))
     outstanding = set(todo)
@@ -185,6 +199,13 @@ def run_listener(coord, todo: list[int], results: dict) -> None:
         session.transport.close()
         session.stat["state"] = state
         session.stat["shard"] = None
+        process = session.process
+        if process is not None:
+            # Mid-shard it is wedged, dying, or the run is aborting:
+            # kill it.  An idle child exits on SHUTDOWN/end-of-stream.
+            if session.shard is not None and process.is_alive():
+                process.terminate()
+            process.join(timeout=10)
 
     def lose(session: _Session, why: str) -> None:
         nonlocal last_activity
@@ -238,8 +259,36 @@ def run_listener(coord, todo: list[int], results: dict) -> None:
             session.stat["state"] = "working"
             session.stat["shard"] = shard
 
-    def accept() -> None:
+    def admit(session: _Session) -> None:
         nonlocal last_activity
+        sessions[session.fd] = session
+        selector.register(session.fd, selectors.EVENT_READ, session)
+        coord.worker_stats.append(session.stat)
+        last_activity = time.monotonic()
+
+    def fork_worker() -> None:
+        ours, theirs = socket.socketpair()
+        transport = SocketTransport(ours)
+        process = fork.Process(
+            target=_local_worker,
+            args=(
+                theirs,
+                [transport, *(s.transport for s in sessions.values())],
+            ),
+            daemon=True,
+        )
+        process.start()
+        # The parent must drop the worker's end or the worker's death
+        # never reads as end-of-stream.
+        theirs.close()
+        admit(
+            _Session(
+                transport, ("fork", process.pid), {"pid": process.pid},
+                process,
+            )
+        )
+
+    def accept() -> None:
         try:
             sock, addr = listener.accept()
         except OSError:
@@ -259,10 +308,7 @@ def run_listener(coord, todo: list[int], results: dict) -> None:
             transport.close()
             return
         session = _Session(transport, addr, info)
-        sessions[session.fd] = session
-        selector.register(session.fd, selectors.EVENT_READ, session)
-        coord.worker_stats.append(session.stat)
-        last_activity = time.monotonic()
+        admit(session)
         logger.info("worker %s connected", session.name)
 
     def service(session: _Session) -> None:
@@ -314,7 +360,7 @@ def run_listener(coord, todo: list[int], results: dict) -> None:
                         session.last_seen + deadline - now
                     )
         candidates.extend(at - now for at in blocked.values())
-        if pending and not sessions and net.fallback:
+        if net is not None and net.fallback and pending and not sessions:
             candidates.append(last_activity + net.worker_grace - now)
         return max(_MIN_POLL, min(candidates))
 
@@ -325,12 +371,19 @@ def run_listener(coord, todo: list[int], results: dict) -> None:
                 if release_at <= now:
                     del blocked[shard]
                     pending.append(shard)
+            if net is None:
+                # A local worker per outstanding shard: the initial
+                # fleet, then a fork for each one lost and not covered
+                # by an idle survivor.
+                while len(sessions) < len(outstanding):
+                    fork_worker()
             assign_ready()
             if (
-                pending
+                net is not None
+                and net.fallback
+                and pending
                 and not sessions
                 and not blocked
-                and net.fallback
                 and now - last_activity >= net.worker_grace
             ):
                 # Nobody is coming: drain one shard in-process per
@@ -368,7 +421,9 @@ def run_listener(coord, todo: list[int], results: dict) -> None:
                 session.transport.send(MessageKind.SHUTDOWN)
             except ProtocolError:
                 pass
-            drop(session, "released")
+            # A dial-in worker outlives the run and is let go to serve
+            # another; a forked one exists for this run only.
+            drop(session, "released" if session.process is None else "done")
         selector.close()
         coord.close_listener()
 
@@ -426,19 +481,9 @@ def run_worker(
                 info=info,
             )
             failures = 0
-            while True:
-                transport.set_deadline(idle_timeout)
-                message = transport.recv()
-                transport.set_deadline(None)
-                if message is None or message.kind is MessageKind.SHUTDOWN:
-                    return completed
-                if message.kind is MessageKind.ASSIGN:
-                    payload = message.payload
-                    completed += _run_assignment(
-                        transport,
-                        payload["spec"],
-                        payload.get("heartbeat_interval"),
-                    )
+            for done in serve_assignments(transport, idle_timeout):
+                completed += done
+            return completed
         except AuthError:
             raise
         except (ProtocolError, OSError) as exc:
@@ -457,12 +502,56 @@ def run_worker(
             transport.close()
 
 
+def serve_assignments(transport: SocketTransport,
+                      idle_timeout: float | None = None):
+    """The worker-side loop of every session, forked or dialed in:
+    ASSIGN → (HEARTBEAT/PROGRESS)* → RESULT|ERROR → … until SHUTDOWN
+    or a clean close.  Yields ``1`` per shard answered with RESULT and
+    ``0`` per ERROR; ``idle_timeout`` bounds the wait for a frame.
+    """
+    while True:
+        transport.set_deadline(idle_timeout)
+        message = transport.recv()
+        transport.set_deadline(None)
+        if message is None or message.kind is MessageKind.SHUTDOWN:
+            return
+        if message.kind is MessageKind.ASSIGN:
+            payload = message.payload
+            yield _run_assignment(
+                transport,
+                payload["spec"],
+                payload.get("heartbeat_interval"),
+            )
+
+
+def _local_worker(sock: socket.socket, inherited) -> None:
+    """Entry point of a forked local worker.
+
+    The fork copied the coordinator's end of every session, this one
+    included; a copy left open here would keep a dead peer's stream
+    from ever reading as ended, so all are closed before serving.
+    """
+    for transport in inherited:
+        transport.close()
+    transport = SocketTransport(sock)
+    try:
+        for _ in serve_assignments(transport):
+            pass
+    finally:
+        transport.close()
+
+
 def _run_assignment(
     transport: SocketTransport,
     spec: ShardSpec,
     heartbeat_interval: float | None,
 ) -> int:
-    """Execute one assigned shard; returns 1 on RESULT, 0 on ERROR."""
+    """Execute one assigned shard; returns 1 on RESULT, 0 on ERROR.
+
+    Only a typed :class:`~repro.errors.ReproError` travels as an ERROR
+    frame.  Anything else is a bug and kills the worker, so the death
+    ladder's in-process last rung raises it with its traceback.
+    """
     try:
         with heartbeat_pump(transport, spec.shard, heartbeat_interval):
             result = run_shard(
@@ -487,6 +576,18 @@ def _run_assignment(
 
 
 def _typed_error(payload) -> ReproError:
-    from .coordinator import _rebuild_error
-
-    return _rebuild_error(payload if isinstance(payload, dict) else {})
+    """Rebuild a worker's ERROR frame as its original typed error."""
+    if not isinstance(payload, dict):
+        payload = {}
+    error_type = payload.get("error_type", "WorkerError")
+    message = (
+        f"shard {payload.get('shard')}: "
+        f"{error_type}: {payload.get('error')}"
+    )
+    cls = getattr(errors_module, error_type, None)
+    if isinstance(cls, type) and issubclass(cls, ReproError):
+        try:
+            return cls(message)
+        except TypeError:
+            pass
+    return WorkerError(message)

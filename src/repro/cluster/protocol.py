@@ -11,20 +11,19 @@ one frame::
 
 The header is fixed (12 bytes) so a receiver always knows how much to
 read next.  Payload encoding depends on the message kind: control and
-handshake frames (HELLO, PROGRESS, HEARTBEAT, CHALLENGE, AUTH,
-WELCOME, ERROR, SHUTDOWN) carry JSON, so nothing an *unauthenticated*
+handshake frames (PROGRESS, HEARTBEAT, CHALLENGE, AUTH, WELCOME,
+ERROR, SHUTDOWN) carry JSON, so nothing an *unauthenticated*
 peer sends is ever unpickled; only the two kinds exchanged after a
 successful handshake on a trusted channel (ASSIGN, RESULT) carry
 pickled Python objects.  A version mismatch, bad magic, or short
 read/write mid-frame raises a typed :class:`ProtocolError` (with
 bytes-transferred context) instead of desynchronizing.
 
-Transports are pluggable behind one tiny interface
-(:class:`Transport`): :class:`PipeTransport` runs same-host
-coordinator/worker pairs over ``os.pipe`` descriptors that
-fork-spawned children inherit, and :class:`SocketTransport` runs the
-identical framing over a connected socket — ``socketpair`` on one
-host, real TCP across hosts (:mod:`repro.cluster.net`).  Framing never
+Every channel is a connected socket behind :class:`SocketTransport` —
+a ``socketpair`` the coordinator creates for each worker it forks,
+real TCP for workers that dial in (:mod:`repro.cluster.net`).  The
+:class:`Transport` base keeps framing apart from byte I/O so tests can
+substitute a recording or a one-byte-at-a-time channel.  Framing never
 assumes a full transfer: sends loop on partial ``send()`` and receives
 loop on partial ``recv()``, so slow links, tiny socket buffers, and
 signal-interrupted syscalls cannot tear a frame.
@@ -83,7 +82,7 @@ class AuthError(ProtocolError):
 class MessageKind(enum.IntEnum):
     """What a frame's payload means."""
 
-    HELLO = 1      #: worker -> coordinator: shard id, pid, version
+    HELLO = 1      #: reserved (no longer sent): keeps wire values stable
     PROGRESS = 2   #: worker -> coordinator: periodic per-shard offsets
     RESULT = 3     #: worker -> coordinator: the shard's final result
     ERROR = 4      #: worker -> coordinator: typed failure before RESULT
@@ -234,43 +233,6 @@ class Transport:
         raise NotImplementedError
 
 
-class PipeTransport(Transport):
-    """Frames over a pair of ``os.pipe`` file descriptors.
-
-    Either descriptor may be ``None`` for a one-directional end (the
-    worker end of a result channel only writes).
-    """
-
-    def __init__(self, read_fd: int | None, write_fd: int | None):
-        super().__init__()
-        self._read_fd = read_fd
-        self._write_fd = write_fd
-
-    def _write_some(self, view: memoryview) -> int:
-        try:
-            return os.write(self._write_fd, view)
-        except OSError as exc:
-            raise ProtocolError(f"pipe write failed: {exc}") from exc
-
-    def _read_some(self, n: int) -> bytes:
-        try:
-            return os.read(self._read_fd, n)
-        except OSError as exc:
-            raise ProtocolError(f"pipe read failed: {exc}") from exc
-
-    def fileno(self) -> int:
-        return self._read_fd if self._read_fd is not None else self._write_fd
-
-    def close(self) -> None:
-        for fd in (self._read_fd, self._write_fd):
-            if fd is not None:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-        self._read_fd = self._write_fd = None
-
-
 class SocketTransport(Transport):
     """Frames over a connected socket — ``socketpair`` on one host,
     TCP across hosts; the framing neither knows nor cares.
@@ -330,32 +292,6 @@ class SocketTransport(Transport):
             self._sock.close()
         except OSError:
             pass
-
-
-def make_transport_pair(
-    transport: str = "pipe",
-) -> tuple[Transport, Transport]:
-    """Build a connected ``(coordinator_end, worker_end)`` pair.
-
-    ``"pipe"`` wires two ``os.pipe``\\ s into a full-duplex channel;
-    ``"socket"`` uses a ``socketpair``.  Both ends survive a fork —
-    each process must :meth:`~Transport.close` the end it does not use
-    so peer death surfaces as end-of-stream.
-    """
-    if transport == "pipe":
-        worker_read, coord_write = os.pipe()
-        coord_read, worker_write = os.pipe()
-        return (
-            PipeTransport(coord_read, coord_write),
-            PipeTransport(worker_read, worker_write),
-        )
-    if transport == "socket":
-        coord_sock, worker_sock = socket.socketpair()
-        return SocketTransport(coord_sock), SocketTransport(worker_sock)
-    raise ValueError(
-        f"unknown cluster transport {transport!r}; expected 'pipe' or "
-        "'socket'"
-    )
 
 
 # -- authenticated handshake -------------------------------------------

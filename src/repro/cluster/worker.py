@@ -34,7 +34,7 @@ from pathlib import Path
 from ..config import AnalysisConfig, RunConfig
 from ..core.report import ServiceReport
 from ..core.tapo import Tapo
-from ..errors import FaultStats, ReproError
+from ..errors import FaultStats
 from ..obs.metrics import MetricsRegistry
 from ..packet.columnar import PacketColumns
 from ..packet.flow import FlowTrace, StreamStats, server_by_ip, server_by_port
@@ -277,58 +277,3 @@ def _maybe_die(shard: int) -> None:
     except FileExistsError:
         return
     os._exit(42)
-
-
-def worker_main(transport: Transport, spec: ShardSpec,
-                heartbeat_interval: float | None = None) -> int:
-    """Protocol loop of a shard worker process.
-
-    HELLO first (shard id, pid, protocol version), PROGRESS frames
-    while decoding — plus HEARTBEAT beacons from a side thread when
-    ``heartbeat_interval`` is set — then exactly one of RESULT
-    (success) or ERROR (a typed failure the coordinator should surface
-    under the run's error budget).  Worker *death* — no RESULT, stream
-    just ends — and worker *silence* — heartbeats stop past the
-    coordinator's deadline — are the coordinator's problem to detect
-    and retry.
-    """
-    transport.send(
-        MessageKind.HELLO,
-        {"shard": spec.shard, "pid": os.getpid(), "service": spec.service},
-    )
-    try:
-        with heartbeat_pump(transport, spec.shard, heartbeat_interval):
-            result = run_shard(
-                spec,
-                progress_sink=lambda p: transport.send(
-                    MessageKind.PROGRESS, p.to_dict()
-                ),
-            )
-        _maybe_die(spec.shard)
-        transport.send(MessageKind.RESULT, result)
-        return 0
-    except ReproError as exc:
-        transport.send(
-            MessageKind.ERROR,
-            {
-                "shard": spec.shard,
-                "error_type": type(exc).__name__,
-                "error": str(exc),
-            },
-        )
-        return 1
-    except BaseException as exc:  # surface crashes, then die visibly
-        try:
-            transport.send(
-                MessageKind.ERROR,
-                {
-                    "shard": spec.shard,
-                    "error_type": type(exc).__name__,
-                    "error": str(exc),
-                },
-            )
-        except Exception:
-            pass
-        return 1
-    finally:
-        transport.close()

@@ -240,7 +240,6 @@ def main(argv: list[str] | None = None) -> int:
             cluster_result = run_cluster(
                 args.pcap,
                 shards=args.shards,
-                transport=args.transport,
                 service=args.pcap,
                 config=tapo.config,
                 server_ip=(

@@ -424,7 +424,7 @@ class ColumnarStreamDemuxer:
             store.append(
                 now, src, seqs[row], acks[row], flags, windows[row],
                 payloads[row], ts_vals[row], ts_ecrs[row], optbits,
-                odd_options.get(row) if optbits & OPT_ODD else None,
+                odd_options[row] if optbits & OPT_ODD else None,
                 sources[row] if sources is not None else None,
             )
             stats.packets += 1

@@ -12,11 +12,12 @@ the ``repro`` package.  Any change to the simulator, the workload
 profiles, or the analyzer invalidates every entry automatically; there
 is no manual invalidation to forget.
 
-Robustness: entries are written atomically (temp file + ``os.replace``)
-and carry a payload checksum.  A truncated, corrupted, or
-version-skewed entry is detected at load time, deleted, and reported
-as a miss — the caller falls back to re-simulation.  All disk errors
-are swallowed: the cache is an accelerator, never a point of failure.
+Robustness: entries are written atomically
+(:func:`~repro.persist.atomic_write`) and carry a payload checksum.  A
+truncated, corrupted, or version-skewed entry is detected at load
+time, deleted, and reported as a miss — the caller falls back to
+re-simulation.  All disk errors are swallowed: the cache is an
+accelerator, never a point of failure.
 
 The cache root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; size is
 bounded by an entry count and a byte cap (oldest entries evicted).
@@ -27,10 +28,10 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
 
 from ..errors import CacheError
+from ..persist import atomic_write
 
 _MAGIC = b"REPRODS1"
 
@@ -204,21 +205,8 @@ class DatasetCache:
         try:
             payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
             blob = _MAGIC + hashlib.sha256(payload).digest() + payload
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp_", suffix=_SUFFIX
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                path = self.path_for(fingerprint)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            path = self.path_for(fingerprint)
+            atomic_write(path, blob)
             self._evict()
             return path
         except _STORE_ERRORS:

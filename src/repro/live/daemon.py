@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import signal
 import threading
 import time
@@ -52,6 +51,7 @@ from ..errors import FaultStats
 from ..obs.metrics import MetricsRegistry
 from ..packet.flow import StreamStats
 from ..packet.pcap import PcapReader
+from ..persist import atomic_write
 from ..results.dashboard import render_dashboard
 from ..results.trends import trend_report
 from .alerts import AlertEngine, AlertRule
@@ -425,12 +425,7 @@ class LiveDaemon:
                     "flows_seen": self.flows_seen,
                 },
             }
-        tmp = self.checkpoint_path.with_suffix(
-            self.checkpoint_path.suffix + ".tmp"
-        )
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(state, sort_keys=True))
-        os.replace(tmp, self.checkpoint_path)
+        atomic_write(self.checkpoint_path, json.dumps(state, sort_keys=True))
         self._last_checkpoint = time.monotonic()
         self._last_checkpoint_wall = time.time()
         self.checkpoints_written += 1

@@ -258,14 +258,15 @@ class PacketColumns:
         for name in self._COLUMN_NAMES:
             column = getattr(self, name)
             getattr(out, name).extend(column[i] for i in indices)
+        # Decide per row, never on the mapping's truthiness: a lazy
+        # mapping holding only undecoded SACK rows is an empty dict.
         odd = self.odd_options
-        if odd:
-            optbits = self.optbits
-            out.odd_options = {
-                new_index: odd[old_index]
-                for new_index, old_index in enumerate(indices)
-                if optbits[old_index] & OPT_ODD
-            }
+        optbits = self.optbits
+        out.odd_options = {
+            new_index: odd[old_index]
+            for new_index, old_index in enumerate(indices)
+            if optbits[old_index] & OPT_ODD
+        }
         source = self.source_records
         if source is not None:
             out.source_records = [source[i] for i in indices]

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import time
 import uuid
@@ -57,6 +56,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from ..errors import ErrorBudget, ParseError
+from ..persist import atomic_write
 
 #: Record schema version (bump on incompatible record-shape changes).
 SCHEMA_VERSION = 1
@@ -385,12 +385,9 @@ class ResultsStore:
                 kept.extend(group[-keep_last:])
             records = merge_records(kept)
         self.close()
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(_canonical(record) + "\n")
-        os.replace(tmp, self.path)
+        atomic_write(
+            self.path, "".join(_canonical(r) + "\n" for r in records)
+        )
         return {
             "records": len(records),
             "dropped_corrupt": dropped_corrupt,
@@ -415,12 +412,7 @@ class ResultsStore:
         ]
         merged = merge_records(*shards)
         out = Path(out)
-        tmp = out.with_suffix(out.suffix + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in merged:
-                fh.write(_canonical(record) + "\n")
-        os.replace(tmp, out)
+        atomic_write(out, "".join(_canonical(r) + "\n" for r in merged))
         return len(merged)
 
 

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -16,25 +19,32 @@ from repro.cluster import (
     ClusterProvider,
     Coordinator,
     MessageKind,
+    NetConfig,
     ProtocolError,
     ShardSpec,
+    SocketTransport,
     analyze_cluster,
-    make_transport_pair,
     merge_shard_results,
     run_cluster,
     run_shard,
+    run_worker,
 )
+from repro.cluster import net as cluster_net
 from repro.cluster import protocol as proto
 from repro.cluster.worker import KILL_DIR_ENV, KILL_SHARD_ENV
-from repro.config import AnalysisConfig
+from repro.config import AnalysisConfig, RunConfig
 from repro.core.report import ServiceReport
 from repro.core.tapo import Tapo
 from repro.errors import ErrorBudget
-from repro.packet.columnar import PacketColumns
+from repro.experiments.runner import run_flows
+from repro.packet.columnar import OPT_ODD, PacketColumns, _LazySackOptions
 from repro.packet.flow import FlowKey, flow_shard
 from repro.packet.pcap import PcapReader, write_pcap
 from repro.testing.faults import corrupt_pcap_records
 from repro.testing.traces import generate_trace
+from repro.workload import generate_flows, get_profile
+
+SECRET = "tests-shared-secret"
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +52,43 @@ def trace_pcap(tmp_path_factory):
     path = tmp_path_factory.mktemp("cluster") / "trace.pcap"
     write_pcap(path, generate_trace(seed=11, flows=36))
     return str(path)
+
+
+#: Decode-slab size for the lossy capture: small enough that ~1 MB of
+#: packets spans a dozen slabs, most of them without a single SYN.
+SMALL_SLAB = 64 << 10
+
+
+@pytest.fixture(scope="module")
+def lossy_pcap(tmp_path_factory):
+    """A few simulated cloud-storage flows over the stock lossy path,
+    all starting together: SACK-dense ACK runs long after the
+    handshakes, i.e. the paper's traffic."""
+    path = tmp_path_factory.mktemp("cluster") / "lossy.pcap"
+    results = run_flows(
+        generate_flows(get_profile("cloud_storage"), 6, seed=3), workers=1
+    ).results
+    write_pcap(
+        path,
+        sorted(
+            (packet for result in results for packet in result.packets),
+            key=lambda packet: packet.timestamp,
+        ),
+    )
+    return str(path)
+
+
+def sack_only_slabs(path: str) -> list[PacketColumns]:
+    """Slabs whose odd rows are all undecoded TS+SACK ones — the lazy
+    mapping is an *empty* dict until somebody asks for a row."""
+    with PcapReader(path) as reader:
+        return [
+            cols
+            for cols in reader.iter_columns(SMALL_SLAB)
+            if isinstance(cols.odd_options, _LazySackOptions)
+            and not cols.odd_options
+            and any(bits & OPT_ODD for bits in cols.optbits)
+        ]
 
 
 def batch_reference(path: str, service: str = "cluster") -> ServiceReport:
@@ -52,10 +99,46 @@ def batch_reference(path: str, service: str = "cluster") -> ServiceReport:
     return report.canonical_sort()
 
 
+def channel_pair(kind: str = "socket"):
+    """Both ends of a connected channel: a ``socketpair`` (what a
+    forked local worker gets) or a loopback TCP connection (what a
+    dial-in worker gets)."""
+    if kind == "socket":
+        a, b = socket.socketpair()
+    else:
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            a = socket.create_connection(server.getsockname())
+            b, _ = server.accept()
+    return SocketTransport(a), SocketTransport(b)
+
+
+def run_with_dial_in_workers(path, n_shards, n_workers=2, **kw):
+    """A ``--listen`` run: the coordinator here, ``n_workers``
+    authenticated dial-in workers on threads."""
+    coord = Coordinator(
+        path, n_shards=n_shards, net=NetConfig(secret=SECRET), **kw
+    )
+    address = coord.bind()
+    workers = [
+        threading.Thread(
+            target=run_worker, args=(address, SECRET),
+            kwargs={"seed": i}, daemon=True,
+        )
+        for i in range(n_workers)
+    ]
+    for worker in workers:
+        worker.start()
+    result = coord.run()
+    for worker in workers:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    return result
+
+
 class TestProtocol:
-    @pytest.mark.parametrize("transport", ["pipe", "socket"])
-    def test_round_trip(self, transport):
-        a, b = make_transport_pair(transport)
+    @pytest.mark.parametrize("kind", ["socket", "tcp"])
+    def test_round_trip(self, kind):
+        a, b = channel_pair(kind)
         try:
             payload = {"shard": 3, "nested": [1, "two", {"x": 4.5}]}
             a.send(MessageKind.PROGRESS, payload)
@@ -70,15 +153,15 @@ class TestProtocol:
             a.close()
             b.close()
 
-    @pytest.mark.parametrize("transport", ["pipe", "socket"])
-    def test_clean_eof_is_none(self, transport):
-        a, b = make_transport_pair(transport)
+    @pytest.mark.parametrize("kind", ["socket", "tcp"])
+    def test_clean_eof_is_none(self, kind):
+        a, b = channel_pair(kind)
         a.close()
         assert b.recv() is None
         b.close()
 
     def test_mid_frame_eof_raises(self):
-        a, b = make_transport_pair("pipe")
+        a, b = channel_pair()
         # Write a header promising more payload than ever arrives.
         a._write(
             proto._HEADER.pack(
@@ -93,7 +176,7 @@ class TestProtocol:
         b.close()
 
     def test_version_mismatch_raises(self):
-        a, b = make_transport_pair("pipe")
+        a, b = channel_pair()
         a._write(
             proto._HEADER.pack(
                 proto.MAGIC, proto.PROTOCOL_VERSION + 1,
@@ -106,7 +189,7 @@ class TestProtocol:
         b.close()
 
     def test_bad_magic_raises(self):
-        a, b = make_transport_pair("pipe")
+        a, b = channel_pair()
         a._write(
             proto._HEADER.pack(
                 b"NOPE", proto.PROTOCOL_VERSION, int(MessageKind.HELLO), 0
@@ -118,7 +201,7 @@ class TestProtocol:
         b.close()
 
     def test_unknown_kind_raises(self):
-        a, b = make_transport_pair("pipe")
+        a, b = channel_pair()
         a.send(MessageKind.HELLO)  # prove the channel works first
         assert b.recv().kind is MessageKind.HELLO
         import pickle
@@ -134,10 +217,6 @@ class TestProtocol:
             b.recv()
         a.close()
         b.close()
-
-    def test_unknown_transport_name(self):
-        with pytest.raises(ValueError, match="transport"):
-            make_transport_pair("carrier-pigeon")
 
 
 class TestFlowShard:
@@ -205,6 +284,23 @@ class TestColumnarSharding:
     def test_select_shard_single_shard_is_identity(self, trace_pcap):
         cols = self.columns(trace_pcap)
         assert cols.select_shard(0, 1) is cols
+
+    def test_select_keeps_lazy_sack_options(self, lossy_pcap):
+        cols = sack_only_slabs(lossy_pcap)[0]
+        odd_rows = [
+            i for i, bits in enumerate(cols.optbits) if bits & OPT_ODD
+        ]
+        # Every other SACK row plus some plain rows in between.
+        indices = sorted(set(odd_rows[::2]) | set(range(0, len(cols), 3)))
+        kept = cols.select(indices)
+        kept_odd = [
+            new for new, old in enumerate(indices) if old in odd_rows
+        ]
+        assert sorted(kept.odd_options) == kept_odd
+        for new in kept_odd:
+            options = kept.odd_options[new]
+            assert options.sack_blocks
+            assert options == cols.odd_options[indices[new]]
 
 
 class TestShardInvariance:
@@ -304,12 +400,15 @@ class TestShardInvariance:
 class TestCoordinator:
     """Real forked-subprocess runs through the wire protocol."""
 
-    @pytest.mark.parametrize("transport", ["pipe", "socket"])
-    def test_four_shards_byte_identical(self, trace_pcap, transport):
+    @pytest.mark.parametrize("mode", ["local", "listen"])
+    def test_four_shards_byte_identical(self, trace_pcap, mode):
         reference = batch_reference(trace_pcap)
-        result = run_cluster(
-            trace_pcap, shards=4, transport=transport
-        )
+        if mode == "local":
+            result = run_cluster(trace_pcap, shards=4)
+            assert result.transport == "socket"
+        else:
+            result = run_with_dial_in_workers(trace_pcap, 4)
+            assert result.transport == "tcp"
         assert result.report.to_json() == reference.to_json()
         assert result.workers_died == 0
         assert [s["shard"] for s in result.shards] == [0, 1, 2, 3]
@@ -337,6 +436,85 @@ class TestCoordinator:
             batch_reference(trace_pcap).to_json()
         )
 
+    def test_replacement_forked_after_death(self, trace_pcap, tmp_path,
+                                            monkeypatch):
+        # One shard outstanding (the other resumes from the spool), so
+        # no idle survivor can take it over: the dead worker's
+        # replacement must be a fresh fork.
+        spool = tmp_path / "spool"
+        run_cluster(trace_pcap, shards=2, checkpoint_dir=spool)
+        (spool / "shard-1.pkl").write_bytes(b"not a pickle")
+        monkeypatch.setenv(KILL_SHARD_ENV, "1")
+        monkeypatch.setenv(KILL_DIR_ENV, str(tmp_path))
+        result = run_cluster(
+            trace_pcap, shards=2, checkpoint_dir=spool, resume=True,
+            run=RunConfig(retry_backoff=0.05), jitter_seed=7,
+        )
+        assert (result.workers_died, result.reassignments) == (1, 1)
+        # Seen as end-of-stream, not by the deadline: nobody else held
+        # a copy of the dead worker's end of the socketpair.
+        assert result.heartbeat_misses == 0
+        assert [
+            (w["state"], w["shards_done"]) for w in result.workers
+        ] == [("lost", 0), ("done", 1)]
+        assert result.report.to_json() == (
+            batch_reference(trace_pcap).to_json()
+        )
+
+    def test_wedged_local_worker_is_killed_and_its_shard_rerun(
+        self, trace_pcap, tmp_path, monkeypatch
+    ):
+        sentinel = tmp_path / "wedged.pid"
+        serve = cluster_net.serve_assignments
+
+        def wedge_once(transport, idle_timeout=None):
+            try:
+                with open(sentinel, "x") as handle:
+                    handle.write(str(os.getpid()))
+            except FileExistsError:
+                yield from serve(transport, idle_timeout)
+                return
+            # Take the shard, then say nothing with the socket open:
+            # only the heartbeat deadline can notice.
+            assert transport.recv().kind is MessageKind.ASSIGN
+            time.sleep(60)
+
+        monkeypatch.setattr(cluster_net, "serve_assignments", wedge_once)
+        result = run_cluster(
+            trace_pcap, shards=2,
+            heartbeat_interval=0.1, heartbeat_deadline=0.5,
+            run=RunConfig(retry_backoff=0.05), jitter_seed=7,
+        )
+        assert result.heartbeat_misses == 1
+        assert (result.workers_died, result.reassignments) == (1, 1)
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(int(sentinel.read_text()), 0)
+        # Both shards came back from workers, none from the in-process
+        # last rung.
+        assert sum(w["shards_done"] for w in result.workers) == 2
+        assert result.report.to_json() == (
+            batch_reference(trace_pcap).to_json()
+        )
+
+    def test_worker_crash_is_a_death_not_an_error_frame(
+        self, trace_pcap, monkeypatch
+    ):
+        # The one crash rule: only a typed ReproError travels as an
+        # ERROR frame.  A bug kills the worker, the death ladder runs,
+        # and its last rung raises the original exception in-process.
+        def crash(spec, progress_sink=None):
+            raise RuntimeError(f"bug in shard {spec.shard}")
+
+        monkeypatch.setattr(cluster_net, "run_shard", crash)
+        coord = Coordinator(
+            trace_pcap, n_shards=2,
+            run=RunConfig(max_retries=1, retry_backoff=0.01),
+            jitter_seed=7,
+        )
+        with pytest.raises(RuntimeError, match="bug in shard"):
+            coord.run()
+        assert coord.workers_died >= 2  # retried once before the rung
+
     def test_strict_budget_error_propagates(self, tmp_path):
         clean = tmp_path / "clean.pcap"
         dirty = tmp_path / "dirty.pcap"
@@ -358,8 +536,6 @@ class TestCoordinator:
     def test_rejects_bad_arguments(self, trace_pcap):
         with pytest.raises(ValueError, match="n_shards"):
             Coordinator(trace_pcap, n_shards=0)
-        with pytest.raises(ValueError, match="transport"):
-            Coordinator(trace_pcap, transport="quic")
         with pytest.raises(ValueError, match="at least one"):
             Coordinator([], n_shards=2)
 
@@ -486,3 +662,33 @@ class TestClusterCli:
         assert main([trace_pcap, "--json", "--shards", "4"]) == 0
         sharded = capsys.readouterr().out
         assert sharded == batch
+
+
+class TestLossyMultiSlab:
+    """A loss-heavy capture spanning many decode slabs: SACK-bearing
+    ACKs land in slabs that hold no SYN, which is where row selection
+    used to drop every option of the slab."""
+
+    def test_every_shard_count_and_listener_byte_identical(
+        self, lossy_pcap, monkeypatch
+    ):
+        assert sack_only_slabs(lossy_pcap)
+        iter_columns = PcapReader.iter_columns
+        monkeypatch.setattr(
+            PcapReader, "iter_columns",
+            lambda self, buffer_bytes=SMALL_SLAB: iter_columns(
+                self, buffer_bytes
+            ),
+        )
+        reports = {
+            n: run_cluster(lossy_pcap, shards=n).report.to_json()
+            for n in (1, 2, 4)
+        }
+        reports["listen"] = run_with_dial_in_workers(
+            lossy_pcap, 2
+        ).report.to_json()
+        assert len(set(reports.values())) == 1
+        assert reports[1] == batch_reference(lossy_pcap).to_json()
+        assert sum(
+            len(flow["stalls"]) for flow in json.loads(reports[1])["flows"]
+        ) > 0

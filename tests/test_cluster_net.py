@@ -728,7 +728,7 @@ class TestProvenanceAndHttp:
         assert metrics["workers_died"] == 0
         assert "reassignments" in metrics
         assert "heartbeat_misses" in metrics
-        assert cluster_records[0]["meta"]["transport"] == "pipe"
+        assert cluster_records[0]["meta"]["transport"] == "socket"
 
     def test_shards_json_includes_worker_liveness(self, trace_pcap):
         result = run_cluster(trace_pcap, shards=2)

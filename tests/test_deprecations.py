@@ -113,6 +113,31 @@ class TestBuildDatasetShims:
         assert len(dataset.reports) == 1
 
 
+class TestClusterShims:
+    def test_transport_kwarg_is_ignored_and_warns_once(self, tmp_path):
+        from repro.api import Coordinator, analyze_cluster
+        from repro.packet.pcap import write_pcap
+        from repro.testing.traces import generate_trace
+
+        pcap = tmp_path / "trace.pcap"
+        write_pcap(pcap, generate_trace(seed=5, flows=4))
+        coord, warns = collect(
+            lambda: Coordinator(str(pcap), n_shards=2, transport="pipe")
+        )
+        assert coord.transport == "socket"  # ignored, not forwarded
+        assert len(warns) == 1
+        message = str(warns[0].message)
+        assert "transport" in message
+        assert DEPRECATED_REMOVAL_VERSION in message
+        report, warns = collect(
+            lambda: analyze_cluster(str(pcap), shards=1, transport="socket")
+        )
+        assert len(warns) == 1
+        assert report.to_json() == analyze_cluster(
+            str(pcap), shards=1
+        ).to_json()
+
+
 class TestPolicyText:
     def test_readme_documents_the_policy(self):
         from pathlib import Path
