@@ -1,20 +1,23 @@
-"""TAPO analysis throughput: columnar fast path vs object pipeline.
+"""TAPO analysis throughput: the columnar pipeline vs the object reference.
 
 The paper integrated TAPO into daily production analysis, so its own
 speed matters.  This bench measures single-core packets-per-second at
 two depths on the simulated ``cloud_storage`` dataset:
 
-* **decode stage** — pcap bytes to analyzable packet data.  The object
-  path materializes one :class:`~repro.packet.packet.PacketRecord` per
-  packet; the columnar path decodes slabs straight into
+* **decode stage** — pcap bytes to analyzable packet data.  Record
+  decode materializes one :class:`~repro.packet.packet.PacketRecord`
+  per packet; the columnar decode turns slabs straight into
   :class:`~repro.packet.columnar.PacketColumns` parallel arrays.  This
   is where the ~10x win lives.
-* **end to end** — ``Tapo.analyze_pcap`` with and without
-  ``columnar``.  The dataset is deliberately stall-heavy (that is the
+* **end to end** — ``Tapo.analyze_pcap`` (column batches, the only
+  production path) against the record-level reference it replaced,
+  :func:`repro.testing.reference_analyze` (object decode + object
+  demux).  The dataset is deliberately stall-heavy (that is the
   paper's point), so most flows trip the first-pass screen and are
   replayed by the full analyzer — on their columns: no flow of the
-  capture may be materialized into packet objects.  Reports must be
-  byte-identical either way.
+  capture may be materialized into packet objects, in-process or
+  across a two-worker fan-out.  Reports must be byte-identical to the
+  reference.
 
 Results go to ``BENCH_tapo.json`` for the CI ``perf-smoke`` job, which
 gates on the floors and ratios below.
@@ -55,8 +58,8 @@ DECODE_FLOOR_KPPS = 300.0
 #: The tentpole claim: columnar decode is at least 10x the object
 #: decode on the same core and the same capture.
 DECODE_SPEEDUP_MIN = 10.0
-#: Regression gate: the columnar default may never cost more than 20%
-#: end to end versus the object pipeline, even on fallback-heavy input.
+#: Regression gate: the columnar pipeline may never cost more than 20%
+#: end to end versus the object reference, even on fallback-heavy input.
 E2E_REGRESSION_RATIO = 0.8
 
 
@@ -110,10 +113,11 @@ def measure(path: str, packets: int, repeats: int = REPEATS) -> dict:
     side in a fast window and the other in a slow one would make the
     ratio meaningless.  Adjacent measurements see the same machine.
     """
-    from repro.config import AnalysisConfig
+    from repro.config import AnalysisConfig, RunConfig
     from repro.core import ServiceReport, Tapo
     from repro.packet import columnar as columnar_module
     from repro.packet.pcap import PcapReader
+    from repro.testing import reference_analyze
 
     def decode_objects():
         with PcapReader(path) as reader:
@@ -130,14 +134,13 @@ def measure(path: str, packets: int, repeats: int = REPEATS) -> dict:
         assert count == packets
 
     tapo_cols = Tapo(config=AnalysisConfig())
-    tapo_objs = Tapo(config=AnalysisConfig(columnar=False))
     results: dict[str, list] = {}
 
     def e2e_columnar():
         results["columnar"] = tapo_cols.analyze_pcap(path)
 
     def e2e_object():
-        results["object"] = tapo_objs.analyze_pcap(path)
+        results["object"], _faults = reference_analyze(path)
 
     rounds: dict[str, list[float]] = {
         "decode_obj": [],
@@ -178,6 +181,14 @@ def measure(path: str, packets: int, repeats: int = REPEATS) -> dict:
     slow = ServiceReport("cloud_storage", flows=results["object"])
     parity = fast.to_json() == slow.to_json()
 
+    # Worker fan-out: flows cross the process boundary as columns.
+    tapo_fan = Tapo(config=AnalysisConfig())
+    fan_out_s = _timed(
+        lambda: tapo_fan.report_stream(
+            path, "cloud_storage", run=RunConfig(workers=2)
+        )
+    )
+
     def kpps(seconds: float) -> float:
         return packets / seconds / 1e3
 
@@ -205,6 +216,10 @@ def measure(path: str, packets: int, repeats: int = REPEATS) -> dict:
             "fast_flows": tapo_cols.fast_flows,
             "fallback_flows": tapo_cols.fallback_flows,
             "materialized_flows": tapo_cols.materialized_flows,
+        },
+        "streaming_workers_2": {
+            "kpps": kpps(fan_out_s),
+            "flow_counts": list(tapo_fan.flow_counts()),
         },
         "parity": parity,
         "gates": {
@@ -247,6 +262,12 @@ def check_gates(result: dict) -> list[str]:
             f"columnar end-to-end regressed below "
             f"{E2E_REGRESSION_RATIO}x the object pipeline"
         )
+    fan_out = result["streaming_workers_2"]["flow_counts"]
+    if fan_out[2]:
+        failures.append(
+            f"{fan_out[2]} flows were materialized into packet objects "
+            "on the two-worker streaming path"
+        )
     return failures
 
 
@@ -270,6 +291,13 @@ def _print_report(result: dict) -> None:
         f"({e2e['speedup']:.2f}x, {e2e['fast_flows']} fast / "
         f"{e2e['fallback_flows']} replayed / "
         f"{e2e['materialized_flows']} materialized flows)"
+    )
+    fan = result["streaming_workers_2"]
+    print(
+        f"  streaming, workers=2: {fan['kpps']:8.0f} kpps   "
+        "({} fast / {} replayed / {} materialized flows)".format(
+            *fan["flow_counts"]
+        )
     )
     print(f"  report parity: {result['parity']}")
 
@@ -303,6 +331,14 @@ def test_end_to_end_throughput(bench_result):
     assert e2e["fallback_flows"] > 0
     # ...and the stalled flows were replayed on their columns.
     assert e2e["materialized_flows"] == 0
+
+
+def test_worker_fan_out_stays_on_columns(bench_result):
+    fast, replayed, materialized = bench_result["streaming_workers_2"][
+        "flow_counts"
+    ]
+    assert fast > 0 and replayed > 0
+    assert materialized == 0
 
 
 def main(argv: list[str] | None = None) -> int:

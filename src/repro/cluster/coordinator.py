@@ -109,7 +109,6 @@ def merge_shard_results(
             faults.resyncs = result.faults.resyncs
             faults.option_errors = result.faults.option_errors
             faults.checksum_errors = result.faults.checksum_errors
-            faults.checksums_skipped = result.faults.checksums_skipped
         faults.flows_skipped += result.faults.flows_skipped
         faults.tasks_retried += result.faults.tasks_retried
         faults.tasks_poisoned += result.faults.tasks_poisoned

@@ -1,7 +1,7 @@
 """Shard worker: one process, one flow-hash shard of the capture.
 
 A worker is shared-nothing: it opens the capture itself, decodes it
-slab-by-slab on the columnar fast path, keeps only the rows whose flow
+slab-by-slab into column batches, keeps only the rows whose flow
 hashes to its shard (:meth:`PacketColumns.select_shard
 <repro.packet.columnar.PacketColumns.select_shard>`), and runs the
 ordinary streaming pipeline (:meth:`Tapo.analyze_stream
@@ -9,6 +9,9 @@ ordinary streaming pipeline (:meth:`Tapo.analyze_stream
 sharding is per *flow* (both directions of a connection hash
 identically), each worker sees complete flows and its analyses are
 bit-identical to what a single-process run produces for those flows.
+The flows in the result stay column-backed: a lazy flow owns its own
+per-flow arrays (not views into a decode slab) and pickles as those,
+so the RESULT frame carries no packet objects.
 
 The shard's product is one :class:`ShardResult` — a canonically sorted
 partial :class:`~repro.core.report.ServiceReport`, the worker's
@@ -37,7 +40,7 @@ from ..core.tapo import Tapo
 from ..errors import FaultStats
 from ..obs.metrics import MetricsRegistry
 from ..packet.columnar import PacketColumns
-from ..packet.flow import FlowTrace, StreamStats, server_by_ip, server_by_port
+from ..packet.flow import StreamStats, server_by_ip, server_by_port
 from ..packet.pcap import PcapReader
 from .protocol import MessageKind, Transport
 
@@ -122,23 +125,6 @@ class ShardResult:
     progress: ShardProgress
 
 
-def _materialized(flow: FlowTrace) -> FlowTrace:
-    """A plain, pickle-friendly copy of a (possibly lazy) flow trace.
-
-    The columnar demux hands the analyzer column-backed lazy traces;
-    pickling those would drag whole decode slabs across the wire, so
-    the worker flattens each completed flow to its own packets first.
-    """
-    if type(flow) is FlowTrace:
-        return flow
-    return FlowTrace(
-        key=flow.key,
-        server=flow.server,
-        client=flow.client,
-        packets=list(flow.packets),
-    )
-
-
 def run_shard(
     spec: ShardSpec,
     progress_sink: Callable[[ShardProgress], None] | None = None,
@@ -187,22 +173,11 @@ def run_shard(
                         progress_sink(progress)
                 reader.fold_faults(reader_faults)
 
-    part_size = spec.run.chunk_flows or 32
-    parts: list[ServiceReport] = []
-    part = ServiceReport(service=spec.service)
-    for analysis in tapo.analyze_stream(
-        batches(), server_side, run=run, stats=stats, registry=registry
-    ):
-        analysis.flow = _materialized(analysis.flow)
-        part.add(analysis)
-        progress.flows_done += 1
-        if len(part.flows) >= part_size:
-            parts.append(part)
-            part = ServiceReport(service=spec.service)
-    if part.flows:
-        parts.append(part)
-    report = ServiceReport.merged(parts, service=spec.service)
-    report.skipped.extend(tapo.faults.skipped)
+    report = tapo.report_stream(
+        batches(), spec.service, server_side,
+        run=run, stats=stats, registry=registry,
+    )
+    progress.flows_done = len(report.flows)
     report.canonical_sort()
     report.tag_provenance(f"shard-{spec.shard}")
 

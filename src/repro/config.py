@@ -85,20 +85,11 @@ class AnalysisConfig:
         Also record the per-ACK inferred kernel-variable time-series
         (``FlowAnalysis.kernel_series``) for comparison against the
         simulator's flight-recorder ground truth.
-    columnar:
-        Decode pcap slabs into parallel arrays and replay every flow
-        on its columns — clean flows on the fast replay, the rest on
-        the full analyzer — without building packet objects (see
-        :mod:`repro.packet.columnar`).  Reports are byte-identical
-        either way; ``False`` decodes and demuxes packet objects and
-        feeds the analyzer from them (the CLI spells this
-        ``--no-columnar``).
     verify_checksums:
-        Verify each packet's TCP checksum during object-path decode
-        and count failures (``repro_fault_checksum_errors_total``).
-        The columnar path never verifies eagerly: when verification
-        is requested it defers and counts the skips
-        (``repro_fault_checksums_skipped_total``).
+        Verify each packet's TCP checksum while decoding and count
+        failures (``repro_fault_checksum_errors_total``).  Only packets
+        that decode into rows are verified; records the decoder skips
+        (non-TCP, truncated headers) are not counted.
     errors:
         An :class:`~repro.errors.ErrorBudget` governing how ingestion
         and analysis react to dirty input.  ``strict`` (the default)
@@ -112,7 +103,6 @@ class AnalysisConfig:
     tau: float = 2.0
     init_cwnd: int = 3
     record_series: bool = False
-    columnar: bool = True
     verify_checksums: bool = False
     errors: ErrorBudget = field(default_factory=ErrorBudget.strict)
 

@@ -93,15 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default 60)"
         ),
     )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help=(
-            "force the per-packet object pipeline instead of the "
-            "columnar fast path (identical output, mostly slower; "
-            "an escape hatch and parity oracle)"
-        ),
-    )
     cli_options.add_errors(parser, default="strict")
     cli_options.add_stats(
         parser,
@@ -214,11 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         server_side = server_by_port(args.server_port)
 
     tapo = Tapo(
-        config=AnalysisConfig(
-            tau=args.tau,
-            errors=args.errors,
-            columnar=not args.no_columnar,
-        )
+        config=AnalysisConfig(tau=args.tau, errors=args.errors)
     )
     cluster = args.shards > 1
     streaming = not cluster and (

@@ -21,14 +21,17 @@ clean flow never leaves the ``Open`` congestion state and its
 The moment any of those conditions trips, the replay *bails*: it
 returns ``None`` and the caller hands the flow to the full analyzer,
 which reads the same rows (:meth:`LazyFlowTrace.rows`) off the same
-columns.  Neither replay builds a packet object; reports are
-byte-identical with the columnar path on or off.
+columns.  Neither replay builds a packet object, and a flow pickles as
+its columns, so worker processes and cluster shards replay the same
+way.  The object demux is the reference the parity tests hold this
+module to (:func:`repro.testing.reference_analyze`).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
+from copy import copy
 
 from ..config import AnalysisConfig
 from ..packet.columnar import (
@@ -274,6 +277,13 @@ class LazyFlowTrace(FlowTrace):
             packets=_LazyPackets(store),
         )
         self._store = store
+
+    def __reduce__(self):
+        """Pickle as columns, never as packet objects: a flow crosses
+        a process boundary as arrays and is replayed on them there."""
+        store = copy(self._store)
+        store.records = None
+        return LazyFlowTrace, (self.key, self.server, self.client, store)
 
     def rows(self, start: int = 0) -> Iterator[PacketRow]:
         return self._store.rows(start)
@@ -563,13 +573,12 @@ def fast_replay_flow(
     Returns the exact :class:`FlowAnalysis` the full analyzer would
     produce, or ``None`` when the flow needs it — because it stalled,
     carried SACK/duplicate-ACK loss signals, retransmitted, isn't
-    columnar at all, or the replay itself failed (any internal error
-    falls back rather than propagating; the analyzer is always the
-    authority).
+    columnar at all, ``config.record_series`` asks for the per-ACK
+    kernel series (the replay tracks no congestion window to record),
+    or the replay itself failed (any internal error falls back rather
+    than propagating; the analyzer is always the authority).
     """
-    if not config.columnar or config.record_series:
-        return None
-    if not isinstance(flow, LazyFlowTrace):
+    if config.record_series or not isinstance(flow, LazyFlowTrace):
         return None
     try:
         return _replay(flow, flow._store, config)

@@ -10,15 +10,21 @@ Inputs can be a pcap file, an in-memory packet list, or pre-demuxed
 flows; output is a list of classified :class:`FlowAnalysis` objects or
 a per-service :class:`ServiceReport`.
 
-The engine underneath is *streaming*: packets flow through an
-incremental demuxer (:func:`repro.packet.flow.demux_stream`) that
-evicts flows as they close, and completed flows fan out to analyzer
-workers with bounded in-flight chunks
+The engine underneath is *streaming* and *columnar*: every accepted
+source becomes :class:`~repro.packet.columnar.PacketColumns` batches,
+an incremental demuxer
+(:func:`repro.core.columnar_pipeline.demux_columns_stream`) evicts
+flows as they close, and completed flows — column-backed, replayed
+without building packet objects, pickled as their columns — fan out to
+analyzer workers with bounded in-flight chunks
 (:class:`repro.experiments.parallel.AnalysisPool`).  Memory is bounded
 by open-flow state, never by trace length.  The batch entry points
-(:meth:`Tapo.analyze_packets`, :meth:`Tapo.analyze_pcap`) are thin
-wrappers over the same core with eviction disabled, which makes them
-byte-identical to the historical all-in-memory implementation.
+(:meth:`Tapo.analyze_packets`, :meth:`Tapo.analyze_pcap`,
+:meth:`Tapo.report`) are thin wrappers over the same core with
+eviction disabled.  The record-level object demux
+(:func:`repro.packet.flow.demux_stream`) is not used here; it is the
+reference :func:`repro.testing.reference_analyze` holds this pipeline
+to.
 """
 
 from __future__ import annotations
@@ -34,16 +40,12 @@ from ..errors import (
     SkippedFlow,
 )
 from ..packet.columnar import PacketColumns
-from ..packet.flow import (
-    FlowTrace,
-    ServerPredicate,
-    StreamStats,
-    demux_stream,
-)
+from ..packet.flow import FlowTrace, ServerPredicate, StreamStats
 from ..packet.packet import PacketRecord
 from ..packet.pcap import PcapReader
 from .classifier import classify_flow
 from .columnar_pipeline import (
+    LazyFlowTrace,
     batch_records,
     demux_columns_stream,
     fast_replay_flow,
@@ -55,7 +57,7 @@ from .report import ServiceReport
 #: pcap path, an open reader, an iterable of records, an iterable of
 #: record chunks (lists) as produced by ``PcapReader.iter_chunks``, or
 #: an iterable of decoded :class:`PacketColumns` batches (what live
-#: capture sources hand over on the columnar path).
+#: capture sources and cluster shards hand over).
 PacketSource = (
     "str | Path | PcapReader | Iterable[PacketRecord] "
     "| Iterable[list[PacketRecord]] | Iterable[PacketColumns]"
@@ -68,26 +70,28 @@ PacketSource = (
 FLOW_HOOK = None
 
 
-def _iter_source(source) -> Iterator[PacketRecord]:
-    """Flatten any accepted packet source into one record stream."""
+def _demux(
+    source,
+    server_side: ServerPredicate | None,
+    *,
+    idle_timeout: float | None = None,
+    close_linger: float | None = None,
+    stats: StreamStats | None = None,
+) -> Iterator[LazyFlowTrace]:
+    """The one ingest path: shape any accepted packet source into
+    column batches and demultiplex those.  Eviction is off unless the
+    caller passes its clocks (batch semantics)."""
     if isinstance(source, PcapReader):
-        yield from source.iter_records()
-        return
-    for item in source:
-        if isinstance(item, PacketRecord):
-            yield item
-        elif isinstance(item, PacketColumns):
-            yield from item.records()
-        else:  # a chunk (any iterable of records)
-            yield from item
-
-
-def _iter_column_batches(source) -> Iterator[PacketColumns]:
-    """Shape any accepted packet source into column batches."""
-    if isinstance(source, PcapReader):
-        yield from source.iter_columns()
-        return
-    yield from batch_records(source)
+        batches = source.iter_columns()
+    else:
+        batches = batch_records(source)
+    return demux_columns_stream(
+        batches,
+        server_side,
+        idle_timeout=idle_timeout,
+        close_linger=close_linger,
+        stats=stats,
+    )
 
 
 class Tapo:
@@ -151,8 +155,17 @@ class Tapo:
         self.fallback_flows = 0
         self.materialized_flows = 0
 
-    def _reset_flow_counts(self) -> None:
+    def _reset(self) -> None:
+        """Start a multi-flow call: fresh faults and flow counts."""
+        self.faults = FaultStats()
         self.fast_flows = self.fallback_flows = self.materialized_flows = 0
+
+    def _open(self, path: str | Path) -> PcapReader:
+        return PcapReader(
+            path,
+            errors=self.config.errors,
+            verify_checksums=self.config.verify_checksums,
+        )
 
     def flow_counts(self) -> tuple[int, int, int]:
         """``(fast, replayed, materialized)`` flow counts."""
@@ -188,11 +201,11 @@ class Tapo:
 
         Columnar flows that are provably clean settle on the fast
         replay (:func:`~repro.core.columnar_pipeline.fast_replay_flow`);
-        everything else — and everything when ``config.columnar`` is
-        off — is replayed by :class:`FlowAnalyzer`, which reads a
-        columnar flow's rows off its columns.  Either way a columnar
-        flow is analyzed and classified without materializing packet
-        objects, and the resulting analysis is identical.
+        everything else — a plain object :class:`FlowTrace` included —
+        is replayed by :class:`FlowAnalyzer`, which reads a columnar
+        flow's rows off its columns.  Either way a columnar flow is
+        analyzed and classified without materializing packet objects,
+        and the resulting analysis is identical.
 
         Any analyzer crash surfaces as a typed
         :class:`~repro.errors.FlowAnalysisError` carrying the flow key
@@ -268,19 +281,8 @@ class Tapo:
         results come back sorted by first packet time — the streaming
         core with eviction disabled.
         """
-        self.faults = FaultStats()
-        self._reset_flow_counts()
-        if self.config.columnar and not self.config.record_series:
-            flows = demux_columns_stream(
-                _iter_column_batches(packets),
-                server_side,
-                idle_timeout=None,
-                close_linger=None,
-            )
-        else:
-            flows = demux_stream(
-                packets, server_side, idle_timeout=None, close_linger=None
-            )
+        self._reset()
+        flows = _demux(packets, server_side)
         return list(self._analyze_flows(flows, self.faults))
 
     def analyze_pcap(
@@ -290,31 +292,13 @@ class Tapo:
     ) -> list[FlowAnalysis]:
         """Analyze every flow in a pcap file.
 
-        On the columnar path (the default) packets never exist as
-        objects: the file is decoded slab-by-slab into
-        :class:`PacketColumns` batches, demultiplexed on the columns,
-        and every flow — clean or stalled — is replayed on them.
+        Packets never exist as objects: the file is decoded
+        slab-by-slab into :class:`PacketColumns` batches,
+        demultiplexed on the columns, and every flow — clean or
+        stalled — is replayed on them.
         """
-        config = self.config
-        with PcapReader(
-            path,
-            errors=config.errors,
-            verify_checksums=config.verify_checksums,
-        ) as reader:
-            if config.columnar and not config.record_series:
-                self.faults = FaultStats()
-                self._reset_flow_counts()
-                flows = demux_columns_stream(
-                    reader.iter_columns(),
-                    server_side,
-                    idle_timeout=None,
-                    close_linger=None,
-                )
-                analyses = list(self._analyze_flows(flows, self.faults))
-            else:
-                analyses = self.analyze_packets(
-                    reader.iter_records(), server_side
-                )
+        with self._open(path) as reader:
+            analyses = self.analyze_packets(reader, server_side)
             reader.fold_faults(self.faults)
             return analyses
 
@@ -352,16 +336,10 @@ class Tapo:
         from ..experiments.parallel import AnalysisPool
 
         run = run or RunConfig()
-        self.faults = FaultStats()
-        self._reset_flow_counts()
+        self._reset()
         opened: PcapReader | None = None
         if isinstance(source, (str, Path)):
-            opened = PcapReader(
-                source,
-                errors=self.config.errors,
-                verify_checksums=self.config.verify_checksums,
-            )
-            source = opened
+            source = opened = self._open(source)
         stream_stats = stats if stats is not None else StreamStats()
         pool = AnalysisPool(
             config=self.config,
@@ -373,30 +351,13 @@ class Tapo:
             faults=self.faults,
             analyzer=self,
         )
-        # The columnar demux hands the pool lazy flows; that is only a
-        # win in-process, so fan-out to worker processes (which would
-        # materialize every flow for pickling anyway) keeps the object
-        # demux.  Results are identical either way.
-        if (
-            self.config.columnar
-            and not self.config.record_series
-            and run.resolved_workers() == 1
-        ):
-            flows = demux_columns_stream(
-                _iter_column_batches(source),
-                server_side,
-                idle_timeout=run.idle_timeout,
-                close_linger=run.close_linger,
-                stats=stream_stats,
-            )
-        else:
-            flows = demux_stream(
-                _iter_source(source),
-                server_side,
-                idle_timeout=run.idle_timeout,
-                close_linger=run.close_linger,
-                stats=stream_stats,
-            )
+        flows = _demux(
+            source,
+            server_side,
+            idle_timeout=run.idle_timeout,
+            close_linger=run.close_linger,
+            stats=stream_stats,
+        )
         try:
             yield from pool.map_stream(flows)
         finally:
@@ -455,13 +416,12 @@ class Tapo:
         packet lists (the shape the simulator produces); mixed streams
         should go through :meth:`analyze_packets` instead.
         """
-        self.faults = FaultStats()
+        self._reset()
         report = ServiceReport(service=service)
         for packets in traces:
-            flows = demux_stream(
-                packets, None, idle_timeout=None, close_linger=None
-            )
-            for analysis in self._analyze_flows(flows, self.faults):
+            for analysis in self._analyze_flows(
+                _demux(packets, None), self.faults
+            ):
                 report.add(analysis)
         report.skipped.extend(self.faults.skipped)
         return report

@@ -291,7 +291,6 @@ class FaultStats:
     resyncs: int = 0           # times the reader re-found framing
     option_errors: int = 0     # malformed TCP option areas tolerated
     checksum_errors: int = 0   # TCP checksums that failed verification
-    checksums_skipped: int = 0  # requested verifications deferred (columnar)
     flows_skipped: int = 0     # flows quarantined as SkippedFlow
     tasks_retried: int = 0     # worker tasks retried after a failure
     tasks_poisoned: int = 0    # tasks quarantined after repeated death
@@ -306,7 +305,6 @@ class FaultStats:
         self.resyncs += other.resyncs
         self.option_errors += other.option_errors
         self.checksum_errors += other.checksum_errors
-        self.checksums_skipped += other.checksums_skipped
         self.flows_skipped += other.flows_skipped
         self.tasks_retried += other.tasks_retried
         self.tasks_poisoned += other.tasks_poisoned
@@ -331,11 +329,6 @@ class FaultStats:
             prefix + "checksum_errors_total",
             "TCP checksums that failed verification",
         ).inc(self.checksum_errors)
-        registry.counter(
-            prefix + "checksums_skipped_total",
-            "Requested TCP checksum verifications deferred by the "
-            "lazy columnar path",
-        ).inc(self.checksums_skipped)
         registry.counter(
             prefix + "flows_skipped_total",
             "Flows quarantined after an analyzer fault",

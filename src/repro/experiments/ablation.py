@@ -20,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..config import AnalysisConfig
-from ..core.report import ServiceReport, percentile
+from ..core.report import percentile
 from ..core.stalls import RetxCause, StallCause
 from ..core.tapo import Tapo
 from ..workload.generator import generate_flows
@@ -99,15 +99,6 @@ class PacingAblation:
     mean_latency_paced: float = 0.0
 
 
-def _analyze_run(run) -> ServiceReport:
-    tapo = Tapo()
-    report = ServiceReport(service="ablation")
-    for trace in run.traces:
-        for analysis in tapo.analyze_packets(trace):
-            report.add(analysis)
-    return report
-
-
 def pacing_ablation(
     profile: ServiceProfile,
     flows: int = 150,
@@ -124,7 +115,7 @@ def pacing_ablation(
                 dataclasses.replace(scenario, server_config=server)
             )
         run = run_flows(scenarios, workers=workers)
-        report = _analyze_run(run)
+        report = Tapo().report(run.traces, service="ablation")
         total = report.total_stalls()
         continuous = sum(
             1
@@ -187,7 +178,7 @@ def destination_cache_ablation(
                 dataclasses.replace(scenario, server_config=server)
             )
         run = run_flows(scenarios, workers=workers)
-        report = _analyze_run(run)
+        report = Tapo().report(run.traces, service="ablation")
         rtos = [v for f in report.flows for v in f.rto_samples]
         spurious = sum(f.spurious_retransmissions for f in report.flows)
         timeouts = sum(f.timeouts for f in report.flows)
@@ -273,11 +264,9 @@ def tau_sensitivity(
     run = run_flows(generate_flows(profile, flows, seed=seed), workers=workers)
     points = []
     for tau in taus:
-        tapo = Tapo(config=AnalysisConfig(tau=tau))
-        report = ServiceReport(service=f"tau={tau}")
-        for trace in run.traces:
-            for analysis in tapo.analyze_packets(trace):
-                report.add(analysis)
+        report = Tapo(config=AnalysisConfig(tau=tau)).report(
+            run.traces, service=f"tau={tau}"
+        )
         points.append(
             TauPoint(
                 tau=tau,

@@ -159,13 +159,9 @@ def build_dataset(
                 generate_flows(profile, flows_per_service, seed=seed),
                 workers=workers,
             )
-        report = ServiceReport(service=service)
         with phase_span(phases, "analyze"):
-            for trace in run.traces:
-                for analysis in tapo.analyze_packets(trace):
-                    report.add(analysis)
+            reports[service] = tapo.report(run.traces, service=service)
         runs[service] = run
-        reports[service] = report
     metrics = RunMetrics.merged(
         [run.metrics for run in runs.values() if run.metrics is not None]
     )

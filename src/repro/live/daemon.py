@@ -296,36 +296,25 @@ class LiveDaemon:
         signal.signal(signal.SIGINT, handler)
 
     # -- the pump ------------------------------------------------------
-    def _records(self) -> Iterator:
+    def _batches(self) -> Iterator:
         """Feed the analyzer: poll for growth, sleep when idle, and on
         stop/exhaustion finalize the source (drains its tail).
 
-        On the columnar path each poll hands over
+        Each poll hands over
         :class:`~repro.packet.columnar.PacketColumns` batches — one per
-        drained slab, so per-poll latency is unchanged — instead of
-        individual records; :meth:`Tapo.analyze_stream` accepts both.
+        drained slab, so latency is that of a poll, not of a packet.
         """
         source = self.source
-        columnar = (
-            self.tapo.config.columnar
-            and not self.tapo.config.record_series
-        )
-        if columnar:
-            poll, finish = source.poll_columns, source.finish_columns
-            weigh = len
-        else:
-            poll, finish = source.poll, source.finish
-            weigh = lambda _record: 1  # noqa: E731
         while True:
             produced = False
-            for item in poll():
+            for batch in source.poll_columns():
                 produced = True
-                self.records_in += weigh(item)
-                yield item
+                self.records_in += len(batch)
+                yield batch
             if self._stop.is_set() or self.once or source.exhausted:
-                for item in finish():
-                    self.records_in += weigh(item)
-                    yield item
+                for batch in source.finish_columns():
+                    self.records_in += len(batch)
+                    yield batch
                 return
             self._maybe_checkpoint()
             if not produced:
@@ -379,7 +368,7 @@ class LiveDaemon:
             logger.info("serving on %s", self.http.url)
         try:
             stream = self.tapo.analyze_stream(
-                self._records(),
+                self._batches(),
                 self.server_side,
                 run=self.run_config,
                 stats=self.stats,
@@ -622,13 +611,13 @@ def batch_report(
         service=service,
     )
 
-    def records():
+    def batches():
         for path in paths:
             with PcapReader(path, errors=analysis.errors) as reader:
-                yield from reader.iter_records()
+                yield from reader.iter_columns()
 
     for flow_analysis in tapo.analyze_stream(
-        records(), server_side, run=run or RunConfig()
+        batches(), server_side, run=run or RunConfig()
     ):
         store.add(flow_analysis)
     for skipped in tapo.faults.skipped:

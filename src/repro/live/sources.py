@@ -17,6 +17,10 @@ The common contract (:class:`LiveSource`):
 * :meth:`~LiveSource.finish` declares end-of-input: remaining bytes
   are drained and a truncated tail is judged under the error budget
   (exactly like a batch reader hitting EOF);
+* :meth:`~LiveSource.poll_columns` / :meth:`~LiveSource.finish_columns`
+  are the same two calls handing over
+  :class:`~repro.packet.columnar.PacketColumns` batches instead of
+  records — what the daemon pumps;
 * :meth:`~LiveSource.checkpoint` returns a JSON-serializable resume
   state.  Offsets count *consumed* bytes only — bytes buffered inside
   the scanner but not yet judged are re-read on resume, so no parsed
@@ -30,7 +34,7 @@ import os
 import select
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from ..errors import ErrorBudget, FaultStats
@@ -61,9 +65,8 @@ class SourceCounters:
     bytes_skipped: int = 0
     option_errors: int = 0
     checksum_errors: int = 0
-    checksums_skipped: int = 0
-    #: Request TCP checksum verification during decode (the columnar
-    #: path defers and counts ``checksums_skipped`` instead).
+    #: Verify each decoded packet's TCP checksum and count failures
+    #: in ``checksum_errors``.
     verify_checksums: bool = False
 
     def fold_faults(self, faults: FaultStats) -> None:
@@ -71,14 +74,16 @@ class SourceCounters:
         faults.resyncs += self.resyncs
         faults.option_errors += self.option_errors
         faults.checksum_errors += self.checksum_errors
-        faults.checksums_skipped += self.checksums_skipped
 
     def to_state(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_state(cls, state: dict) -> "SourceCounters":
-        return cls(**state)
+        """Restore from a checkpoint, taking the fields this version
+        knows: older checkpoints carry counters since removed."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in state.items() if k in known})
 
 
 class LiveSource:

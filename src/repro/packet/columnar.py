@@ -1,9 +1,9 @@
 """Zero-copy columnar batch decode of pcap slabs.
 
-The object pipeline materializes one :class:`~repro.packet.packet.
+Record-level decode materializes one :class:`~repro.packet.packet.
 PacketRecord` (plus a :class:`~repro.packet.options.TCPOptions`) per
-packet *before* demux ever sees it, which is the analyzer's
-single-core throughput ceiling.  This module parses a whole slab of
+packet *before* demux ever sees it, which caps single-core throughput;
+analysis therefore ingests columns only.  This module parses a whole slab of
 framed pcap records into :class:`PacketColumns` — parallel arrays of
 timestamps, endpoints, seq/ack numbers, flags, windows and payload
 lengths — so the demux, the first-pass stall screen and the analyzer
@@ -301,6 +301,7 @@ def decode_spans(
     ethernet: bool,
     tolerant: bool,
     counters,
+    kept_spans: list[int] | None = None,
 ) -> PacketColumns:
     """Decode framed record spans out of ``buffer`` into columns.
 
@@ -308,14 +309,18 @@ def decode_spans(
     pcap framing layer; each record's ``(ts_sec, ts_usec)`` pair sits
     in the 16-byte header preceding its body (``endian`` byte order).
     ``counters`` carries the same fault surface the object reader
-    updates (``skipped``, ``option_errors``).
+    updates (``skipped``, ``option_errors``).  ``kept_spans``, when given,
+    receives the span index behind each row of the batch, in row order
+    (skipped records leave no row and no entry).
     """
-    if _np is not None and len(starts):
-        return _decode_spans_numpy(
-            buffer, starts, incls, endian, ethernet, tolerant, counters
-        )
-    return _decode_spans_python(
-        buffer, starts, incls, endian, ethernet, tolerant, counters
+    decoder = (
+        _decode_spans_numpy
+        if _np is not None and len(starts)
+        else _decode_spans_python
+    )
+    return decoder(
+        buffer, starts, incls, endian, ethernet, tolerant, counters,
+        kept_spans,
     )
 
 
@@ -330,6 +335,7 @@ def _decode_spans_python(
     ethernet: bool,
     tolerant: bool,
     counters,
+    kept_spans: list[int] | None = None,
 ) -> PacketColumns:
     unpack_ts = struct.Struct(endian + "II").unpack_from
     cols = PacketColumns()
@@ -416,6 +422,8 @@ def _decode_spans_python(
                 option_errors += 1
             optbits = OPT_ODD
             odd_options[len(ts_out)] = options
+        if kept_spans is not None:
+            kept_spans.append(span)
         ts_sec, ts_usec = unpack_ts(buffer, starts[span] - 16)
         ts_out.append(ts_sec + ts_usec / 1_000_000)
         (src_ip,) = unpack_be32(buffer, off + 12)
@@ -451,6 +459,7 @@ def _decode_spans_numpy(
     ethernet: bool,
     tolerant: bool,
     counters,
+    kept_spans: list[int] | None = None,
 ) -> PacketColumns:
     np = _np
     buf = np.frombuffer(buffer, dtype=np.uint8)
@@ -648,6 +657,8 @@ def _decode_spans_numpy(
         keep = slice(None)
     else:
         keep = np.nonzero(ok)[0]
+    if kept_spans is not None:
+        kept_spans.extend(range(count) if kept == count else keep.tolist())
     _fill(cols.timestamps, ts[keep])
     _fill(cols.src_ip, src_ip[keep])
     _fill(cols.dst_ip, dst_ip[keep])

@@ -508,6 +508,8 @@ class PcapScanner:
         buffered.
         """
         starts, incls = self._collect_spans()
+        verify = getattr(self._counters, "verify_checksums", False)
+        kept: list[int] | None = [] if verify else None
         columns = decode_spans(
             self._buffer,
             starts,
@@ -516,12 +518,36 @@ class PcapScanner:
             ethernet=self._ethernet,
             tolerant=self._budget.tolerant,
             counters=self._counters,
+            kept_spans=kept,
         )
-        if getattr(self._counters, "verify_checksums", False):
-            # Lazy checksum policy: the columnar path defers
-            # verification entirely and counts what it skipped.
-            self._counters.checksums_skipped += len(columns)
+        if kept is not None:
+            self._verify_rows(columns, starts, incls, kept)
         return columns
+
+    def _verify_rows(
+        self, columns: PacketColumns, starts: array, incls: array,
+        kept: list[int],
+    ) -> None:
+        """Verify the TCP checksum of every decoded row (``kept[row]``
+        is its span), with the segment bounds :meth:`drain` uses.
+        Records the decoder skipped have no row and are not counted."""
+        buffer = self._buffer
+        lead = 14 if self._ethernet else 0
+        src_ips, dst_ips = columns.src_ip, columns.dst_ip
+        for row, span in enumerate(kept):
+            start = starts[span]
+            data = buffer[start + lead : start + incls[span]]
+            ip_len = (data[0] & 0x0F) * 4
+            total_length = (data[2] << 8) | data[3]
+            end = (
+                min(len(data), max(total_length, ip_len))
+                if total_length
+                else len(data)
+            )
+            if not verify_tcp_checksum(
+                src_ips[row], dst_ips[row], data[ip_len:end]
+            ):
+                self._counters.checksum_errors += 1
 
 
 class PcapReader:
@@ -559,8 +585,7 @@ class PcapReader:
         raw = self._file.read(_GLOBAL_HEADER.size)
         self._endian, self.linktype = parse_global_header(raw)
         self.errors = ErrorBudget.parse(errors)
-        #: Verify each packet's TCP checksum while decoding (object
-        #: path only; the columnar path defers and counts skips).
+        #: Verify each decoded packet's TCP checksum.
         self.verify_checksums = verify_checksums
         self.skipped = 0
         self.records_read = 0
@@ -575,9 +600,6 @@ class PcapReader:
         self.option_errors = 0
         #: Packets whose TCP checksum failed verification.
         self.checksum_errors = 0
-        #: Packets whose requested checksum verification was skipped
-        #: by the lazy columnar path.
-        self.checksums_skipped = 0
 
     def __iter__(self) -> Iterator[PacketRecord]:
         return self.iter_records()
@@ -708,7 +730,6 @@ class PcapReader:
         faults.resyncs += self.resyncs
         faults.option_errors += self.option_errors
         faults.checksum_errors += self.checksum_errors
-        faults.checksums_skipped += self.checksums_skipped
 
     def close(self) -> None:
         self._file.close()

@@ -3,8 +3,11 @@
 :mod:`repro.testing.faults` is the seedable fault-injection harness
 used by ``tests/test_faults.py`` and
 ``benchmarks/bench_fault_recovery.py`` to prove the pipeline's
-recovery guarantees.  Nothing here is imported by production code
-paths; importing it has no side effects.
+recovery guarantees; :func:`reference_analyze` is the object-path
+reference (record decode → object demux → analyzer) the columnar
+pipeline's parity tests and benchmark gate compare against.  Nothing
+here is imported by production code paths; importing it has no side
+effects.
 """
 
 from .faults import (
@@ -17,6 +20,7 @@ from .faults import (
     inject_flow_crash,
     kill_worker_once,
 )
+from .reference import reference_analyze
 from .traces import generate_trace
 
 __all__ = [
@@ -29,4 +33,5 @@ __all__ = [
     "generate_trace",
     "inject_flow_crash",
     "kill_worker_once",
+    "reference_analyze",
 ]

@@ -1,37 +1,42 @@
-"""Columnar fast path ↔ object pipeline parity.
+"""Columnar pipeline ↔ record-level reference parity.
 
-The columnar decode path (:mod:`repro.core.columnar_pipeline`) is a
-performance rewrite, not a semantic one: for every input — clean or
+Production analysis demultiplexes column batches only
+(:mod:`repro.core.columnar_pipeline`).  For every input — clean or
 damaged — it must produce a :class:`~repro.core.report.ServiceReport`
 that serializes to *byte-identical* canonical JSON against the object
-pipeline it replaces.  These tests enforce that contract:
+decode + object demux it replaced, which survive as
+:func:`repro.testing.reference_analyze`.  These tests enforce that
+contract:
 
 * property-style parity over seedable random traces
   (:func:`repro.testing.generate_trace`) through every entry point
-  (in-memory batch, pcap file, streaming);
+  (in-memory batch, pcap file, streaming), with and without
+  ``record_series``;
 * parity under 1 % record corruption, including fault-counter parity
-  (resyncs, corrupt records) between the two framings;
+  (resyncs, corrupt records, checksum errors) between the two framings;
 * sequence-number wraparound handled on the raw uint32 columns by the
   fast replay (the flows must *stay* on the fast path);
 * analyzer crashes quarantine the same flows as
   :class:`~repro.errors.SkippedFlow` on both paths;
-* the ``--no-columnar`` escape hatch yields byte-identical CLI JSON;
+* a column-backed flow pickles as its columns, so worker processes and
+  cluster shards replay without building packet objects either;
 * stalled flows are replayed on their columns: a hypothesis search over
   lossy flows (:func:`lossy_flow`) holds the column-driven analyzer to
-  the object path byte for byte without building one packet object,
+  the reference byte for byte without building one packet object,
   and the SACK-walk shortcuts of
   :class:`~repro.core.segments.SegmentTracker` to the plain walk.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import AnalysisConfig
+from repro.config import AnalysisConfig, RunConfig
 from repro.core import ServiceReport, Tapo
 from repro.core.cli import main as cli_main
 from repro.core.columnar_pipeline import (
@@ -48,7 +53,12 @@ from repro.packet.options import TCPOptions
 from repro.packet.packet import PacketRecord
 from repro.packet.pcap import PcapWriter
 from repro.packet.seqnum import seq_after, seq_geq, seq_leq
-from repro.testing import corrupt_pcap_records, generate_trace, inject_flow_crash
+from repro.testing import (
+    corrupt_pcap_records,
+    generate_trace,
+    inject_flow_crash,
+    reference_analyze,
+)
 from repro.testing.traces import _FlowBuilder
 
 PARITY_SEEDS = range(10)
@@ -62,11 +72,13 @@ def _report(tapo: Tapo, analyses) -> ServiceReport:
     return report
 
 
-def _pair():
-    return (
-        Tapo(config=AnalysisConfig()),
-        Tapo(config=AnalysisConfig(columnar=False)),
+def _reference(source, config=None, **eviction):
+    """``(report, faults)`` of the record-level reference pipeline."""
+    analyses, faults = reference_analyze(source, config, **eviction)
+    report = ServiceReport(
+        "parity", flows=analyses, skipped=list(faults.skipped)
     )
+    return report, faults
 
 
 def _write(path, packets):
@@ -81,31 +93,73 @@ class TestParityProperty:
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
     def test_in_memory_batch(self, seed):
         packets = generate_trace(seed)
-        columnar, objects = _pair()
+        columnar = Tapo(config=AnalysisConfig())
         fast = _report(columnar, columnar.analyze_packets(packets))
-        slow = _report(objects, objects.analyze_packets(packets))
+        slow, faults = _reference(packets)
         assert fast.to_json() == slow.to_json()
-        assert columnar.faults == objects.faults
+        assert columnar.faults == faults
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_pcap_file(self, seed, tmp_path):
         path = tmp_path / "trace.pcap"
         _write(path, generate_trace(seed))
-        columnar, objects = _pair()
+        columnar = Tapo(config=AnalysisConfig())
         fast = _report(columnar, columnar.analyze_pcap(path))
-        slow = _report(objects, objects.analyze_pcap(path))
+        slow, _ = _reference(path)
         assert fast.to_json() == slow.to_json()
+
+    def _streaming_pair(self, seed, tmp_path, run):
+        path = tmp_path / "trace.pcap"
+        _write(path, generate_trace(seed))
+        columnar = Tapo(config=AnalysisConfig())
+        fast = _report(columnar, list(columnar.analyze_stream(path, run=run)))
+        slow, _ = _reference(
+            path, idle_timeout=run.idle_timeout, close_linger=run.close_linger
+        )
+        return columnar, fast, slow
 
     @pytest.mark.parametrize("seed", (0, 3))
     def test_streaming(self, seed, tmp_path):
-        path = tmp_path / "trace.pcap"
-        _write(path, generate_trace(seed))
-        columnar, objects = _pair()
-        fast = _report(columnar, list(columnar.analyze_stream(path)))
-        slow = _report(objects, list(objects.analyze_stream(path)))
+        _, fast, slow = self._streaming_pair(seed, tmp_path, RunConfig())
         # Streaming evicts flows in the same order on both paths, so
         # even the flow *ordering* inside the report must agree.
         assert fast.to_json() == slow.to_json()
+
+    def test_streaming_fan_out(self, tmp_path):
+        """Worker fan-out demultiplexes columns too: flows cross the
+        process boundary as arrays, in both directions."""
+        columnar, fast, slow = self._streaming_pair(
+            3, tmp_path, RunConfig(workers=2, chunk_flows=4)
+        )
+        assert fast.to_json() == slow.to_json()
+        assert columnar.materialized_flows == 0
+        assert not any(a.flow.materialized for a in fast.flows)
+
+    @pytest.mark.parametrize("seed", PARITY_SEEDS)
+    def test_record_series(self, seed, tmp_path):
+        """``record_series`` rides the column path like everything
+        else: same ``kernel_series`` as the reference through every
+        entry point, no packet object built."""
+        packets = generate_trace(seed)
+        path = tmp_path / "trace.pcap"
+        _write(path, packets)
+        config = AnalysisConfig(record_series=True)
+        slow, _ = _reference(packets, config)
+        assert any(a.kernel_series for a in slow.flows)
+        tapo = Tapo(config=config)
+        for analyses in (
+            tapo.analyze_packets(packets),
+            tapo.analyze_pcap(path),
+            sorted(
+                tapo.analyze_stream(path),
+                key=lambda a: a.flow.first_time,
+            ),
+        ):
+            assert [a.kernel_series for a in analyses] == [
+                a.kernel_series for a in slow.flows
+            ]
+            assert _report(tapo, analyses).to_json() == slow.to_json()
+            assert tapo.materialized_flows == 0
 
     def test_both_paths_actually_ran(self):
         """The generator exercises fast-path AND fallback flows."""
@@ -133,53 +187,71 @@ class TestCorruptSlabs:
         _write(clean, generate_trace(seed, flows=30))
         plan = corrupt_pcap_records(clean, bad, fraction=0.01, seed=seed)
         assert plan.records_damaged  # must actually damage something
-        config_fast = AnalysisConfig(errors=ErrorBudget.lenient())
-        config_slow = AnalysisConfig(errors=ErrorBudget.lenient(), columnar=False)
-        columnar = Tapo(config=config_fast)
-        objects = Tapo(config=config_slow)
+        config = AnalysisConfig(errors=ErrorBudget.lenient())
+        columnar = Tapo(config=config)
         fast = _report(columnar, columnar.analyze_pcap(bad))
-        slow = _report(objects, objects.analyze_pcap(bad))
+        slow, faults = _reference(bad, config)
         assert fast.to_json() == slow.to_json()
-        assert columnar.faults.corrupt_records == objects.faults.corrupt_records
-        assert columnar.faults.resyncs == objects.faults.resyncs
-        assert columnar.faults.option_errors == objects.faults.option_errors
+        assert columnar.faults.corrupt_records == faults.corrupt_records
+        assert columnar.faults.resyncs == faults.resyncs
+        assert columnar.faults.option_errors == faults.option_errors
 
-    def test_checksum_verification_is_lazy_on_columns(self, tmp_path):
-        """verify_checksums: the object path verifies, the columnar
-        path defers and counts every deferral."""
+    @pytest.mark.parametrize("decoder", ("numpy", "python"))
+    def test_checksum_errors_counted_on_every_path(
+        self, decoder, tmp_path, monkeypatch
+    ):
+        """verify_checksums is honoured wherever columns are decoded —
+        batch, worker fan-out, cluster shards, live sources — and
+        counts what the record-level ``drain`` counts."""
+        import struct
+
+        from repro.cluster import run_cluster
+        from repro.live.sources import PcapTailSource, SourceCounters
+        from repro.packet import columnar as columnar_module
+
+        if decoder == "python":
+            monkeypatch.setattr(columnar_module, "_np", None)
+        elif columnar_module._np is None:
+            pytest.skip("numpy not importable")
         path = tmp_path / "trace.pcap"
-        packets = generate_trace(2, flows=5)
-        _write(path, packets)
+        _write(path, generate_trace(2, flows=5))
+        raw = bytearray(path.read_bytes())
         # Flip one bit of the first record's TCP window field: framing
         # and header decode stay valid but the checksum no longer does.
-        raw = bytearray(path.read_bytes())
         raw[24 + 16 + 20 + 14] ^= 0x01
+        # Two records the decoder skips — one relabelled UDP, one cut
+        # inside its TCP header — whose checksums nobody may judge.
+        (incl,) = struct.unpack_from("<I", raw, 24 + 8)
+        packet = bytes(raw[24 + 16 : 24 + 16 + incl])
+        header = bytes(raw[24 : 24 + 8])
+        not_tcp = packet[:9] + b"\x11" + packet[10:]
+        for body in (not_tcp, packet[:30]):
+            raw += header + struct.pack("<II", len(body), len(body)) + body
         path.write_bytes(bytes(raw))
-        columnar = Tapo(config=AnalysisConfig(verify_checksums=True))
-        columnar.analyze_pcap(path)
-        assert columnar.faults.checksums_skipped == len(packets)
-        assert columnar.faults.checksum_errors == 0
-        objects = Tapo(
-            config=AnalysisConfig(verify_checksums=True, columnar=False)
+
+        config = AnalysisConfig(verify_checksums=True)
+        _, reference_faults = _reference(path, config)
+        assert reference_faults.checksum_errors == 1
+        tapo = Tapo(config=config)
+        tapo.analyze_pcap(path)
+        assert tapo.faults.checksum_errors == 1
+        list(tapo.analyze_stream(path, run=RunConfig(workers=2)))
+        assert tapo.faults.checksum_errors == 1
+        cluster = run_cluster(str(path), shards=2, config=config)
+        assert cluster.faults.checksum_errors == 1
+        source = PcapTailSource(
+            path, counters=SourceCounters(verify_checksums=True)
         )
-        objects.analyze_pcap(path)
-        assert objects.faults.checksums_skipped == 0
-        assert objects.faults.checksum_errors == 1
-        # Off by default: no verification, nothing skipped or counted.
+        rows = sum(len(batch) for batch in source.poll_columns())
+        source.close()
+        assert source.counters.checksum_errors == 1
+        assert source.counters.skipped == 2 and rows == len(
+            generate_trace(2, flows=5)
+        )
+        # Off by default: nothing verified, nothing counted.
         default = Tapo(config=AnalysisConfig())
         default.analyze_pcap(path)
-        assert default.faults.checksums_skipped == 0
         assert default.faults.checksum_errors == 0
-
-    def test_checksums_skipped_reaches_metrics(self):
-        from repro.errors import FaultStats
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        stats = FaultStats(checksums_skipped=7)
-        stats.to_registry(registry)
-        rendered = registry.render_prometheus()
-        assert "repro_fault_checksums_skipped_total 7" in rendered
 
 
 class TestSeqWraparound:
@@ -197,9 +269,9 @@ class TestSeqWraparound:
     @pytest.mark.parametrize("seed", (11, 12, 13))
     def test_wrap_flow_stays_on_fast_path(self, seed):
         packets = self._clean_wrap_flow(seed)
-        columnar, objects = _pair()
+        columnar = Tapo(config=AnalysisConfig())
         fast = _report(columnar, columnar.analyze_packets(packets))
-        slow = _report(objects, objects.analyze_packets(packets))
+        slow, _ = _reference(packets)
         assert columnar.fast_flows == 1, "wraparound must not trip a bail"
         assert columnar.fallback_flows == 0
         assert fast.to_json() == slow.to_json()
@@ -222,18 +294,14 @@ class TestCrashQuarantine:
 
     def test_skipped_flow_parity(self):
         packets = generate_trace(4, flows=25)
-        config_fast = AnalysisConfig(errors=ErrorBudget.lenient())
-        config_slow = AnalysisConfig(errors=ErrorBudget.lenient(), columnar=False)
+        config = AnalysisConfig(errors=ErrorBudget.lenient())
         with inject_flow_crash(fraction=0.3, seed=9):
-            columnar = Tapo(config=config_fast)
+            columnar = Tapo(config=config)
             fast = _report(columnar, columnar.analyze_packets(packets))
         with inject_flow_crash(fraction=0.3, seed=9):
-            objects = Tapo(config=config_slow)
-            slow = _report(objects, objects.analyze_packets(packets))
+            slow, faults = _reference(packets, config)
         assert columnar.faults.flows_skipped > 0
-        assert (
-            columnar.faults.flows_skipped == objects.faults.flows_skipped
-        )
+        assert columnar.faults.flows_skipped == faults.flows_skipped
         assert [s.key for s in fast.skipped] == [s.key for s in slow.skipped]
         assert fast.to_json() == slow.to_json()
 
@@ -247,7 +315,7 @@ class TestCrashQuarantine:
     def test_crash_inside_column_driven_replay(self, monkeypatch):
         """A crash in the middle of a flow replayed on its columns
         surfaces typed, with the flow key and the row reached, and
-        quarantines under a lenient budget — on both feeders alike."""
+        quarantines under a lenient budget — like the reference."""
         packets = lossy_flow(random.Random(1))
         (flow,) = _lazy_flows(packets)
         crash_row = next(
@@ -264,31 +332,18 @@ class TestCrashQuarantine:
         assert caught.value.key == flow.key
         assert caught.value.packet_index == crash_row
         assert not flow.materialized  # it died on the columns
-        lenient = ErrorBudget.lenient()
-        columnar = Tapo(config=AnalysisConfig(errors=lenient))
-        objects = Tapo(config=AnalysisConfig(errors=lenient, columnar=False))
+        config = AnalysisConfig(errors=ErrorBudget.lenient())
+        columnar = Tapo(config=config)
         assert columnar.analyze_packets(packets) == []
-        assert objects.analyze_packets(packets) == []
+        analyses, faults = reference_analyze(packets, config)
+        assert analyses == []
         (skipped,) = columnar.faults.skipped
-        assert skipped == objects.faults.skipped[0]
+        assert skipped == faults.skipped[0]
         assert (skipped.key, skipped.packet_index, skipped.packets) == (
             flow.key, crash_row, len(packets),
         )
         assert skipped.error_type == "FlowAnalysisError"
         assert columnar.materialized_flows == 0
-
-
-class TestCliEscapeHatch:
-    """`repro-paper ... --no-columnar` output is byte-identical."""
-
-    def test_no_columnar_flag_parity(self, tmp_path, capsys):
-        path = tmp_path / "trace.pcap"
-        _write(path, generate_trace(5))
-        assert cli_main([str(path), "--json"]) == 0
-        fast_out = capsys.readouterr().out
-        assert cli_main([str(path), "--json", "--no-columnar"]) == 0
-        slow_out = capsys.readouterr().out
-        assert fast_out == slow_out
 
 
 # -- stalled flows replayed on their columns -------------------------------
@@ -612,12 +667,11 @@ class TestColumnDrivenReplay:
     @given(st.randoms(use_true_random=False))
     def test_lossy_flows_byte_identical(self, rng):
         packets = lossy_flow(rng)
-        columnar, objects = _pair()
+        columnar = Tapo(config=AnalysisConfig())
         fast = _report(columnar, columnar.analyze_packets(packets))
-        slow = _report(objects, objects.analyze_packets(packets))
+        slow, _ = _reference(packets)
         assert fast.to_json() == slow.to_json()
         assert columnar.materialized_flows == 0
-        assert objects.materialized_flows == len(slow.flows)
 
     def test_generator_reaches_the_hard_cases(self):
         """Over a fixed set of seeds the generator produces what its
@@ -653,9 +707,9 @@ class TestColumnDrivenReplay:
         packets = _request_retransmit_flow()
         (flow,) = _lazy_flows(packets)
         assert fast_replay_flow(flow, AnalysisConfig()) is None
-        columnar, objects = _pair()
+        columnar = Tapo(config=AnalysisConfig())
         fast = _report(columnar, columnar.analyze_packets(packets))
-        slow = _report(objects, objects.analyze_packets(packets))
+        slow, _ = _reference(packets)
         assert [state.value for _, state in fast.flows[0].state_log] == [
             "Disorder", "Open",
         ]
@@ -706,6 +760,40 @@ class TestColumnDrivenReplay:
         assert report_a.to_json() == report_b.to_json()
 
 
+class TestLazyFlowPickle:
+    """A column-backed flow crosses a process boundary as its columns."""
+
+    @pytest.mark.parametrize("from_pcap", (True, False))
+    def test_round_trip_ships_columns_only(self, from_pcap, tmp_path):
+        packets = lossy_flow(random.Random(2))
+        if from_pcap:
+            path = tmp_path / "flow.pcap"
+            _write(path, packets)
+            (analysis,) = Tapo(config=AnalysisConfig()).analyze_pcap(path)
+            flow = analysis.flow
+        else:
+            # Built from records: the store holds the originals, and
+            # must still not ship them.
+            (flow,) = _lazy_flows(packets)
+            assert flow._store.records is not None
+        blob = pickle.dumps(flow)
+        assert b"PacketRecord" not in blob
+        copy = pickle.loads(blob)
+        assert isinstance(copy, LazyFlowTrace)
+        assert not flow.materialized and not copy.materialized
+        assert (copy.key, copy.server, copy.client) == (
+            flow.key, flow.server, flow.client,
+        )
+        assert list(copy.rows()) == list(flow.rows())
+        assert copy.packets == flow.packets
+        reports = []
+        for trace in (flow, copy):
+            report = ServiceReport("pickle")
+            report.add(Tapo(config=AnalysisConfig()).analyze_flow(trace))
+            reports.append(report.to_json())
+        assert reports[0] == reports[1]
+
+
 class TestFlowCounters:
     """fast / replayed / materialized flow counts reach the operator."""
 
@@ -724,32 +812,41 @@ class TestFlowCounters:
                 values[name] = int(float(value))
         return tuple(values[name] for name in self.NAMES)
 
-    @pytest.mark.parametrize("columnar", (True, False))
-    def test_stream_registry(self, columnar):
+    @pytest.mark.parametrize("fast_replay", (True, False))
+    def test_stream_registry(self, fast_replay):
+        """``record_series`` keeps every flow off the fast replay (it
+        has no series to record) — and on its columns all the same."""
         from repro.obs.metrics import MetricsRegistry
 
         packets = generate_trace(3)
         registry = MetricsRegistry()
-        tapo = Tapo(config=AnalysisConfig(columnar=columnar))
+        tapo = Tapo(config=AnalysisConfig(record_series=not fast_replay))
         flows = list(tapo.analyze_stream(iter(packets), registry=registry))
         fast, replayed, materialized = self._counts(registry)
         assert (fast, replayed, materialized) == tapo.flow_counts()
         assert fast + replayed == len(flows)
-        if columnar:
-            assert fast > 0 and replayed > 0 and materialized == 0
-        else:
-            assert fast == 0 and materialized == len(flows)
+        assert replayed > 0 and materialized == 0
+        assert (fast > 0) == fast_replay
 
     def test_worker_counts_fold_into_the_caller(self):
-        from repro.config import RunConfig
-
         packets = generate_trace(3)
         tapo = Tapo(config=AnalysisConfig())
         flows = list(
             tapo.analyze_stream(iter(packets), run=RunConfig(workers=2))
         )
-        # Worker fan-out keeps the object demux: every flow replayed.
-        assert tapo.flow_counts() == (0, len(flows), len(flows))
+        fast, replayed, materialized = tapo.flow_counts()
+        assert fast > 0 and replayed > 0 and materialized == 0
+        assert fast + replayed == len(flows)
+
+    def test_cluster_shards_materialize_nothing(self, tmp_path):
+        from repro.cluster import run_cluster
+
+        path = tmp_path / "trace.pcap"
+        _write(path, generate_trace(3))
+        result = run_cluster(str(path), shards=2)
+        fast, replayed, materialized = self._counts(result.registry)
+        assert fast > 0 and replayed > 0 and materialized == 0
+        assert not any(a.flow.materialized for a in result.report.flows)
 
     def test_cli_stats_line(self, tmp_path, capsys):
         path = tmp_path / "trace.pcap"

@@ -201,6 +201,28 @@ class TestPcapTail:
         # counters carried across the resume
         assert resumed.counters.records_read == len(want)
 
+    def test_restores_checkpoint_with_retired_counter(self, tmp_path):
+        """A checkpoint written before ``checksums_skipped`` was
+        removed still restores; the counters it shares carry over."""
+        path = tmp_path / "cap.pcap"
+        make_pcap(path, n=6)
+        state = {
+            "type": "pcap_tail",
+            "path": str(path),
+            "offset": 24,
+            "counters": {
+                "records_read": 7, "skipped": 1, "corrupt_records": 2,
+                "resyncs": 2, "bytes_skipped": 40, "option_errors": 0,
+                "checksum_errors": 3, "checksums_skipped": 11,
+                "verify_checksums": False,
+            },
+        }
+        resumed = PcapTailSource.restore(json.loads(json.dumps(state)))
+        assert len(list(resumed.finish())) == 48
+        counters = resumed.counters
+        assert (counters.records_read, counters.checksum_errors) == (55, 3)
+        assert "checksums_skipped" not in counters.to_state()
+
     def test_resume_mid_file_replays_nothing(self, tmp_path):
         path = tmp_path / "cap.pcap"
         make_pcap(path, n=6)
