@@ -13,6 +13,12 @@ single-process run.  ``--min-cluster-speedup X`` turns the best
 cluster speedup into a hard gate (exit 1 below X) — CI passes 3.0 on
 multi-core runners.
 
+Every report carries a ``kill_once`` row: the same batch at two
+workers with one injected child death.  The pool must be replaced, so
+the death may fail at most one in-flight window (``4 x workers``
+chunks) and nothing may fall back to the parent process; the script
+exits 1 otherwise.
+
 Under pytest this runs at a small flow count as a smoke test: every
 worker count must produce byte-identical results, and the report must
 be well-formed.  Wall-clock assertions are deliberately absent — CI
@@ -30,6 +36,7 @@ import time
 
 from repro.experiments.dataset import build_dataset, clear_cache
 from repro.experiments.parallel import run_flows_parallel
+from repro.testing.faults import kill_worker_once
 from repro.workload.generator import generate_flows
 from repro.workload.services import get_profile
 
@@ -38,6 +45,7 @@ DEFAULT_FLOWS = 60
 DEFAULT_SEED = 20141222
 DEFAULT_SHARDS = (1, 2, 4)
 DEFAULT_CLUSTER_FLOWS = 48
+KILL_ONCE_WORKERS = 2
 
 
 def _trace_signature(run) -> list:
@@ -99,6 +107,52 @@ def measure_scaling(
         "cpu_count": os.cpu_count(),
         "baseline_wall_time": baseline_wall,
         "points": points,
+    }
+
+
+def measure_kill_once(
+    flows: int = DEFAULT_FLOWS,
+    seed: int = DEFAULT_SEED,
+    service: str = "web_search",
+) -> dict:
+    """One injected worker death at two workers, one flow per chunk.
+
+    ``ok`` is the gate: the death cost at most one in-flight window of
+    retries, no chunk ran in the parent, and the traces match serial.
+    """
+    profile = get_profile(service)
+    serial = run_flows_parallel(
+        generate_flows(profile, flows, seed=seed), workers=1
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-bench-kill-") as tmp:
+        with kill_worker_once(tmp) as sentinel:
+            run = run_flows_parallel(
+                generate_flows(profile, flows, seed=seed),
+                workers=KILL_ONCE_WORKERS,
+                chunk_flows=1,
+            )
+            died = sentinel.exists()
+    metrics = run.metrics
+    in_parent = sum(
+        worker.chunks
+        for worker in metrics.worker_stats
+        if worker.worker_id == os.getpid()
+    )
+    identical = _trace_signature(run) == _trace_signature(serial)
+    return {
+        "workers": KILL_ONCE_WORKERS,
+        "worker_died": died,
+        "wall_time": metrics.wall_time,
+        "chunks": metrics.chunks,
+        "chunks_retried": metrics.chunks_retried,
+        "chunks_in_parent": in_parent,
+        "identical_to_serial": identical,
+        "ok": (
+            died
+            and identical
+            and in_parent == 0
+            and metrics.chunks_retried <= 4 * KILL_ONCE_WORKERS
+        ),
     }
 
 
@@ -204,6 +258,9 @@ def build_report(
     report = measure_scaling(
         flows=flows, seed=seed, service=service, workers_list=workers_list
     )
+    report["kill_once"] = measure_kill_once(
+        flows=flows, seed=seed, service=service
+    )
     report["cache"] = measure_cache(flows=cache_flows, seed=seed)
     if cluster:
         report["cluster"] = measure_cluster_scaling(
@@ -216,7 +273,9 @@ def build_report(
 
 def test_parallel_scaling_smoke():
     """Tiny-scale smoke run: report shape + cross-worker identity."""
-    flows = int(os.environ.get("REPRO_BENCH_SCALING_FLOWS", "8"))
+    # More flows than one kill-once window (4 x 2 chunks), so that row's
+    # retry bound is not vacuous.
+    flows = int(os.environ.get("REPRO_BENCH_SCALING_FLOWS", "24"))
     report = build_report(
         flows=flows,
         seed=DEFAULT_SEED,
@@ -227,6 +286,7 @@ def test_parallel_scaling_smoke():
     assert report["points"][0]["workers"] == 1
     assert all(point["identical_to_serial"] for point in report["points"])
     assert all(point["wall_time"] > 0 for point in report["points"])
+    assert report["kill_once"]["ok"], report["kill_once"]
     assert report["cache"]["warm_wall_time"] > 0
     # Warm loads must beat re-simulating; huge margins on real machines,
     # so 1x is a safe floor even for this tiny smoke size.
@@ -329,6 +389,11 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json_out, "w") as handle:
             handle.write(text + "\n")
         print(f"wrote {args.json_out}", file=sys.stderr)
+    if not report["kill_once"]["ok"]:
+        print(
+            f"FAIL: kill-once row {report['kill_once']}", file=sys.stderr
+        )
+        return 1
     if args.min_cluster_speedup is not None:
         best = report["cluster"]["best_speedup"]
         if best < args.min_cluster_speedup:

@@ -19,6 +19,7 @@ keyword arguments keep working everywhere through shims that emit
 from __future__ import annotations
 
 import dataclasses
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,6 +47,13 @@ def warn_deprecated_kwargs(where: str, names: list[str], instead: str) -> None:
         DeprecationWarning,
         stacklevel=3,
     )
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Normalize a worker-count request: ``None``/``0`` = all cores."""
+    if workers is None or workers == 0:
+        return max(1, os.cpu_count() or 1)
+    return max(1, int(workers))
 
 
 def validate_policies(names) -> tuple[str, ...]:
@@ -162,6 +170,4 @@ class RunConfig:
 
     def resolved_workers(self) -> int:
         """Concrete worker count (``0``/``None`` = one per core)."""
-        from .experiments.parallel import resolve_workers
-
         return resolve_workers(self.workers)

@@ -17,7 +17,8 @@ from .dataset import SERVICES, Dataset, build_dataset, clear_cache
 from .export import export_all, export_illustrative, export_reports
 from .fairness import FairnessResult, run_fairness
 from .metrics import RunMetrics, WorkerStats
-from .parallel import resolve_workers, run_flows_parallel
+from ..config import resolve_workers
+from .parallel import run_flows_parallel
 from .validation import ValidationResult, validate_inference
 from .illustrative import IllustrativeResult, run_illustrative_flow
 from .mitigation import (

@@ -1,18 +1,27 @@
-"""Parallel flow simulation across worker processes.
+"""Ordered fan-out of picklable chunks across worker processes.
 
-Flows in the dataset are independent (no cross-flow coupling — see
-:mod:`repro.experiments.runner`), so a batch of scenarios shards
-cleanly across a process pool.  The contract of
-:func:`run_flows_parallel` is that its output is **byte-identical** to
-the serial path for the same scenarios: each flow carries its own
-derived seed, chunks preserve scenario order, and results are
-reassembled in submission order regardless of which worker finished
-first.
+:func:`run_flows_parallel` (simulation: flows are independent and carry
+their own derived seeds, so output is **byte-identical** to the serial
+path) and :class:`AnalysisPool` (streaming TAPO analysis with
+back-pressure on the packet source) share one runner,
+:func:`map_ordered`.  It keeps a bounded window of chunks queued or
+running and yields outcomes in submission order.  The window is
+``4 × workers`` for the simulator — its default chunk count, so every
+chunk is submitted up front and slow (stalled-flow) chunks overlap fast
+ones — and ``2 × workers`` for analysis, where the window is what
+pauses packet reading and so bounds memory.
 
-Failure handling degrades rather than crashes: if a worker dies (OOM
-killer, interpreter crash) or a chunk raises, the affected chunks are
-re-simulated serially in the parent process and the retry is counted
-in :class:`~repro.experiments.metrics.RunMetrics`.
+The runner owns the only failure ladder.  A
+:class:`~repro.errors.ReproError` is deterministic — the task rejected
+its input — and propagates at once.  Anything else is transient: the
+chunk is retried in single-worker pools with doubling backoff, then
+once in the parent, and what that raises is handed to the caller as the
+chunk's outcome (the simulator re-raises it, analysis poisons the
+chunk).  If the failure is a :class:`~concurrent.futures.BrokenExecutor`
+— a worker died (OOM killer, interpreter crash) and took its pool along
+— the main pool is replaced too, so one death fails one window and
+later chunks run in parallel again.  Each chunk that needed the ladder
+counts once in :attr:`AnalysisPoolStats.chunks_retried`.
 """
 
 from __future__ import annotations
@@ -21,11 +30,19 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from collections.abc import Iterable, Iterator
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+)
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
-from ..config import AnalysisConfig
+from ..config import AnalysisConfig, RunConfig, resolve_workers
 from ..errors import FaultStats, PoisonTaskError, ReproError, SkippedFlow
 from ..packet.flow import FlowTrace
 from ..workload.generator import FlowScenario
@@ -36,39 +53,36 @@ from .runner import DatasetRun, FlowRunResult, run_flow
 #: fast (short-flow) and slow (stalled-flow) chunks.
 _CHUNKS_PER_WORKER = 4
 
+#: Ladder depth and pacing for callers that take no ``RunConfig``.
+_MAX_RETRIES = RunConfig.max_retries
+_RETRY_BACKOFF = RunConfig.retry_backoff
 
-def resolve_workers(workers: int | None) -> int:
-    """Normalize a worker-count request: ``None``/``0`` = all cores."""
-    if workers is None or workers == 0:
-        return max(1, os.cpu_count() or 1)
-    return max(1, int(workers))
+
+def _chunked(items: Iterable, size: int) -> Iterator[list]:
+    """Lazily split ``items`` into lists of ``size``; the last may be short."""
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
 
 
 def chunk_scenarios(
     scenarios: list[FlowScenario], workers: int, chunk_flows: int | None = None
 ) -> list[list[FlowScenario]]:
     """Split a scenario list into contiguous, order-preserving chunks."""
-    if not scenarios:
-        return []
     if chunk_flows is None:
         target = workers * _CHUNKS_PER_WORKER
         chunk_flows = max(1, -(-len(scenarios) // target))
-    return [
-        scenarios[i : i + chunk_flows]
-        for i in range(0, len(scenarios), chunk_flows)
-    ]
+    return list(_chunked(scenarios, chunk_flows))
 
 
 @dataclass
 class _ChunkResult:
-    index: int
     results: list[FlowRunResult]
     worker_id: int
     busy_time: float
 
 
 def _simulate_chunk(
-    index: int,
     scenarios: list[FlowScenario],
     max_sim_time: float,
     trace: bool | str = False,
@@ -80,7 +94,6 @@ def _simulate_chunk(
         for s in scenarios
     ]
     return _ChunkResult(
-        index=index,
         results=results,
         worker_id=os.getpid(),
         busy_time=time.perf_counter() - start,
@@ -95,141 +108,9 @@ def _make_executor(workers: int) -> Executor:
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def run_flows_parallel(
-    scenarios: Iterable[FlowScenario],
-    max_sim_time: float = 600.0,
-    workers: int | None = None,
-    chunk_flows: int | None = None,
-    executor_factory=None,
-    trace: bool | str = False,
-) -> DatasetRun:
-    """Run a scenario batch across ``workers`` processes.
-
-    Returns the same :class:`DatasetRun` the serial path produces (same
-    result order, same per-flow contents), with
-    :class:`~repro.experiments.metrics.RunMetrics` attached.  With
-    ``workers=1``, no pool is created at all.
-    """
-    scenario_list = list(scenarios)
-    workers = min(
-        resolve_workers(workers), max(1, len(scenario_list))
-    )
-    started = time.perf_counter()
-    service = scenario_list[-1].service if scenario_list else ""
-
-    if workers <= 1 or len(scenario_list) <= 1:
-        results = [
-            run_flow(s, max_sim_time=max_sim_time, trace=trace)
-            for s in scenario_list
-        ]
-        return _assemble(service, results, started, workers=1, chunks=1)
-
-    chunks = chunk_scenarios(scenario_list, workers, chunk_flows)
-    chunk_results: list[_ChunkResult | None] = [None] * len(chunks)
-    factory = executor_factory or _make_executor
-    recovered: set[int] = set()  # chunks that needed any retry
-    try:
-        with factory(workers) as pool:
-            futures = {
-                index: pool.submit(
-                    _simulate_chunk, index, chunk, max_sim_time, trace
-                )
-                for index, chunk in enumerate(chunks)
-            }
-            for index, future in futures.items():
-                try:
-                    chunk_results[index] = future.result()
-                except ReproError:
-                    # Deterministic, typed: the simulation itself
-                    # rejected its input.  Retrying cannot help.
-                    raise
-                except Exception:
-                    recovered.add(index)
-            # Resubmit failed chunks to the pool once before falling
-            # back to the parent: one transient worker death should
-            # not serialize the recovery.
-            for index in sorted(recovered):
-                try:
-                    chunk_results[index] = pool.submit(
-                        _simulate_chunk,
-                        index,
-                        chunks[index],
-                        max_sim_time,
-                        trace,
-                    ).result()
-                except ReproError:
-                    raise
-                except Exception:
-                    pass  # re-run serially below
-    except ReproError:
-        raise
-    except Exception:
-        pass  # pool never came up or died wholesale; recover below
-
-    for index, result in enumerate(chunk_results):
-        if result is None:
-            recovered.add(index)
-            chunk_results[index] = _simulate_chunk(
-                index, chunks[index], max_sim_time, trace
-            )
-    retried = len(recovered)
-
-    results: list[FlowRunResult] = []
-    worker_stats: dict[int, WorkerStats] = {}
-    for chunk_result in chunk_results:
-        assert chunk_result is not None  # every chunk ran or was retried
-        results.extend(chunk_result.results)
-        stats = worker_stats.setdefault(
-            chunk_result.worker_id, WorkerStats(chunk_result.worker_id)
-        )
-        stats.flows += len(chunk_result.results)
-        stats.chunks += 1
-        stats.events += sum(r.events for r in chunk_result.results)
-        stats.busy_time += chunk_result.busy_time
-
-    run = _assemble(
-        service,
-        results,
-        started,
-        workers=workers,
-        chunks=len(chunks),
-    )
-    run.metrics.chunks_retried = retried
-    run.metrics.worker_stats = list(worker_stats.values())
-    return run
-
-
-# -- streaming flow analysis ----------------------------------------------
-
-#: Flows per analysis work unit; TAPO analysis of one flow is much
-#: cheaper than simulating it, so chunks are bigger than simulation's.
-_ANALYZE_CHUNK_FLOWS = 32
-
-
-def _analyze_chunk(
-    flows: list[FlowTrace], config: AnalysisConfig
-) -> tuple[list, list[SkippedFlow], tuple[int, int, int]]:
-    """Worker entry point: run TAPO over one chunk of completed flows.
-
-    Returns ``(analyses, skipped, flow_counts)``, the last being the
-    worker's ``(fast, replayed, materialized)`` flow counts (see
-    :meth:`Tapo.flow_counts <repro.core.tapo.Tapo.flow_counts>`).
-    Under a tolerant
-    ``config.errors`` budget a crashing flow is quarantined into the
-    ``skipped`` list instead of failing the chunk; budget caps are
-    *not* enforced here (``enforce=False``) because only the parent
-    sees run-wide fault totals.
-    """
-    from ..core.tapo import Tapo
-
-    tapo = Tapo(config=config)
-    analyses = list(tapo._analyze_flows(flows, tapo.faults, enforce=False))
-    return analyses, list(tapo.faults.skipped), tapo.flow_counts()
-
-
 @dataclass
 class AnalysisPoolStats:
-    """Accounting for one :class:`AnalysisPool` pass."""
+    """Accounting for one :func:`map_ordered` / :class:`AnalysisPool` pass."""
 
     flows: int = 0
     flows_skipped: int = 0
@@ -264,6 +145,204 @@ class AnalysisPoolStats:
         ).set(float(self.peak_in_flight_chunks))
 
 
+def _open_pool(factory, workers: int):
+    """The factory's pool as a context manager; one that yields ``None``
+    if the factory raises — every rung can step over "no pool"."""
+    try:
+        return factory(workers)
+    except Exception:
+        return nullcontext()
+
+
+def _submit(pool: Executor | None, fn: Callable, chunk) -> Future:
+    """``pool.submit`` that reports every failure — no pool, or one that
+    is already broken and refuses the task — through the future."""
+    try:
+        if pool is None:
+            raise BrokenExecutor("no worker pool")
+        return pool.submit(fn, chunk)
+    except Exception as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
+def _rescue(
+    fn: Callable, chunk, factory, max_retries: int, retry_backoff: float
+):
+    """The rungs below the main pool: single-worker pools, which isolate
+    each attempt, then the parent, where a raise becomes the outcome."""
+    attempts = 0
+    for _ in range(max_retries):
+        with _open_pool(factory, 1) as pool:
+            if pool is None:
+                continue  # nothing ran, so nothing to wait out
+            if attempts:
+                time.sleep(retry_backoff * 2 ** (attempts - 1))
+            attempts += 1
+            try:
+                return _submit(pool, fn, chunk).result()
+            except ReproError:
+                raise
+            except Exception:
+                pass
+    try:
+        return fn(chunk)
+    except ReproError:
+        raise
+    except Exception as exc:
+        return exc
+
+
+def map_ordered(
+    fn: Callable,
+    chunks: Iterable,
+    *,
+    workers: int,
+    max_in_flight: int,
+    stats: AnalysisPoolStats,
+    max_retries: int = _MAX_RETRIES,
+    retry_backoff: float = _RETRY_BACKOFF,
+    executor_factory=None,
+) -> Iterator[tuple]:
+    """Run ``fn(chunk)`` across ``workers`` processes, in order.
+
+    Pulls ``chunks`` lazily, keeps at most ``max_in_flight`` of them
+    queued or running, and yields ``(chunk, outcome)`` in submission
+    order.  ``outcome`` is ``fn``'s return value, or the exception the
+    parent-process attempt raised once every rung of the ladder (see
+    the module docstring) had failed; a
+    :class:`~repro.errors.ReproError` is never an outcome, it
+    propagates.  ``fn`` and the chunks must pickle.
+    """
+    factory = executor_factory or _make_executor
+    chunks = iter(chunks)
+    #: (chunk, future, pool it was submitted to), oldest first.
+    window: deque[tuple[object, Future, object]] = deque()
+    replacements = 0
+    with ExitStack() as stack:
+        pool = stack.enter_context(_open_pool(factory, workers))
+        while True:
+            for chunk in islice(chunks, max_in_flight - len(window)):
+                window.append((chunk, _submit(pool, fn, chunk), pool))
+                stats.chunks += 1
+                stats.in_flight_chunks = len(window)
+                stats.peak_in_flight_chunks = max(
+                    stats.peak_in_flight_chunks, len(window)
+                )
+            if not window:
+                return
+            chunk, future, origin = window.popleft()
+            try:
+                outcome = future.result()
+            except ReproError:
+                raise
+            except Exception as failure:
+                stats.chunks_retried += 1
+                # One death fails every future of its pool; only the
+                # first of them to be collected gets to replace it.
+                if (
+                    isinstance(failure, BrokenExecutor)
+                    and origin is pool
+                    and replacements < max_retries
+                ):
+                    replacements += 1
+                    stack.close()
+                    pool = stack.enter_context(_open_pool(factory, workers))
+                outcome = _rescue(
+                    fn, chunk, factory, max_retries, retry_backoff
+                )
+            stats.in_flight_chunks = len(window)
+            yield chunk, outcome
+
+
+def run_flows_parallel(
+    scenarios: Iterable[FlowScenario],
+    max_sim_time: float = 600.0,
+    workers: int | None = None,
+    chunk_flows: int | None = None,
+    executor_factory=None,
+    trace: bool | str = False,
+) -> DatasetRun:
+    """Run a scenario batch across ``workers`` processes.
+
+    Returns the same :class:`DatasetRun` the serial path produces (same
+    result order, same per-flow contents), with
+    :class:`~repro.experiments.metrics.RunMetrics` attached.  With
+    ``workers=1``, no pool is created at all.
+    """
+    scenario_list = list(scenarios)
+    workers = min(
+        resolve_workers(workers), max(1, len(scenario_list))
+    )
+    started = time.perf_counter()
+    service = scenario_list[-1].service if scenario_list else ""
+
+    if workers <= 1:
+        results = [
+            run_flow(s, max_sim_time=max_sim_time, trace=trace)
+            for s in scenario_list
+        ]
+        return _assemble(service, results, started, workers=1, chunks=1)
+
+    stats = AnalysisPoolStats()
+    results: list[FlowRunResult] = []
+    worker_stats: dict[int, WorkerStats] = {}
+    for _, outcome in map_ordered(
+        partial(_simulate_chunk, max_sim_time=max_sim_time, trace=trace),
+        chunk_scenarios(scenario_list, workers, chunk_flows),
+        workers=workers,
+        max_in_flight=_CHUNKS_PER_WORKER * workers,
+        stats=stats,
+        executor_factory=executor_factory,
+    ):
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.extend(outcome.results)
+        worker = worker_stats.setdefault(
+            outcome.worker_id, WorkerStats(outcome.worker_id)
+        )
+        worker.flows += len(outcome.results)
+        worker.chunks += 1
+        worker.events += sum(r.events for r in outcome.results)
+        worker.busy_time += outcome.busy_time
+
+    run = _assemble(
+        service, results, started, workers=workers, chunks=stats.chunks
+    )
+    run.metrics.chunks_retried = stats.chunks_retried
+    run.metrics.worker_stats = list(worker_stats.values())
+    return run
+
+
+# -- streaming flow analysis ----------------------------------------------
+
+#: Flows per analysis work unit; TAPO analysis of one flow is much
+#: cheaper than simulating it, so chunks are bigger than simulation's.
+_ANALYZE_CHUNK_FLOWS = 32
+
+
+def _analyze_chunk(
+    flows: list[FlowTrace], config: AnalysisConfig
+) -> tuple[list, list[SkippedFlow], tuple[int, int, int]]:
+    """Worker entry point: run TAPO over one chunk of completed flows.
+
+    Returns ``(analyses, skipped, flow_counts)``, the last being the
+    worker's ``(fast, replayed, materialized)`` flow counts (see
+    :meth:`Tapo.flow_counts <repro.core.tapo.Tapo.flow_counts>`).
+    Under a tolerant
+    ``config.errors`` budget a crashing flow is quarantined into the
+    ``skipped`` list instead of failing the chunk; budget caps are
+    *not* enforced here (``enforce=False``) because only the parent
+    sees run-wide fault totals.
+    """
+    from ..core.tapo import Tapo
+
+    tapo = Tapo(config=config)
+    analyses = list(tapo._analyze_flows(flows, tapo.faults, enforce=False))
+    return analyses, list(tapo.faults.skipped), tapo.flow_counts()
+
+
 @dataclass
 class AnalysisPool:
     """Fan completed flows out to analyzer workers with backpressure.
@@ -282,18 +361,13 @@ class AnalysisPool:
     flow counts into it, so its ``fast_flows`` / ``fallback_flows`` /
     ``materialized_flows`` are live whatever the worker count.
 
-    Failure handling distinguishes *deterministic* faults from
-    *transient* ones.  A :class:`~repro.errors.ReproError` escaping a
-    worker is deterministic — the analyzer itself rejected the input —
-    so it propagates (strict budgets) rather than being retried; under
-    tolerant budgets workers quarantine such flows internally and the
-    error never escapes.  Anything else (a dead worker, a broken pool)
-    is treated as transient: the chunk is retried up to ``max_retries``
-    times in fresh single-worker pools with exponential backoff, then
-    re-run serially in the parent, and only if *that* also dies is the
-    chunk declared poisoned — strict budgets raise
+    Worker failures go down :func:`map_ordered`'s ladder (module
+    docstring); a :class:`~repro.errors.ReproError` from a worker
+    propagates (under tolerant budgets workers quarantine crashing
+    flows themselves, so none escapes).  A chunk that fails every rung
+    is poisoned: strict budgets raise
     :class:`~repro.errors.PoisonTaskError`, tolerant budgets quarantine
-    the chunk's flows as :class:`~repro.errors.SkippedFlow` records.
+    its flows as :class:`~repro.errors.SkippedFlow` records.
     """
 
     config: AnalysisConfig = field(default_factory=AnalysisConfig)
@@ -301,36 +375,47 @@ class AnalysisPool:
     chunk_flows: int | None = None
     max_in_flight: int | None = None
     executor_factory: object = None
-    max_retries: int = 2
-    retry_backoff: float = 0.1
+    max_retries: int = _MAX_RETRIES
+    retry_backoff: float = _RETRY_BACKOFF
     stats: AnalysisPoolStats = field(default_factory=AnalysisPoolStats)
     faults: FaultStats = field(default_factory=FaultStats)
     analyzer: object = None
 
     def map_stream(self, flows: Iterable[FlowTrace]) -> Iterator:
         workers = resolve_workers(self.workers)
-        chunk_flows = self.chunk_flows or _ANALYZE_CHUNK_FLOWS
         if workers <= 1:
             yield from self._map_serial(flows)
             return
-        max_in_flight = self.max_in_flight or 2 * workers
-        factory = self.executor_factory or _make_executor
-        in_flight: deque[tuple[Future | None, list[FlowTrace]]] = deque()
-        with factory(workers) as pool:
-            chunk: list[FlowTrace] = []
-            for flow in flows:
-                chunk.append(flow)
-                if len(chunk) >= chunk_flows:
-                    if len(in_flight) >= max_in_flight:
-                        yield from self._drain_one(in_flight)
-                    self._submit(pool, in_flight, chunk)
-                    chunk = []
-            if chunk:
-                if len(in_flight) >= max_in_flight:
-                    yield from self._drain_one(in_flight)
-                self._submit(pool, in_flight, chunk)
-            while in_flight:
-                yield from self._drain_one(in_flight)
+        stats = self.stats
+        retried_before = stats.chunks_retried
+        try:
+            for chunk, outcome in map_ordered(
+                partial(_analyze_chunk, config=self.config),
+                _chunked(flows, self.chunk_flows or _ANALYZE_CHUNK_FLOWS),
+                workers=workers,
+                max_in_flight=self.max_in_flight or 2 * workers,
+                stats=stats,
+                max_retries=self.max_retries,
+                retry_backoff=self.retry_backoff,
+                executor_factory=self.executor_factory,
+            ):
+                if isinstance(outcome, Exception):
+                    outcome = self._poison_chunk(chunk, outcome)
+                results, skipped, counts = outcome
+                if self.analyzer is not None:
+                    self.analyzer.add_flow_counts(*counts)
+                stats.flows += len(results)
+                stats.flows_skipped += len(skipped)
+                for record in skipped:
+                    self.faults.record_skip(record)
+                self.config.errors.check(
+                    self.faults.flows_skipped,
+                    stats.flows + self.faults.flows_skipped,
+                    "quarantined flows",
+                )
+                yield from results
+        finally:
+            self.faults.tasks_retried += stats.chunks_retried - retried_before
 
     def _map_serial(self, flows: Iterable[FlowTrace]) -> Iterator:
         from ..core.tapo import Tapo
@@ -343,86 +428,6 @@ class AnalysisPool:
             yield analysis
         stats.flows_skipped += self.faults.flows_skipped - before
         stats.chunks = 1 if stats.flows else 0
-
-    def _submit(
-        self,
-        pool: Executor,
-        in_flight: deque,
-        chunk: list[FlowTrace],
-    ) -> None:
-        try:
-            future = pool.submit(_analyze_chunk, chunk, self.config)
-        except Exception:
-            # The pool is broken (e.g. a previous chunk killed a
-            # worker).  Queue the chunk anyway; _drain_one recovers it
-            # through the retry path.
-            future = None
-        in_flight.append((future, chunk))
-        stats = self.stats
-        stats.chunks += 1
-        stats.in_flight_chunks = len(in_flight)
-        if stats.in_flight_chunks > stats.peak_in_flight_chunks:
-            stats.peak_in_flight_chunks = stats.in_flight_chunks
-
-    def _drain_one(self, in_flight: deque) -> Iterator:
-        future, chunk = in_flight.popleft()
-        if future is None:
-            results, skipped, counts = self._retry_chunk(chunk)
-        else:
-            try:
-                results, skipped, counts = future.result()
-            except ReproError:
-                # Deterministic: the analyzer itself refused the input
-                # under a strict budget.  Retrying cannot help.
-                raise
-            except Exception:
-                results, skipped, counts = self._retry_chunk(chunk)
-        if self.analyzer is not None:
-            self.analyzer.add_flow_counts(*counts)
-        self.stats.in_flight_chunks = len(in_flight)
-        self.stats.flows += len(results)
-        self.stats.flows_skipped += len(skipped)
-        for record in skipped:
-            self.faults.record_skip(record)
-        self.config.errors.check(
-            self.faults.flows_skipped,
-            self.stats.flows + self.faults.flows_skipped,
-            "quarantined flows",
-        )
-        yield from results
-
-    def _retry_chunk(
-        self, chunk: list[FlowTrace]
-    ) -> tuple[list, list[SkippedFlow], tuple[int, int, int]]:
-        """Recover a chunk whose worker died or whose pool broke.
-
-        Fresh single-worker pools isolate each attempt from the (very
-        possibly broken) main pool; the final attempt runs serially in
-        the parent.  A chunk that outlives every attempt is poison.
-        """
-        self.stats.chunks_retried += 1
-        self.faults.tasks_retried += 1
-        factory = self.executor_factory or _make_executor
-        delay = self.retry_backoff
-        for attempt in range(max(0, self.max_retries)):
-            if attempt:
-                time.sleep(delay)
-                delay *= 2
-            try:
-                with factory(1) as rescue:
-                    return rescue.submit(
-                        _analyze_chunk, chunk, self.config
-                    ).result()
-            except ReproError:
-                raise
-            except Exception:
-                continue
-        try:
-            return _analyze_chunk(chunk, self.config)
-        except ReproError:
-            raise
-        except Exception as exc:
-            return self._poison_chunk(chunk, exc)
 
     def _poison_chunk(
         self, chunk: list[FlowTrace], cause: Exception

@@ -11,7 +11,6 @@ statistics that the tests use to validate TAPO.
 from __future__ import annotations
 
 import random
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -204,46 +203,26 @@ def run_flows(
     """Run a batch of scenarios; returns the collected results.
 
     ``run`` (a :class:`repro.config.RunConfig`) overrides ``workers``
-    when given.
+    when given, and its ``chunk_flows`` sizes the work units.
 
     ``workers`` selects the execution engine: ``1`` (the default) runs
     serially in-process; any other value — including ``None``/``0`` for
-    "all cores" — shards the batch across a process pool via
-    :mod:`repro.experiments.parallel`.  Parallel output is
-    byte-identical to serial for the same scenarios.
+    "all cores" — shards the batch across a process pool.  Either way
+    the work is :func:`repro.experiments.parallel.run_flows_parallel`'s,
+    and parallel output is byte-identical to serial for the same
+    scenarios.
 
     ``trace`` attaches a flight recorder to every flow (see
     :func:`run_flow`); merged events come back on each result's
     ``trace_events`` and are deterministic across worker counts.
     """
-    if run is not None:
-        workers = run.workers
-    if workers != 1:
-        from .parallel import run_flows_parallel
+    from .parallel import run_flows_parallel
 
-        return run_flows_parallel(
-            scenarios,
-            max_sim_time=max_sim_time,
-            workers=workers,
-            trace=trace,
-        )
-    started = time.perf_counter()
-    results = []
-    service = ""
-    for scenario in scenarios:
-        service = scenario.service
-        results.append(
-            run_flow(scenario, max_sim_time=max_sim_time, trace=trace)
-        )
-    metrics = RunMetrics(
-        wall_time=time.perf_counter() - started,
-        flows=len(results),
-        events=sum(r.events for r in results),
-        packets=sum(len(r.packets) for r in results),
-        workers=1,
-        chunks=1,
-        trace_events=sum(len(r.trace_events or ()) for r in results),
-        trace_events_dropped=sum(r.trace_dropped for r in results),
+    run = run or RunConfig(workers=workers)
+    return run_flows_parallel(
+        scenarios,
+        max_sim_time=max_sim_time,
+        workers=run.workers,
+        chunk_flows=run.chunk_flows,
+        trace=trace,
     )
-    metrics.phases["simulate"] = metrics.wall_time
-    return DatasetRun(service=service, results=results, metrics=metrics)

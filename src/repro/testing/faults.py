@@ -225,7 +225,7 @@ def inject_flow_crash(
 
 @contextlib.contextmanager
 def kill_worker_once(sentinel_dir: str | Path, exit_code: int = 42):
-    """Kill the first *worker* process that analyzes a flow.
+    """Kill the first *worker* process that analyzes or simulates a flow.
 
     The kill fires at most once — a sentinel file created with
     ``O_CREAT | O_EXCL`` arbitrates between racing workers — and never
@@ -234,6 +234,7 @@ def kill_worker_once(sentinel_dir: str | Path, exit_code: int = 42):
     use a fresh temp dir per test.
     """
     from ..core import tapo as tapo_module
+    from ..experiments import parallel as parallel_module
 
     sentinel = Path(sentinel_dir) / "kill_worker_once.sentinel"
     parent = os.getpid()
@@ -248,12 +249,19 @@ def kill_worker_once(sentinel_dir: str | Path, exit_code: int = 42):
         os.close(fd)
         os._exit(exit_code)
 
+    def dying_run_flow(scenario, **kwargs):
+        hook(scenario)
+        return run_flow(scenario, **kwargs)
+
     previous = tapo_module.FLOW_HOOK
+    run_flow = parallel_module.run_flow
     tapo_module.FLOW_HOOK = hook
+    parallel_module.run_flow = dying_run_flow
     try:
         yield sentinel
     finally:
         tapo_module.FLOW_HOOK = previous
+        parallel_module.run_flow = run_flow
 
 
 # -- cache damage -------------------------------------------------------

@@ -344,6 +344,33 @@ class TestWorkerDeath:
         assert tapo.faults.tasks_retried >= 1
         assert tapo.faults.tasks_poisoned == 0
 
+    def test_one_death_fails_one_window_not_the_stream(self, tmp_path):
+        packets = many_flows(400)  # 100 chunks of 4
+        expected = [
+            signature(a)
+            for a in Tapo().analyze_stream(packets, run=RunConfig(workers=1))
+        ]
+        tapo = Tapo(AnalysisConfig(errors=ErrorBudget.lenient()))
+        registry = MetricsRegistry()
+        with kill_worker_once(tmp_path) as sentinel:
+            run = RunConfig(workers=2, chunk_flows=4, retry_backoff=0.01)
+            analyses = list(
+                tapo.analyze_stream(packets, run=run, registry=registry)
+            )
+            assert sentinel.exists()
+        assert [signature(a) for a in analyses] == expected
+        # The pool is replaced: only chunks in flight at the death
+        # (window = 2 x workers) walk the retry ladder.
+        assert 1 <= tapo.faults.tasks_retried <= 4
+        assert tapo.faults.tasks_poisoned == 0
+        assert registry["repro_stream_analysis_chunks_total"].value == 100
+        assert registry["repro_stream_peak_in_flight_chunks"].value <= 4
+        assert (
+            registry["repro_stream_analysis_chunks_retried_total"].value
+            == registry["repro_fault_tasks_retried_total"].value
+            == tapo.faults.tasks_retried
+        )
+
     def test_poison_chunk_quarantined_lenient(self, monkeypatch):
         packets = many_flows(6)
         flows = list(demux(packets))

@@ -1,20 +1,31 @@
 """Parallel runner determinism, worker-failure fallback, disk cache."""
 
+import os
+import time
 from concurrent.futures import Future
+from functools import partial
 
 import pytest
 
-from repro.config import RunConfig
+from repro.config import AnalysisConfig, RunConfig
 from repro.core.tapo import Tapo
+from repro.errors import ErrorBudget, ParseError
 from repro.experiments import dataset as dataset_mod
+from repro.experiments import parallel as parallel_module
 from repro.experiments.cache import DatasetCache
 from repro.experiments.dataset import build_dataset, clear_cache
 from repro.experiments.parallel import (
+    AnalysisPool,
+    AnalysisPoolStats,
     chunk_scenarios,
+    map_ordered,
     resolve_workers,
     run_flows_parallel,
 )
 from repro.experiments.runner import run_flows
+from repro.packet.flow import demux
+from repro.testing.faults import kill_worker_once
+from repro.testing.traces import generate_trace
 from repro.workload.generator import generate_flows
 from repro.workload.services import get_profile
 
@@ -72,6 +83,17 @@ class TestParallelDeterminism:
         serial = run_flows(_scenarios(), workers=1)
         assert _packet_signature(serial) == _packet_signature(via_run_flows)
 
+    def test_run_config_chunk_flows_sizes_the_work_units(self):
+        serial = run_flows(_scenarios(), workers=1)
+        for chunk_flows, chunks in ((1, 12), (5, 3)):
+            run = run_flows(
+                _scenarios(),
+                run=RunConfig(workers=2, chunk_flows=chunk_flows),
+            )
+            assert run.metrics.chunks == chunks
+            assert sum(w.chunks for w in run.metrics.worker_stats) == chunks
+            assert _packet_signature(serial) == _packet_signature(run)
+
     def test_metrics_populated(self):
         run = run_flows_parallel(_scenarios(flows=6), workers=2)
         metrics = run.metrics
@@ -98,9 +120,11 @@ class TestParallelDeterminism:
 
 
 class _FlakyExecutor:
-    """Executor stub whose first submission fails like a dead worker."""
+    """In-process executor stub whose first ``deaths`` submissions fail
+    like a dead worker; later ones run the task inline."""
 
-    def __init__(self):
+    def __init__(self, deaths=1):
+        self.deaths = deaths
         self.submissions = 0
 
     def __enter__(self):
@@ -112,36 +136,179 @@ class _FlakyExecutor:
     def submit(self, fn, *args):
         future = Future()
         self.submissions += 1
-        if self.submissions == 1:
-            future.set_exception(RuntimeError("worker died"))
-        else:
+        try:
+            if self.submissions <= self.deaths:
+                raise RuntimeError("worker died")
             future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
         return future
 
 
-class TestWorkerFailure:
-    def test_dead_chunk_retried_serially(self):
-        serial = run_flows(_scenarios(), workers=1)
-        flaky = _FlakyExecutor()
-        parallel = run_flows_parallel(
-            _scenarios(),
-            workers=4,
-            executor_factory=lambda workers: flaky,
-        )
-        assert flaky.submissions > 1
-        assert parallel.metrics.chunks_retried == 1
-        assert _packet_signature(serial) == _packet_signature(parallel)
+def _analysis_signature(analyses):
+    return [
+        (a.flow.key, a.data_packets, [s.describe() for s in a.stalls])
+        for a in analyses
+    ]
 
-    def test_totally_broken_pool_falls_back(self):
+
+def _simulate(executor_factory, flows=FLOWS):
+    """(runner counters, output, serial output) through the simulator."""
+    serial = run_flows(_scenarios(flows), workers=1)
+    run = run_flows_parallel(
+        _scenarios(flows), workers=4, executor_factory=executor_factory
+    )
+    return run.metrics, _packet_signature(run), _packet_signature(serial)
+
+
+def _analyze(executor_factory, flows=FLOWS):
+    """(runner counters, output, serial output) through AnalysisPool."""
+    traces = list(demux(generate_trace(seed=SEED, flows=flows)))
+    serial = AnalysisPool(workers=1).map_stream(traces)
+    pool = AnalysisPool(
+        workers=2, chunk_flows=2, executor_factory=executor_factory
+    )
+    parallel = pool.map_stream(traces)
+    return (
+        pool.stats,
+        _analysis_signature(parallel),
+        _analysis_signature(serial),
+    )
+
+
+@pytest.mark.parametrize(
+    "caller", [_simulate, _analyze], ids=["simulate", "analyze"]
+)
+class TestWorkerFailure:
+    def test_dead_chunk_retried_serially(self, caller):
+        flaky = _FlakyExecutor()
+        counters, output, serial = caller(lambda workers: flaky)
+        assert flaky.submissions > 1
+        assert counters.chunks_retried == 1
+        assert output == serial
+
+    def test_totally_broken_pool_falls_back(self, caller, monkeypatch):
         def exploding_factory(workers):
             raise RuntimeError("no processes for you")
 
-        serial = run_flows(_scenarios(flows=5), workers=1)
-        parallel = run_flows_parallel(
-            _scenarios(flows=5), workers=4, executor_factory=exploding_factory
+        def no_sleep(seconds):
+            raise AssertionError("backed off with no pool to wait for")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        counters, output, serial = caller(exploding_factory, flows=5)
+        assert counters.chunks_retried == counters.chunks > 1
+        assert output == serial
+
+
+_analyze_chunk = parallel_module._analyze_chunk
+
+
+def _analyze_unless_poison(flows, config, poison, parent):
+    """A chunk holding the ``poison`` flow kills every child it runs in
+    and raises in the parent; any other chunk is analyzed."""
+    if any(flow.key == poison for flow in flows):
+        if os.getpid() != parent:
+            os._exit(13)
+        raise RuntimeError("poison in the parent too")
+    return _analyze_chunk(flows, config)
+
+
+class TestOneDeathCostsOneWindow:
+    """A worker death replaces the pool: what it fails is bounded by the
+    in-flight window, not by what is left of the stream."""
+
+    def test_simulator_death_leaves_the_parent_idle(self, tmp_path):
+        serial = run_flows(_scenarios(64), workers=1)
+        with kill_worker_once(tmp_path) as sentinel:
+            run = run_flows_parallel(
+                _scenarios(64), workers=2, chunk_flows=2
+            )
+            assert sentinel.exists()  # a worker really died
+        parent = os.getpid()
+        assert run.metrics.chunks == 32
+        assert 1 <= run.metrics.chunks_retried <= 8
+        assert parent not in {w.worker_id for w in run.metrics.worker_stats}
+        assert sum(w.chunks for w in run.metrics.worker_stats) == 32
+        assert _packet_signature(serial) == _packet_signature(run)
+
+    def test_poison_chunk_is_quarantined_alone(self, monkeypatch):
+        traces = list(demux(generate_trace(seed=SEED, flows=40)))
+        poison = traces[6].key  # in the fourth of twenty chunks
+        monkeypatch.setattr(
+            parallel_module,
+            "_analyze_chunk",
+            partial(
+                _analyze_unless_poison, poison=poison, parent=os.getpid()
+            ),
         )
-        assert parallel.metrics.chunks_retried == parallel.metrics.chunks
-        assert _packet_signature(serial) == _packet_signature(parallel)
+        pool_sizes = []
+
+        def recording_factory(workers):
+            pool_sizes.append(workers)
+            return parallel_module._make_executor(workers)
+
+        pool = AnalysisPool(
+            config=AnalysisConfig(errors=ErrorBudget.lenient()),
+            workers=2,
+            chunk_flows=2,
+            max_in_flight=4,
+            retry_backoff=0.0,
+            executor_factory=recording_factory,
+        )
+        analyzed = [a.flow.key for a in pool.map_stream(traces)]
+        quarantined = [traces[6].key, traces[7].key]
+        assert [s.key for s in pool.faults.skipped] == quarantined
+        assert analyzed == [
+            t.key for t in traces if t.key not in quarantined
+        ]
+        assert pool.stats.chunks_poisoned == 1
+        assert pool.faults.tasks_poisoned == 1
+        # The poison chunk and at most the rest of its window walked
+        # the ladder; the chunks after it ran on the one replacement.
+        assert 1 <= pool.stats.chunks_retried <= 4
+        assert pool.faults.tasks_retried == pool.stats.chunks_retried
+        assert pool_sizes.count(2) == 2
+        assert pool.stats.chunks == 20
+        assert pool.stats.peak_in_flight_chunks <= 4
+        assert pool.stats.in_flight_chunks == 0
+
+
+_REJECTED = ParseError("the task rejected its input")
+
+
+def _reject(chunk):
+    raise _REJECTED
+
+
+class TestDeterministicErrorsPropagate:
+    @pytest.mark.parametrize(
+        "deaths, max_retries, submissions",
+        [(0, 2, 1), (1, 2, 2), (1, 0, 1)],
+        ids=["worker", "rescue-pool", "parent"],
+    )
+    def test_repro_error_is_never_retried(
+        self, deaths, max_retries, submissions
+    ):
+        executor = _FlakyExecutor(deaths)
+        stats = AnalysisPoolStats()
+        with pytest.raises(ParseError) as raised:
+            list(
+                map_ordered(
+                    _reject,
+                    ["chunk"],
+                    workers=2,
+                    max_in_flight=2,
+                    stats=stats,
+                    max_retries=max_retries,
+                    retry_backoff=0.0,
+                    executor_factory=lambda workers: executor,
+                )
+            )
+        assert raised.value is _REJECTED
+        assert executor.submissions == submissions
+        # Only the injected death counts; the ReproError itself never
+        # sends a chunk down the ladder.
+        assert stats.chunks_retried == deaths
 
 
 @pytest.fixture()
