@@ -115,7 +115,6 @@ def measure(path: str, packets: int, repeats: int = REPEATS) -> dict:
     """
     from repro.config import AnalysisConfig, RunConfig
     from repro.core import ServiceReport, Tapo
-    from repro.packet import columnar as columnar_module
     from repro.packet.pcap import PcapReader
     from repro.testing import reference_analyze
 
@@ -201,7 +200,6 @@ def measure(path: str, packets: int, repeats: int = REPEATS) -> dict:
         },
         "config": {
             "repeats": repeats,
-            "numpy_accelerated": columnar_module._np is not None,
             "python": sys.version.split()[0],
         },
         "decode": {

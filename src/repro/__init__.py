@@ -38,7 +38,7 @@ from __future__ import annotations
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 #: Public attribute -> providing submodule.  Everything here is
 #: importable both as ``repro.<name>`` and ``from repro import <name>``.

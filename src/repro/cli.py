@@ -44,33 +44,68 @@ A bare ``repro-paper --flows ...`` (no subcommand) is forwarded to
 from __future__ import annotations
 
 import sys
+import textwrap
+from importlib import import_module
 
-_SUBCOMMANDS = (
-    "run", "analyze", "trace", "watch", "matrix", "results", "cluster",
-    "cluster-worker",
-)
+#: Subcommand -> (``module:function`` of its ``main(argv)``, usage
+#: blurb), in usage order.  The usage text and the lazy-import dispatch
+#: are both read off this table.
+_COMMANDS = {
+    "run": (
+        ".experiments.cli:main",
+        "simulate services and regenerate the paper's evaluation",
+    ),
+    "analyze": (
+        ".core.cli:main",
+        "classify TCP stalls in a pcap trace (batch or --stream)",
+    ),
+    "trace": (
+        ".obs.export:trace_main",
+        "re-simulate one flow with the flight recorder on",
+    ),
+    "watch": (
+        ".live.cli:main",
+        "continuously monitor stalls in a live/rotating capture",
+    ),
+    "matrix": (
+        ".matrix.cli:main",
+        "run the policy tournament: every recovery policy against\n"
+        "every workload x path scenario, ranked per scenario",
+    ),
+    "results": (
+        ".results.cli:main",
+        "inspect the longitudinal results store (list/show/\n"
+        "trends/compact/merge/dashboard)",
+    ),
+    "cluster": (
+        ".cluster.cli:main",
+        "shard a capture across N worker processes and merge\n"
+        "their reports (byte-identical to a single-process run)",
+    ),
+    "cluster-worker": (
+        ".cluster.worker_cli:main",
+        "dial in to a 'cluster --listen' coordinator and execute\n"
+        "shard assignments (cross-host fleet member)",
+    ),
+}
 
-_USAGE = """\
-usage: repro-paper <subcommand> [options]
+_BLURB_COLUMN = 13
 
-subcommands:
-  run        simulate services and regenerate the paper's evaluation
-  analyze    classify TCP stalls in a pcap trace (batch or --stream)
-  trace      re-simulate one flow with the flight recorder on
-  watch      continuously monitor stalls in a live/rotating capture
-  matrix     run the policy tournament: every recovery policy against
-             every workload x path scenario, ranked per scenario
-  results    inspect the longitudinal results store (list/show/
-             trends/compact/merge/dashboard)
-  cluster    shard a capture across N worker processes and merge
-             their reports (byte-identical to a single-process run)
-  cluster-worker
-             dial in to a 'cluster --listen' coordinator and execute
-             shard assignments (cross-host fleet member)
 
-Run 'repro-paper <subcommand> -h' for subcommand options.
-Flags without a subcommand are forwarded to 'run' (legacy form).
-"""
+def _usage() -> str:
+    rows = []
+    for name, (_, blurb) in _COMMANDS.items():
+        body = textwrap.indent(blurb, " " * _BLURB_COLUMN)
+        if len(name) + 3 < _BLURB_COLUMN:
+            rows.append(f"  {name}".ljust(_BLURB_COLUMN) + body.lstrip())
+        else:  # a name too long for the column gets its own line
+            rows.append(f"  {name}\n{body}")
+    return (
+        "usage: repro-paper <subcommand> [options]\n\nsubcommands:\n"
+        + "\n".join(rows)
+        + "\n\nRun 'repro-paper <subcommand> -h' for subcommand options.\n"
+        "Flags without a subcommand are forwarded to 'run' (legacy form).\n"
+    )
 
 
 def version_string() -> str:
@@ -86,63 +121,34 @@ def version_string() -> str:
         return __version__
 
 
+def _run(command: str, argv: list[str]) -> int:
+    module, _, function = _COMMANDS[command][0].partition(":")
+    return getattr(import_module(module, __package__), function)(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] in ("help", "--help", "-h"):
-        print(_USAGE, end="")
+        print(_usage(), end="")
         return 0
     if argv and argv[0] in ("--version", "version"):
         print(f"repro-paper {version_string()}")
         return 0
     command, rest = (argv[0], argv[1:]) if argv else ("run", [])
-    if command == "analyze":
-        from .core.cli import main as analyze_main
-
-        return analyze_main(rest)
-    if command == "trace":
-        from .obs.export import trace_main
-
-        return trace_main(rest)
-    if command == "watch":
-        from .live.cli import main as watch_main
-
-        return watch_main(rest)
-    if command == "matrix":
-        from .matrix.cli import main as matrix_main
-
-        return matrix_main(rest)
-    if command == "results":
-        from .results.cli import main as results_main
-
-        return results_main(rest)
-    if command == "cluster":
-        from .cluster.cli import main as cluster_main
-
-        return cluster_main(rest)
-    if command == "cluster-worker":
-        from .cluster.worker_cli import main as worker_cli_main
-
-        return worker_cli_main(rest)
-    if command == "run":
-        from .experiments.cli import main as run_main
-
-        return run_main(rest)
+    if command in _COMMANDS:
+        return _run(command, rest)
     if command.startswith("-"):
         # Legacy form: 'repro-paper --flows 150' predates subcommands.
-        from .experiments.cli import main as run_main
-
-        return run_main(argv)
+        return _run("run", argv)
     print(f"repro-paper: unknown subcommand {command!r}\n", file=sys.stderr)
-    print(_USAGE, end="", file=sys.stderr)
+    print(_usage(), end="", file=sys.stderr)
     return 2
 
 
 def tapo_main(argv: list[str] | None = None) -> int:
     """Entry point for the ``tapo`` alias (== ``repro-paper analyze``)."""
-    from .core.cli import main as analyze_main
-
-    return analyze_main(argv)
+    return _run("analyze", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,14 +15,22 @@ memory — and any wrapper script — transfers between commands.
 
 Builders return the :class:`argparse.Action` they add, so callers can
 tweak rarely-needed attributes without re-declaring the flag.
+
+The second half of the module is what the commands do with the parsed
+flags when they do the same thing: build the
+:class:`~repro.config.AnalysisConfig` and the server predicate, write
+the ``--metrics-out`` pair, print the ``--stats`` shard rows, the
+stall-cause table and the error line a :class:`~repro.errors.ReproError`
+exits with.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sys
 
-from .errors import ErrorBudget
+from .errors import ErrorBudget, ReproError
 
 
 def error_budget(spec: str) -> ErrorBudget:
@@ -211,6 +219,27 @@ def add_policies(
     )
 
 
+def add_version(parser: argparse.ArgumentParser):
+    """``--version`` — ``<prog> <package version>``."""
+    from .cli import version_string
+
+    return parser.add_argument(
+        "--version",
+        action="version",
+        version=f"%(prog)s {version_string()}",
+    )
+
+
+def add_tau(parser: argparse.ArgumentParser):
+    """``--tau`` — the stall threshold multiplier."""
+    return parser.add_argument(
+        "--tau",
+        type=float,
+        default=2.0,
+        help="stall threshold multiplier on SRTT (default 2)",
+    )
+
+
 def add_server_endpoint(parser: argparse.ArgumentParser) -> None:
     """``--server-ip`` / ``--server-port`` endpoint pin pair."""
     parser.add_argument(
@@ -291,6 +320,86 @@ def add_heartbeat(
             f"(0 disables; default {deadline:g})"
         ),
     )
+
+
+def analysis_config(args: argparse.Namespace):
+    """The :class:`~repro.config.AnalysisConfig` that ``--tau`` and
+    ``--errors`` describe."""
+    from .config import AnalysisConfig
+
+    return AnalysisConfig(tau=args.tau, errors=args.errors)
+
+
+def server_pin(args: argparse.Namespace) -> tuple[int | None, int | None]:
+    """``(ip, port)`` pinned by ``--server-ip`` / ``--server-port``;
+    at most one is set, and the IP wins when both flags are given."""
+    from .packet.headers import ip_from_str
+
+    if args.server_ip:
+        return ip_from_str(args.server_ip), None
+    return None, args.server_port or None
+
+
+def server_predicate(args: argparse.Namespace):
+    """The server-side predicate for :func:`server_pin`, ``None`` when
+    the server is to be inferred."""
+    from .packet.flow import server_by_ip, server_by_port
+
+    ip, port = server_pin(args)
+    if ip is not None:
+        return server_by_ip(ip)
+    return server_by_port(port) if port is not None else None
+
+
+def budget_note(args: argparse.Namespace) -> str:
+    """``(budget: ...)`` — which ``--errors`` policy judged the input."""
+    return f"(budget: {args.errors.describe()})"
+
+
+def report_error(
+    prefix: str, exc: ReproError, args: argparse.Namespace
+) -> int:
+    """Print the one-line epitaph of a run a typed error ended and
+    return its exit status."""
+    print(
+        f"{prefix}: {type(exc).__name__}: {exc} {budget_note(args)}",
+        file=sys.stderr,
+    )
+    return 2
+
+
+def write_metrics(registry, prefix: str) -> None:
+    """Serve ``--metrics-out PREFIX``: PREFIX.json + PREFIX.prom."""
+    from .obs.metrics import write_registry
+
+    json_path, prom_path = write_registry(registry, prefix)
+    print(f"wrote metrics to {json_path} and {prom_path}", file=sys.stderr)
+
+
+def print_shard_rows(shards: list[dict]) -> None:
+    """The per-shard ``--stats`` rows of a cluster run."""
+    for shard in shards:
+        print(
+            f"shard {shard['shard']}: {shard['flows']} flows "
+            f"({shard['skipped']} quarantined), "
+            f"{shard['packets_kept']}/{shard['packets_decoded']} "
+            "packets kept",
+            file=sys.stderr,
+        )
+
+
+def print_breakdown(title: str, breakdown: dict) -> None:
+    """One ``cause  volume%  time%  (count)`` table, empty rows left
+    out (``breakdown`` as :meth:`ServiceReport.cause_breakdown
+    <repro.core.report.ServiceReport.cause_breakdown>` returns it)."""
+    print(f"\n{title} (volume% / time%):")
+    for cause, entry in breakdown.items():
+        if entry.count == 0:
+            continue
+        print(
+            f"  {cause.value:<20} {entry.volume_share * 100:6.1f}%  "
+            f"{entry.time_share * 100:6.1f}%   ({entry.count} stalls)"
+        )
 
 
 def _describe(default) -> str:

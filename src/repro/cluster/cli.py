@@ -14,16 +14,12 @@ import logging
 import sys
 
 from .. import cli_options
-from ..config import AnalysisConfig
 from ..errors import ReproError
-from ..packet.headers import ip_from_str
 from .coordinator import ClusterProvider, Coordinator
 from .net import NetConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ..cli import version_string
-
     parser = argparse.ArgumentParser(
         prog="repro-paper cluster",
         description=(
@@ -31,11 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
             "merged report is byte-identical to a single-process run."
         ),
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {version_string()}",
-    )
+    cli_options.add_version(parser)
     parser.add_argument(
         "pcaps",
         nargs="+",
@@ -44,12 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cli_options.add_server_endpoint(parser)
     cli_options.add_cluster_options(parser)
-    parser.add_argument(
-        "--tau",
-        type=float,
-        default=2.0,
-        help="stall threshold multiplier on SRTT (default 2)",
-    )
+    cli_options.add_tau(parser)
     parser.add_argument(
         "--service",
         default="cluster",
@@ -132,8 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
-    server_ip = ip_from_str(args.server_ip) if args.server_ip else None
-    server_port = args.server_port if not args.server_ip else None
+    server_ip, server_port = cli_options.server_pin(args)
 
     net = None
     if args.listen:
@@ -154,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         args.pcaps,
         n_shards=args.shards,
         service=args.service,
-        analysis=AnalysisConfig(tau=args.tau, errors=args.errors),
+        analysis=cli_options.analysis_config(args),
         server_ip=server_ip,
         server_port=server_port,
         checkpoint_dir=args.checkpoint_dir,
@@ -174,26 +160,14 @@ def main(argv: list[str] | None = None) -> int:
             )
         result = coordinator.run()
     except ReproError as exc:
-        print(
-            f"cluster: {type(exc).__name__}: {exc} "
-            f"(budget: {args.errors.describe()})",
-            file=sys.stderr,
-        )
-        return 2
+        return cli_options.report_error("cluster", exc, args)
     except OSError as exc:
         print(f"cluster: cannot read input: {exc}", file=sys.stderr)
         return 1
 
     report = result.report
     if args.stats:
-        for shard in result.shards:
-            print(
-                f"shard {shard['shard']}: {shard['flows']} flows "
-                f"({shard['skipped']} quarantined), "
-                f"{shard['packets_kept']}/{shard['packets_decoded']} "
-                "packets kept",
-                file=sys.stderr,
-            )
+        cli_options.print_shard_rows(result.shards)
         print(
             f"cluster: {result.n_shards} shards over "
             f"{result.transport}, {len(report.flows)} flows, "
@@ -205,15 +179,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     if args.metrics_out:
-        from ..obs.metrics import write_registry
-
-        json_path, prom_path = write_registry(
-            result.registry, args.metrics_out
-        )
-        print(
-            f"wrote metrics to {json_path} and {prom_path}",
-            file=sys.stderr,
-        )
+        cli_options.write_metrics(result.registry, args.metrics_out)
     if args.results_store:
         from ..results.store import ResultsStore
 
@@ -245,15 +211,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"flows analyzed:    {len(report.flows)}")
         print(f"flows quarantined: {len(report.skipped)}")
         print(f"stalls detected:   {report.total_stalls()}")
-        breakdown = report.cause_breakdown()
-        print("\nstall causes (volume% / time%):")
-        for cause, entry in breakdown.items():
-            if entry.count == 0:
-                continue
-            print(
-                f"  {cause.value:<20} {entry.volume_share * 100:6.1f}%  "
-                f"{entry.time_share * 100:6.1f}%   ({entry.count} stalls)"
-            )
+        cli_options.print_breakdown(
+            "stall causes", report.cause_breakdown()
+        )
 
     if args.http:
         from ..live.http import LiveHTTPServer

@@ -42,16 +42,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..config import AnalysisConfig, RunConfig, warn_deprecated_kwargs
+from ..config import AnalysisConfig, RunConfig
 from ..core.report import ServiceReport
 from ..errors import FaultStats
 from ..obs.metrics import MetricsRegistry
 from ..persist import atomic_write
 from .net import NetConfig, bind_listener, run_sessions
 from .worker import ShardResult, ShardSpec, run_shard
-
-#: What the deprecation warning tells callers of ``transport=`` to pass.
-_NO_TRANSPORT = "nothing (local workers always talk over a socketpair)"
 
 #: Checkpoint schema version (see :class:`Coordinator` ``checkpoint_dir``).
 CHECKPOINT_VERSION = 1
@@ -128,8 +125,6 @@ class Coordinator:
     n_shards:
         Worker processes; each owns the flows hashing to its shard.
         ``1`` runs in-process (no fork) — the single-process baseline.
-    transport:
-        Deprecated and ignored: local workers always get a socketpair.
     service:
         Label on the merged report.
     analysis / run:
@@ -167,7 +162,6 @@ class Coordinator:
         source,
         n_shards: int = 4,
         *,
-        transport: str | None = None,
         service: str = "cluster",
         analysis: AnalysisConfig | None = None,
         run: RunConfig | None = None,
@@ -188,10 +182,6 @@ class Coordinator:
             raise ValueError("cluster needs at least one capture path")
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if transport is not None:
-            warn_deprecated_kwargs(
-                "Coordinator", ["transport"], _NO_TRANSPORT
-            )
         self.paths = paths
         self.n_shards = n_shards
         self.transport = "tcp" if net is not None else "socket"
@@ -433,7 +423,6 @@ def analyze_cluster(
     source,
     shards: int = 4,
     *,
-    transport: str | None = None,
     service: str = "cluster",
     config: AnalysisConfig | None = None,
     run: RunConfig | None = None,
@@ -453,12 +442,7 @@ def analyze_cluster(
     including ``shards=1`` (fully in-process) — sharding is a pure
     execution strategy, never a semantic one.  For the full fleet
     result (registry, per-shard detail), build a :class:`Coordinator`.
-    ``transport`` is deprecated and ignored.
     """
-    if transport is not None:
-        warn_deprecated_kwargs(
-            "analyze_cluster", ["transport"], _NO_TRANSPORT
-        )
     return run_cluster(
         source,
         shards=shards,

@@ -25,8 +25,6 @@ from .net import run_worker
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ..cli import version_string
-
     parser = argparse.ArgumentParser(
         prog="repro-paper cluster-worker",
         description=(
@@ -34,11 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and execute shard assignments until the run completes."
         ),
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {version_string()}",
-    )
+    cli_options.add_version(parser)
     parser.add_argument(
         "--connect",
         type=cli_options.endpoint,

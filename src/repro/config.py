@@ -11,42 +11,18 @@ surface now takes two value objects instead:
   usage, chunk sizing, streaming backpressure).
 
 Both are frozen dataclasses: hashable, comparable, safe to share
-across worker processes, and usable as cache-key components.  The old
-keyword arguments keep working everywhere through shims that emit
-:class:`DeprecationWarning` (see :func:`warn_deprecated_kwargs`).
+across worker processes, and usable as cache-key components.  They are
+the only spelling: the per-entry-point keywords they replaced were
+removed in 2.0.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import ErrorBudget
-
-
-#: The release in which every currently-shimmed legacy spelling goes
-#: away (the deprecation policy promises at least one minor release of
-#: warning before this).
-DEPRECATED_REMOVAL_VERSION = "2.0"
-
-
-def warn_deprecated_kwargs(where: str, names: list[str], instead: str) -> None:
-    """Emit the standard deprecation warning for legacy keyword soup.
-
-    The message always names both the replacement and the removal
-    version, so callers know exactly what to change and by when.
-    ``stacklevel=3`` points at the caller of the shimmed entry point
-    (user code), not at the shim itself.
-    """
-    warnings.warn(
-        f"{where}({', '.join(sorted(names))}=...) is deprecated; "
-        f"pass {instead} instead (the legacy spelling will be removed "
-        f"in repro {DEPRECATED_REMOVAL_VERSION})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -142,11 +118,13 @@ class RunConfig:
         ``None`` derives ``2 * workers``.
     idle_timeout:
         Streaming demux: a flow with no packets for this many seconds
-        (trace time) is considered finished and evicted.
+        (trace time) is considered finished and evicted.  ``None``
+        disables the bound: idle flows are held to end of stream.
     close_linger:
         Streaming demux: seconds of trace time a flow lingers after a
         clean close (FIN in both directions, or RST) before eviction,
-        so straggling retransmissions still attach to it.
+        so straggling retransmissions still attach to it.  ``None``
+        disables the bound: closed flows are held to end of stream.
     max_retries:
         How many times a chunk whose worker *died* (not merely raised)
         is retried in a fresh worker before being declared poisoned.
@@ -159,15 +137,11 @@ class RunConfig:
     use_cache: bool = True
     chunk_flows: int | None = None
     max_in_flight_chunks: int | None = None
-    idle_timeout: float = 60.0
-    close_linger: float = 5.0
+    idle_timeout: float | None = 60.0
+    close_linger: float | None = 5.0
     max_retries: int = 2
     retry_backoff: float = 0.1
 
     def replace(self, **changes) -> "RunConfig":
         """Return a copy with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
-
-    def resolved_workers(self) -> int:
-        """Concrete worker count (``0``/``None`` = one per core)."""
-        return resolve_workers(self.workers)

@@ -10,37 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .. import cli_options
-from ..config import AnalysisConfig, RunConfig
+from ..config import RunConfig
 from ..errors import ReproError
-from ..packet.flow import server_by_ip, server_by_port
-from ..packet.headers import ip_from_str
+from ..obs.metrics import MetricsRegistry
+from ..packet.flow import StreamStats
 from .report import ServiceReport
-from .stalls import RetxCause, StallCause
 from .tapo import Tapo
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ..cli import version_string
-
     parser = argparse.ArgumentParser(
         prog="tapo",
         description="Classify TCP stall causes in a server-side pcap trace.",
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {version_string()}",
-    )
+    cli_options.add_version(parser)
     parser.add_argument("pcap", help="path to a pcap file (raw-IP or Ethernet)")
     cli_options.add_server_endpoint(parser)
-    parser.add_argument(
-        "--tau",
-        type=float,
-        default=2.0,
-        help="stall threshold multiplier on SRTT (default 2)",
-    )
+    cli_options.add_tau(parser)
     parser.add_argument(
         "--per-flow",
         action="store_true",
@@ -71,16 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help=(
-            "analyze through the bounded-memory streaming pipeline "
-            "(identical classifications; memory stays flat on huge traces)"
+            "evict flows as they close or fall idle (--idle-timeout), so "
+            "memory stays flat on huge traces; a connection silent for "
+            "longer than the timeout is reported as two flows"
         ),
     )
     cli_options.add_workers(
         parser,
         default=1,
         help=(
-            "analysis worker processes (implies --stream; 0 = one per "
-            "core, 1 = serial; default 1)"
+            "analysis worker processes (0 = one per core, 1 = serial; "
+            "default 1)"
         ),
     )
     cli_options.add_cluster_options(parser, default_shards=1)
@@ -96,15 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     cli_options.add_errors(parser, default="strict")
     cli_options.add_stats(
         parser,
-        help=(
-            "print streaming/runtime counters to stderr (implies --stream)"
-        ),
+        help="print streaming/runtime counters to stderr",
     )
     cli_options.add_metrics_out(
         parser,
         help=(
             "write streaming metrics to PREFIX.json and PREFIX.prom "
-            "(Prometheus text exposition; implies --stream)"
+            "(Prometheus text exposition)"
         ),
     )
     cli_options.add_results_store(
@@ -198,142 +186,93 @@ def _emit_json(report: ServiceReport, analyses, faults) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    server_side = None
-    if args.server_ip:
-        server_side = server_by_ip(ip_from_str(args.server_ip))
-    elif args.server_port:
-        server_side = server_by_port(args.server_port)
-
-    tapo = Tapo(
-        config=AnalysisConfig(tau=args.tau, errors=args.errors)
-    )
+    tapo = Tapo(config=cli_options.analysis_config(args))
     cluster = args.shards > 1
-    streaming = not cluster and (
-        args.stream
-        or args.stats
-        or bool(args.metrics_out)
-        or args.workers != 1
-    )
-    import time as _time
-
-    analysis_started = _time.monotonic()
+    analysis_started = time.monotonic()
     try:
         if cluster:
             # Sharded execution: same analyses, N worker processes.
-            # The merged report is byte-identical to the batch path,
-            # so every downstream emitter below works unchanged.
+            # The merged report is byte-identical to the in-process
+            # one, so every downstream emitter below works unchanged.
             from ..cluster import run_cluster
 
+            server_ip, server_port = cli_options.server_pin(args)
             cluster_result = run_cluster(
                 args.pcap,
                 shards=args.shards,
                 service=args.pcap,
                 config=tapo.config,
-                server_ip=(
-                    ip_from_str(args.server_ip) if args.server_ip else None
-                ),
-                server_port=(
-                    args.server_port if not args.server_ip else None
-                ),
+                server_ip=server_ip,
+                server_port=server_port,
             )
             analyses = list(cluster_result.report.flows)
-        elif streaming:
-            from ..obs.metrics import MetricsRegistry
-            from ..packet.flow import StreamStats
-
-            registry = MetricsRegistry()
-            stats = StreamStats()
+            faults = cluster_result.faults
+            registry = cluster_result.registry
+        else:
             run = RunConfig(
                 workers=args.workers, idle_timeout=args.idle_timeout
             )
+            if not args.stream:
+                # What is printed afterwards never changes what is
+                # found: only --stream turns the eviction clocks on.
+                run = run.replace(idle_timeout=None, close_linger=None)
+            registry = MetricsRegistry()
+            stats = StreamStats()
             analyses = list(
                 tapo.analyze_stream(
                     args.pcap,
-                    server_side,
+                    cli_options.server_predicate(args),
                     run=run,
                     stats=stats,
                     registry=registry,
                 )
             )
-            # Restore batch presentation order (first packet time) so
-            # --json/--csv output is byte-identical to the batch path.
+            # Presentation order is first packet time, not the order
+            # flows completed in.
             analyses.sort(key=lambda a: a.flow.first_time)
-        else:
-            analyses = tapo.analyze_pcap(args.pcap, server_side)
+            faults = tapo.faults
     except ReproError as exc:
-        print(
-            f"tapo: {args.pcap}: {type(exc).__name__}: {exc} "
-            f"(budget: {args.errors.describe()})",
-            file=sys.stderr,
-        )
-        return 2
+        return cli_options.report_error(f"tapo: {args.pcap}", exc, args)
     except OSError as exc:
         print(f"tapo: cannot read {args.pcap}: {exc}", file=sys.stderr)
         return 1
 
-    faults = cluster_result.faults if cluster else tapo.faults
-    if cluster:
-        if args.stats:
-            for shard in cluster_result.shards:
-                print(
-                    f"shard {shard['shard']}: {shard['flows']} flows "
-                    f"({shard['skipped']} quarantined), "
-                    f"{shard['packets_kept']}/{shard['packets_decoded']} "
-                    "packets kept",
-                    file=sys.stderr,
-                )
-            if cluster_result.workers_died:
-                print(
-                    f"cluster: {cluster_result.workers_died} worker "
-                    "deaths survived",
-                    file=sys.stderr,
-                )
-        if args.metrics_out:
-            from ..obs.metrics import write_registry
-
-            json_path, prom_path = write_registry(
-                cluster_result.registry, args.metrics_out
-            )
+    if args.stats and cluster:
+        cli_options.print_shard_rows(cluster_result.shards)
+        if cluster_result.workers_died:
             print(
-                f"wrote metrics to {json_path} and {prom_path}",
+                f"cluster: {cluster_result.workers_died} worker "
+                "deaths survived",
                 file=sys.stderr,
             )
-    if streaming:
-        if args.stats:
-            print(
-                f"stream: {stats.packets} packets, "
-                f"{stats.flows_total} flows "
-                f"({stats.flows_evicted_idle} idle-evicted), "
-                f"peak buffered {stats.peak_buffered_packets} packets, "
-                f"peak active {stats.peak_active_flows} flows",
-                file=sys.stderr,
-            )
-            print(
-                f"replay: {tapo.fast_flows} flows on the clean fast "
-                f"replay, {tapo.fallback_flows} replayed by the "
-                f"analyzer, {tapo.materialized_flows} materialized as "
-                "packet objects",
-                file=sys.stderr,
-            )
-            print(
-                f"faults: {faults.corrupt_records} corrupt records "
-                f"({faults.resyncs} resyncs), "
-                f"{faults.option_errors} option errors, "
-                f"{faults.flows_skipped} flows quarantined, "
-                f"{faults.tasks_retried} tasks retried, "
-                f"{faults.tasks_poisoned} poisoned",
-                file=sys.stderr,
-            )
-        if args.metrics_out:
-            from ..obs.metrics import write_registry
-
-            json_path, prom_path = write_registry(
-                registry, args.metrics_out
-            )
-            print(
-                f"wrote metrics to {json_path} and {prom_path}",
-                file=sys.stderr,
-            )
+    elif args.stats:
+        print(
+            f"stream: {stats.packets} packets, "
+            f"{stats.flows_total} flows "
+            f"({stats.flows_evicted_idle} idle-evicted, "
+            f"{stats.flows_reopened} reopened), "
+            f"peak buffered {stats.peak_buffered_packets} packets, "
+            f"peak active {stats.peak_active_flows} flows",
+            file=sys.stderr,
+        )
+        print(
+            f"replay: {tapo.fast_flows} flows on the clean fast "
+            f"replay, {tapo.fallback_flows} replayed by the "
+            f"analyzer, {tapo.materialized_flows} materialized as "
+            "packet objects",
+            file=sys.stderr,
+        )
+        print(
+            f"faults: {faults.corrupt_records} corrupt records "
+            f"({faults.resyncs} resyncs), "
+            f"{faults.option_errors} option errors, "
+            f"{faults.flows_skipped} flows quarantined, "
+            f"{faults.tasks_retried} tasks retried, "
+            f"{faults.tasks_poisoned} poisoned",
+            file=sys.stderr,
+        )
+    if args.metrics_out:
+        cli_options.write_metrics(registry, args.metrics_out)
 
     report = ServiceReport(service=args.pcap)
     for analysis in analyses:
@@ -354,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
             store.append(
                 "analysis",
                 Path(args.pcap).stem,
-                wall_time=_time.monotonic() - analysis_started,
+                wall_time=time.monotonic() - analysis_started,
                 config=tapo.config,
                 faults={
                     "corrupt_records": faults.corrupt_records,
@@ -362,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
                     "option_errors": faults.option_errors,
                     "flows_skipped": faults.flows_skipped,
                 },
-                meta={"pcap": args.pcap, "streaming": streaming},
+                meta={"pcap": args.pcap, "stream": args.stream},
                 **fields,
             )
         print(
@@ -408,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"faults tolerated:  {faults.corrupt_records} corrupt "
             f"records, {faults.flows_skipped} flows quarantined "
-            f"(budget: {args.errors.describe()})"
+            f"{cli_options.budget_note(args)}"
         )
 
     if args.per_flow:
@@ -425,28 +364,10 @@ def main(argv: list[str] | None = None) -> int:
             for stall in analysis.stalls:
                 print("  " + stall.describe())
 
-    print("\nstall causes (volume% / time%):")
-    breakdown = report.cause_breakdown()
-    for cause in StallCause:
-        entry = breakdown[cause]
-        if entry.count == 0:
-            continue
-        print(
-            f"  {cause.value:<20} {entry.volume_share * 100:6.1f}%  "
-            f"{entry.time_share * 100:6.1f}%   ({entry.count} stalls)"
-        )
-
+    cli_options.print_breakdown("stall causes", report.cause_breakdown())
     retx = report.retx_breakdown()
     if any(entry.count for entry in retx.values()):
-        print("\ntimeout-retransmission stalls (volume% / time%):")
-        for cause in RetxCause:
-            entry = retx[cause]
-            if entry.count == 0:
-                continue
-            print(
-                f"  {cause.value:<20} {entry.volume_share * 100:6.1f}%  "
-                f"{entry.time_share * 100:6.1f}%   ({entry.count} stalls)"
-            )
+        cli_options.print_breakdown("timeout-retransmission stalls", retx)
     return 0
 
 

@@ -33,13 +33,14 @@ from array import array
 from collections.abc import Iterable, Iterator
 from copy import copy
 
+import numpy as np
+
 from ..config import AnalysisConfig
 from ..packet.columnar import (
     OPT_ODD,
     OPT_TS,
     _U32,
     _U32_ITEMSIZE,
-    _np,
     PacketColumns,
 )
 from ..packet.flow import (
@@ -353,27 +354,15 @@ class ColumnarStreamDemuxer:
         count = len(cols)
         if not count:
             return
-        if _np is not None and count > 1:
-            u32 = _np.uint32 if _U32_ITEMSIZE == 4 else _np.uint64
-            src_pks = (
-                (_np.frombuffer(cols.src_ip, dtype=u32).astype(_np.int64) << 16)
-                | _np.frombuffer(cols.src_port, dtype=_np.uint16)
-            ).tolist()
-            dst_pks = (
-                (_np.frombuffer(cols.dst_ip, dtype=u32).astype(_np.int64) << 16)
-                | _np.frombuffer(cols.dst_port, dtype=_np.uint16)
-            ).tolist()
-        else:
-            src_ips = cols.src_ip
-            src_ports = cols.src_port
-            dst_ips = cols.dst_ip
-            dst_ports = cols.dst_port
-            src_pks = [
-                (src_ips[i] << 16) | src_ports[i] for i in range(count)
-            ]
-            dst_pks = [
-                (dst_ips[i] << 16) | dst_ports[i] for i in range(count)
-            ]
+        u32 = np.uint32 if _U32_ITEMSIZE == 4 else np.uint64
+        src_pks = (
+            (np.frombuffer(cols.src_ip, dtype=u32).astype(np.int64) << 16)
+            | np.frombuffer(cols.src_port, dtype=np.uint16)
+        ).tolist()
+        dst_pks = (
+            (np.frombuffer(cols.dst_ip, dtype=u32).astype(np.int64) << 16)
+            | np.frombuffer(cols.dst_port, dtype=np.uint16)
+        ).tolist()
         times = cols.timestamps.tolist()
         seqs = cols.seq.tolist()
         acks = cols.ack.tolist()

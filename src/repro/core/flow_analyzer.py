@@ -32,7 +32,7 @@ from ..tcp.constants import ts_to_time
 from ..tcp.rto import RTOEstimator
 from .segments import AnalyzedSegment, SegmentTracker
 from .state_machine import FAST, PROBE, RTO, CaStateTracker
-from .stalls import STALL_TAU, CaState, Stall, StallContext
+from .stalls import CaState, Stall, StallContext
 
 
 @dataclass
@@ -120,19 +120,15 @@ class FlowAnalyzer:
     :meth:`feed` is the packet-object adapter.
     """
 
-    def __init__(self, flow: FlowTrace, tau: float = STALL_TAU,
-                 init_cwnd: int = 3, record_series: bool = False,
+    def __init__(self, flow: FlowTrace,
                  config: "AnalysisConfig | None" = None):
-        if config is not None:
-            tau = config.tau
-            init_cwnd = config.init_cwnd
-            record_series = config.record_series
+        config = config or AnalysisConfig()
         self.flow = flow
-        self.tau = tau
-        self.record_series = record_series
+        self.tau = config.tau
+        self.record_series = config.record_series
         self.analysis = FlowAnalysis(flow=flow)
         self.tracker = SegmentTracker()
-        self.ca = CaStateTracker(init_cwnd=init_cwnd)
+        self.ca = CaStateTracker(init_cwnd=config.init_cwnd)
         self.rto_est = RTOEstimator()
         self.rwnd = 0
         self.established = False

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from ..config import AnalysisConfig, RunConfig, warn_deprecated_kwargs
+from ..config import AnalysisConfig, RunConfig
 from ..errors import (
     FaultStats,
     FlowAnalysisError,
@@ -105,43 +105,15 @@ class Tapo:
         ``init_cwnd`` (initial shadow congestion window), and
         ``record_series`` (keep the per-ACK inferred kernel-variable
         time-series).
-    tau, init_cwnd, record_series:
-        Deprecated keyword equivalents; they still work but emit
-        :class:`DeprecationWarning`.  Pass an ``AnalysisConfig``.
     """
 
-    def __init__(
-        self,
-        config: AnalysisConfig | None = None,
-        tau: float | None = None,
-        init_cwnd: int | None = None,
-        record_series: bool | None = None,
-    ):
+    def __init__(self, config: AnalysisConfig | None = None):
         if config is not None and not isinstance(config, AnalysisConfig):
-            # Legacy positional tau: Tapo(2.0).  Converted directly
-            # (not via the kwarg path below) so one legacy call emits
-            # exactly one warning.
-            warn_deprecated_kwargs("Tapo", ["tau"], "AnalysisConfig(tau=...)")
-            config = AnalysisConfig(tau=float(config))
-        legacy = {
-            name: value
-            for name, value in (
-                ("tau", tau),
-                ("init_cwnd", init_cwnd),
-                ("record_series", record_series),
+            raise TypeError(
+                "Tapo(config) takes an AnalysisConfig, not "
+                f"{type(config).__name__}"
             )
-            if value is not None
-        }
-        if legacy:
-            warn_deprecated_kwargs(
-                "Tapo", list(legacy), "an AnalysisConfig"
-            )
-            config = (config or AnalysisConfig()).replace(**legacy)
         self.config = config or AnalysisConfig()
-        # Plain attributes kept for backward compatibility.
-        self.tau = self.config.tau
-        self.init_cwnd = self.config.init_cwnd
-        self.record_series = self.config.record_series
         #: Fault accounting for the most recent multi-flow entry-point
         #: call (reset per call); quarantined flows live in
         #: ``faults.skipped``.
@@ -430,11 +402,6 @@ class Tapo:
 def analyze_pcap(
     path: str | Path,
     config: AnalysisConfig | None = None,
-    **kwargs,
 ) -> list[FlowAnalysis]:
-    """Module-level convenience wrapper around :class:`Tapo`.
-
-    Legacy ``tau=...``-style keywords are forwarded to :class:`Tapo`'s
-    deprecation shim.
-    """
-    return Tapo(config=config, **kwargs).analyze_pcap(path)
+    """Module-level convenience wrapper around :class:`Tapo`."""
+    return Tapo(config=config).analyze_pcap(path)

@@ -141,14 +141,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.stats:
         print(dataset.metrics.format(), file=sys.stderr)
     if args.metrics_out:
-        from ..obs.metrics import write_registry
-
-        json_path, prom_path = write_registry(
+        cli_options.write_metrics(
             dataset.metrics.to_registry(), args.metrics_out
-        )
-        print(
-            f"wrote metrics to {json_path} and {prom_path}",
-            file=sys.stderr,
         )
     reports = dataset.reports
 

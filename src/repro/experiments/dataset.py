@@ -11,10 +11,10 @@ Two cache layers keep re-analysis cheap:
   shares one dataset across all table/figure targets of a run;
 * a content-addressed on-disk cache (:mod:`repro.experiments.cache`)
   shares simulations **across processes** — pytest, the benches, and
-  the CLI all reuse the same build.  Disable with ``use_cache=False``
-  or ``REPRO_DISK_CACHE=0``.
+  the CLI all reuse the same build.  Disable with
+  ``RunConfig(use_cache=False)`` or ``REPRO_DISK_CACHE=0``.
 
-``workers`` shards the simulation across processes (see
+``RunConfig.workers`` shards the simulation across processes (see
 :mod:`repro.experiments.parallel`); the result is byte-identical to a
 serial build with the same parameters.
 """
@@ -25,7 +25,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..config import RunConfig, warn_deprecated_kwargs
+from ..config import RunConfig
 from ..core.report import ServiceReport
 from ..core.tapo import Tapo
 from ..obs.metrics import phase_span
@@ -82,35 +82,19 @@ def build_dataset(
     flows_per_service: int = 150,
     seed: int = 20141222,  # first day of the paper's collection window
     services: tuple[str, ...] = SERVICES,
-    use_cache: bool | None = None,
-    workers: int | None = None,
     run: RunConfig | None = None,
 ) -> Dataset:
     """Simulate and analyze the dataset; cached by parameters.
 
     Execution knobs (worker processes, cache usage) come from ``run``,
-    a :class:`repro.config.RunConfig`.  The ``use_cache``/``workers``
-    keywords are deprecated shims for it.
+    a :class:`repro.config.RunConfig`.
 
     Cache layers are consulted in order: in-process memo, then the
     on-disk store, then a fresh (optionally parallel) simulation.
-    ``use_cache=False`` bypasses both layers entirely — nothing is
+    ``run.use_cache=False`` bypasses both layers entirely — nothing is
     read or written.
     """
-    legacy = [
-        name
-        for name, value in (("use_cache", use_cache), ("workers", workers))
-        if value is not None
-    ]
-    if legacy:
-        warn_deprecated_kwargs(
-            "build_dataset", legacy, "a RunConfig (run=...)"
-        )
     run = run or RunConfig()
-    if use_cache is not None:
-        run = run.replace(use_cache=use_cache)
-    if workers is not None:
-        run = run.replace(workers=workers)
     use_cache = run.use_cache
     workers = run.workers
     key = dataset_cache_key(flows_per_service, seed, services)

@@ -13,10 +13,8 @@ import logging
 import sys
 
 from .. import cli_options
-from ..config import AnalysisConfig, RunConfig
+from ..config import RunConfig
 from ..errors import ErrorBudget, ReproError
-from ..packet.flow import server_by_ip, server_by_port
-from ..packet.headers import ip_from_str
 from .alerts import AlertRule, JsonlSink
 from .daemon import LiveDaemon, open_source
 
@@ -43,13 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
             "stdin ('-')."
         ),
     )
-    from ..cli import version_string
-
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {version_string()}",
-    )
+    cli_options.add_version(parser)
     parser.add_argument(
         "source",
         help="pcap file to tail, directory of rotating pcaps, or '-'",
@@ -89,12 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="service label on reports (default 'live')",
     )
     cli_options.add_server_endpoint(parser)
-    parser.add_argument(
-        "--tau",
-        type=float,
-        default=2.0,
-        help="stall threshold multiplier on SRTT (default 2)",
-    )
+    cli_options.add_tau(parser)
     cli_options.add_errors(
         parser,
         default=ErrorBudget.lenient(),
@@ -236,12 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    server_side = None
-    if args.server_ip:
-        server_side = server_by_ip(ip_from_str(args.server_ip))
-    elif args.server_port:
-        server_side = server_by_port(args.server_port)
-
     sink = (
         JsonlSink(
             args.alert_log,
@@ -267,11 +248,11 @@ def main(argv: list[str] | None = None) -> int:
             retention=args.retention,
             top_k=args.top_k,
             service=args.service,
-            analysis=AnalysisConfig(tau=args.tau, errors=args.errors),
+            analysis=cli_options.analysis_config(args),
             run=RunConfig(
                 workers=args.workers, idle_timeout=args.idle_timeout
             ),
-            server_side=server_side,
+            server_side=cli_options.server_predicate(args),
             rules=args.alerts,
             alert_sink=sink,
             http_host=host,
@@ -291,12 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = daemon.run()
     except ReproError as exc:
-        print(
-            f"watch: {type(exc).__name__}: {exc} "
-            f"(budget: {args.errors.describe()})",
-            file=sys.stderr,
-        )
-        return 2
+        return cli_options.report_error("watch", exc, args)
     finally:
         if sink is not None:
             sink.close()
@@ -312,14 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         out.write_text(json.dumps(report, sort_keys=True, indent=2))
         print(f"wrote final report to {out}", file=sys.stderr)
     if args.metrics_out:
-        from ..obs.metrics import write_registry
-
-        json_path, prom_path = write_registry(
+        cli_options.write_metrics(
             daemon.metrics_registry(), args.metrics_out
-        )
-        print(
-            f"wrote metrics to {json_path} and {prom_path}",
-            file=sys.stderr,
         )
     if args.json:
         json.dump(report, sys.stdout, sort_keys=True, indent=2)

@@ -8,19 +8,18 @@ recovery, error-budget accounting, and fault counters are identical
 between a one-shot run and a live tail of the same bytes — the
 property the daemon's batch-equivalence guarantee rests on.
 
-The common contract (:class:`LiveSource`):
+The common contract (:class:`LiveSource`) hands over
+:class:`~repro.packet.columnar.PacketColumns` batches, the one form
+the daemon pumps and every analyzer consumes (``cols.records()`` gives
+packet objects where a caller wants them):
 
-* :meth:`~LiveSource.poll` yields every record decodable from the
-  bytes available *right now* and returns — it never blocks waiting
-  for growth, so the daemon loop stays responsive to signals and
-  checkpoints between polls;
-* :meth:`~LiveSource.finish` declares end-of-input: remaining bytes
-  are drained and a truncated tail is judged under the error budget
-  (exactly like a batch reader hitting EOF);
-* :meth:`~LiveSource.poll_columns` / :meth:`~LiveSource.finish_columns`
-  are the same two calls handing over
-  :class:`~repro.packet.columnar.PacketColumns` batches instead of
-  records — what the daemon pumps;
+* :meth:`~LiveSource.poll_columns` yields every packet decodable from
+  the bytes available *right now*, as non-empty batches, and returns —
+  it never blocks waiting for growth, so the daemon loop stays
+  responsive to signals and checkpoints between polls;
+* :meth:`~LiveSource.finish_columns` declares end-of-input: remaining
+  bytes are drained and a truncated tail is judged under the error
+  budget (exactly like a batch reader hitting EOF);
 * :meth:`~LiveSource.checkpoint` returns a JSON-serializable resume
   state.  Offsets count *consumed* bytes only — bytes buffered inside
   the scanner but not yet judged are re-read on resume, so no parsed
@@ -39,7 +38,6 @@ from pathlib import Path
 
 from ..errors import ErrorBudget, FaultStats
 from ..packet.columnar import PacketColumns
-from ..packet.packet import PacketRecord
 from ..packet.pcap import (
     READ_BUFFER_BYTES,
     PcapFormatError,
@@ -92,31 +90,15 @@ class LiveSource:
     name = "source"
     counters: SourceCounters
 
-    def poll(self) -> Iterator[PacketRecord]:
-        """Yield records decodable from currently available bytes,
-        then return (never blocks on input growth)."""
-        raise NotImplementedError
-
-    def finish(self) -> Iterator[PacketRecord]:
-        """Declare end-of-input and drain the tail under the budget."""
-        raise NotImplementedError
-
     def poll_columns(self) -> Iterator[PacketColumns]:
-        """Columnar counterpart of :meth:`poll`: everything decodable
-        right now as :class:`PacketColumns` batches (non-empty only).
-
-        Byte-stream sources decode straight into columns; this default
-        wraps :meth:`poll` for sources without a columnar decoder.
-        """
-        records = list(self.poll())
-        if records:
-            yield PacketColumns.from_records(records)
+        """Yield everything decodable from currently available bytes
+        as non-empty :class:`PacketColumns` batches, then return
+        (never blocks on input growth)."""
+        raise NotImplementedError
 
     def finish_columns(self) -> Iterator[PacketColumns]:
-        """Columnar counterpart of :meth:`finish`."""
-        records = list(self.finish())
-        if records:
-            yield PacketColumns.from_records(records)
+        """Declare end-of-input and drain the tail under the budget."""
+        raise NotImplementedError
 
     @property
     def exhausted(self) -> bool:
@@ -190,26 +172,20 @@ class _ScanningSource(LiveSource):
         self.counters.bytes_skipped += len(self._header)
         self._header = b""
 
-    def _finish_scan(self) -> Iterator[PacketRecord]:
+    def _drain_columns(self) -> Iterator[PacketColumns]:
+        """Everything the scanner has framed so far, if anything."""
+        if self._scanner is not None:
+            columns = self._scanner.drain_columns()
+            if len(columns):
+                yield columns
+
+    def _finish_scan_columns(self) -> Iterator[PacketColumns]:
         """Judge the tail: a partial header or record becomes a fault."""
         if self._finished:
             return
         if self._scanner is not None:
             self._scanner.finish()
-            yield from self._scanner.drain()
-        elif self._header:
-            self._judge_truncated_header()
-        self._finished = True
-
-    def _finish_scan_columns(self) -> Iterator[PacketColumns]:
-        """Columnar :meth:`_finish_scan`."""
-        if self._finished:
-            return
-        if self._scanner is not None:
-            self._scanner.finish()
-            columns = self._scanner.drain_columns()
-            if len(columns):
-                yield columns
+            yield from self._drain_columns()
         elif self._header:
             self._judge_truncated_header()
         self._finished = True
@@ -248,21 +224,6 @@ class PcapTailSource(_ScanningSource):
                 self._file.seek(offset)
                 self._attach(endian, linktype, base=offset)
 
-    def poll(self) -> Iterator[PacketRecord]:
-        if self._finished:
-            return
-        while True:
-            data = self._file.read(READ_BUFFER_BYTES)
-            if not data:
-                return
-            self._ingest(data)
-            if self._scanner is not None:
-                yield from self._scanner.drain()
-
-    def finish(self) -> Iterator[PacketRecord]:
-        yield from self.poll()
-        yield from self._finish_scan()
-
     def poll_columns(self) -> Iterator[PacketColumns]:
         if self._finished:
             return
@@ -271,10 +232,7 @@ class PcapTailSource(_ScanningSource):
             if not data:
                 return
             self._ingest(data)
-            if self._scanner is not None:
-                columns = self._scanner.drain_columns()
-                if len(columns):
-                    yield columns
+            yield from self._drain_columns()
 
     def finish_columns(self) -> Iterator[PacketColumns]:
         yield from self.poll_columns()
@@ -368,39 +326,6 @@ class RotatingDirectorySource(LiveSource):
         self.files_completed += 1
 
     # -- LiveSource ----------------------------------------------------
-    def poll(self) -> Iterator[PacketRecord]:
-        if self._finished:
-            return
-        while True:
-            if self._tail is None:
-                pending = self._pending()
-                if not pending:
-                    return
-                self._open_tail(pending[0])
-            yield from self._tail.poll()
-            current = self._tail.path.name
-            if any(name > current for name in self._pending()):
-                # Rotated: a newer file exists, so this one is closed
-                # for writing — judge its tail and move on.
-                yield from self._tail.finish()
-                self._complete_tail()
-                continue
-            return
-
-    def finish(self) -> Iterator[PacketRecord]:
-        if self._finished:
-            return
-        yield from self.poll()
-        while True:
-            if self._tail is not None:
-                yield from self._tail.finish()
-                self._complete_tail()
-            pending = self._pending()
-            if not pending:
-                break
-            self._open_tail(pending[0])
-        self._finished = True
-
     def poll_columns(self) -> Iterator[PacketColumns]:
         if self._finished:
             return
@@ -413,6 +338,8 @@ class RotatingDirectorySource(LiveSource):
             yield from self._tail.poll_columns()
             current = self._tail.path.name
             if any(name > current for name in self._pending()):
+                # Rotated: a newer file exists, so this one is closed
+                # for writing — judge its tail and move on.
                 yield from self._tail.finish_columns()
                 self._complete_tail()
                 continue
@@ -477,7 +404,7 @@ class StdinSource(_ScanningSource):
     """Read a pcap stream from stdin (or any binary stream).
 
     On a real pipe, availability is probed with :func:`select.select`
-    at zero timeout so :meth:`poll` never blocks the daemon loop; on
+    at zero timeout so :meth:`poll_columns` never blocks the daemon loop; on
     plain file-like objects (tests, files) it just reads.  EOF drains
     the tail and marks the source :attr:`exhausted` — a pipe cannot
     grow back.  Checkpointing records no offset: a pipe is not
@@ -507,32 +434,6 @@ class StdinSource(_ScanningSource):
             return None
         return os.read(self._fd, READ_BUFFER_BYTES)
 
-    def poll(self) -> Iterator[PacketRecord]:
-        if self._finished:
-            return
-        while True:
-            data = self._read_available()
-            if data is None:
-                return
-            if data == b"":
-                yield from self._finish_scan()
-                return
-            self._ingest(data)
-            if self._scanner is not None:
-                yield from self._scanner.drain()
-
-    def finish(self) -> Iterator[PacketRecord]:
-        if self._finished:
-            return
-        while True:
-            data = self._read_available()
-            if not data:
-                break
-            self._ingest(data)
-            if self._scanner is not None:
-                yield from self._scanner.drain()
-        yield from self._finish_scan()
-
     def poll_columns(self) -> Iterator[PacketColumns]:
         if self._finished:
             return
@@ -544,10 +445,7 @@ class StdinSource(_ScanningSource):
                 yield from self._finish_scan_columns()
                 return
             self._ingest(data)
-            if self._scanner is not None:
-                columns = self._scanner.drain_columns()
-                if len(columns):
-                    yield columns
+            yield from self._drain_columns()
 
     def finish_columns(self) -> Iterator[PacketColumns]:
         if self._finished:
@@ -557,10 +455,7 @@ class StdinSource(_ScanningSource):
             if not data:
                 break
             self._ingest(data)
-            if self._scanner is not None:
-                columns = self._scanner.drain_columns()
-                if len(columns):
-                    yield columns
+            yield from self._drain_columns()
         yield from self._finish_scan_columns()
 
     @property

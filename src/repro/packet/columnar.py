@@ -10,16 +10,15 @@ lengths — so the demux, the first-pass stall screen and the analyzer
 itself run over plain integers, and packet objects are built only for
 a caller that asks for ``flow.packets``.
 
-Two decoders produce identical columns:
-
-* a vectorized path using :mod:`numpy` when it is importable — field
-  bytes are gathered straight out of the slab buffer (zero copy) and
-  assembled with array arithmetic;
-* a pure-Python ``struct.unpack_from`` loop otherwise.
-
-numpy is strictly optional: nothing in the public API exposes numpy
-types (columns are stdlib :class:`array.array` objects holding plain
-Python ints/floats), and the fallback is used transparently.
+There is one decoder, :func:`decode_spans`, vectorized with
+:mod:`numpy` (a declared dependency of the package, imported when this
+module loads): field bytes are gathered straight out of the slab buffer
+(zero copy) and assembled with array arithmetic.  numpy stays an
+implementation detail — nothing in the public API exposes numpy types;
+columns are stdlib :class:`array.array` objects holding plain Python
+ints/floats.  The record-level decoder it must agree with is
+:meth:`PacketRecord.decode <repro.packet.packet.PacketRecord.decode>`,
+which the tests reach through ``PcapReader.iter_records``.
 
 Validation mirrors :meth:`PacketRecord.decode
 <repro.packet.packet.PacketRecord.decode>` *exactly* — the same
@@ -41,18 +40,14 @@ strict-mode :class:`~repro.packet.options.OptionDecodeError`).
 
 from __future__ import annotations
 
-import struct
 from array import array
 from collections.abc import Iterator
+
+import numpy as np
 
 from .headers import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN
 from .options import TCPOptions
 from .packet import PacketRecord
-
-try:  # optional accelerator — never a hard dependency
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 #: Typecode holding an unsigned 32-bit value exactly.
 _U32 = "I" if array("I").itemsize == 4 else "L"
@@ -64,8 +59,6 @@ OPT_ODD = 0x02  #: full decode kept in :attr:`PacketColumns.odd_options`
 
 _ETHERTYPE_IPV4 = 0x0800
 
-_TCP_FIXED = struct.Struct("!HHII")
-_BE32 = struct.Struct("!I")
 
 
 class PacketColumns:
@@ -212,45 +205,30 @@ class PacketColumns:
         Row ``i`` gets :func:`repro.packet.flow.flow_shard` of packet
         ``i``'s endpoints — the same explicit SplitMix64-XOR mix
         :meth:`FlowKey.shard_of <repro.packet.flow.FlowKey.shard_of>`
-        computes, vectorized over the whole slab when numpy is
-        importable.  Both directions of a connection always map to the
+        computes, vectorized over the whole slab.  Both directions of a connection always map to the
         same shard, so a flow never straddles two cluster workers.
         """
-        n = len(self)
-        if _np is not None and n:
-            u64 = _np.uint64
-            src = (
-                _np.frombuffer(self.src_ip, dtype=_np.uint32).astype(u64)
-                << u64(16)
-            ) | _np.frombuffer(self.src_port, dtype=_np.uint16).astype(u64)
-            dst = (
-                _np.frombuffer(self.dst_ip, dtype=_np.uint32).astype(u64)
-                << u64(16)
-            ) | _np.frombuffer(self.dst_port, dtype=_np.uint16).astype(u64)
-            with _np.errstate(over="ignore"):
-                mixed = None
-                for endpoint in (src, dst):
-                    x = endpoint
-                    x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-                    x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
-                    x = x ^ (x >> u64(31))
-                    mixed = x if mixed is None else mixed ^ x
-            ids = (mixed % u64(n_shards)).astype(_np.uint16)
-            out = array("H")
-            out.frombytes(ids.tobytes())
-            return out
-        from .flow import flow_shard
-
-        return array(
-            "H",
-            (
-                flow_shard(
-                    self.src_ip[i], self.src_port[i],
-                    self.dst_ip[i], self.dst_port[i], n_shards,
-                )
-                for i in range(n)
-            ),
-        )
+        u64 = np.uint64
+        src = (
+            np.frombuffer(self.src_ip, dtype=np.uint32).astype(u64)
+            << u64(16)
+        ) | np.frombuffer(self.src_port, dtype=np.uint16).astype(u64)
+        dst = (
+            np.frombuffer(self.dst_ip, dtype=np.uint32).astype(u64)
+            << u64(16)
+        ) | np.frombuffer(self.dst_port, dtype=np.uint16).astype(u64)
+        with np.errstate(over="ignore"):
+            mixed = None
+            for endpoint in (src, dst):
+                x = endpoint
+                x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+                x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
+                x = x ^ (x >> u64(31))
+                mixed = x if mixed is None else mixed ^ x
+        ids = (mixed % u64(n_shards)).astype(np.uint16)
+        out = array("H")
+        out.frombytes(ids.tobytes())
+        return out
 
     def select(self, indices) -> "PacketColumns":
         """A new batch holding rows ``indices`` (ascending), in order."""
@@ -283,11 +261,8 @@ class PacketColumns:
         if n_shards <= 1:
             return self
         ids = self.shard_ids(n_shards)
-        if _np is not None and len(ids):
-            mask = _np.frombuffer(ids, dtype=_np.uint16) == shard
-            indices = _np.nonzero(mask)[0].tolist()
-        else:
-            indices = [i for i, owner in enumerate(ids) if owner == shard]
+        mask = np.frombuffer(ids, dtype=np.uint16) == shard
+        indices = np.nonzero(mask)[0].tolist()
         if len(indices) == len(ids):
             return self
         return self.select(indices)
@@ -313,155 +288,6 @@ def decode_spans(
     receives the span index behind each row of the batch, in row order
     (skipped records leave no row and no entry).
     """
-    decoder = (
-        _decode_spans_numpy
-        if _np is not None and len(starts)
-        else _decode_spans_python
-    )
-    return decoder(
-        buffer, starts, incls, endian, ethernet, tolerant, counters,
-        kept_spans,
-    )
-
-
-# -- pure-Python decoder ----------------------------------------------
-
-
-def _decode_spans_python(
-    buffer: bytes,
-    starts: array,
-    incls: array,
-    endian: str,
-    ethernet: bool,
-    tolerant: bool,
-    counters,
-    kept_spans: list[int] | None = None,
-) -> PacketColumns:
-    unpack_ts = struct.Struct(endian + "II").unpack_from
-    cols = PacketColumns()
-    ts_out = cols.timestamps
-    src_ip_out, dst_ip_out = cols.src_ip, cols.dst_ip
-    src_port_out, dst_port_out = cols.src_port, cols.dst_port
-    seq_out, ack_out = cols.seq, cols.ack
-    flags_out, window_out = cols.flags, cols.window
-    payload_out = cols.payload_len
-    tsval_out, tsecr_out = cols.ts_val, cols.ts_ecr
-    optbits_out = cols.optbits
-    odd_options = cols.odd_options
-    unpack_be32 = _BE32.unpack_from
-    unpack_tcp = _TCP_FIXED.unpack_from
-    skipped = 0
-    option_errors = 0
-    for span in range(len(starts)):
-        off = starts[span]
-        avail = incls[span]
-        if ethernet:
-            if avail < 14 or buffer[off + 12] != 0x08 or buffer[off + 13]:
-                skipped += 1
-                continue
-            off += 14
-            avail -= 14
-        if avail < 20:
-            skipped += 1
-            continue
-        ver_ihl = buffer[off]
-        if ver_ihl >> 4 != 4:
-            skipped += 1
-            continue
-        ihl = (ver_ihl & 0x0F) * 4
-        if ihl < 20 or ihl > avail:
-            skipped += 1
-            continue
-        if buffer[off + 9] != 6:  # not TCP
-            skipped += 1
-            continue
-        total_length = (buffer[off + 2] << 8) | buffer[off + 3]
-        if total_length:
-            end_rel = min(avail, max(total_length, ihl))
-        else:
-            end_rel = avail
-        tcp_off = off + ihl
-        tcp_avail = end_rel - ihl
-        if tcp_avail < 20:
-            skipped += 1
-            continue
-        doff = (buffer[tcp_off + 12] >> 4) * 4
-        if doff < 20 or doff > tcp_avail:
-            skipped += 1
-            continue
-        opt_len = doff - 20
-        opt_off = tcp_off + 20
-        # Fast-path the ubiquitous 12-byte timestamp option area.
-        ts_val = ts_ecr = 0
-        optbits = 0
-        if opt_len == 12:
-            b0 = buffer[opt_off]
-            b1 = buffer[opt_off + 1]
-            if (
-                b0 == 1
-                and b1 == 1
-                and buffer[opt_off + 2] == 8
-                and buffer[opt_off + 3] == 10
-            ):
-                (ts_val,) = unpack_be32(buffer, opt_off + 4)
-                (ts_ecr,) = unpack_be32(buffer, opt_off + 8)
-                optbits = OPT_TS
-            elif b0 == 8 and b1 == 10:
-                b10 = buffer[opt_off + 10]
-                if b10 == 0 or (b10 == 1 and buffer[opt_off + 11] <= 1):
-                    (ts_val,) = unpack_be32(buffer, opt_off + 2)
-                    (ts_ecr,) = unpack_be32(buffer, opt_off + 6)
-                    optbits = OPT_TS
-        if not optbits and opt_len:
-            # SYN options, SACK blocks, unusual padding, damage: the
-            # real decoder, with identical strict/lenient behavior.
-            options = TCPOptions.decode(
-                buffer[opt_off : opt_off + opt_len], lenient=tolerant
-            )
-            if options.truncated_options:
-                option_errors += 1
-            optbits = OPT_ODD
-            odd_options[len(ts_out)] = options
-        if kept_spans is not None:
-            kept_spans.append(span)
-        ts_sec, ts_usec = unpack_ts(buffer, starts[span] - 16)
-        ts_out.append(ts_sec + ts_usec / 1_000_000)
-        (src_ip,) = unpack_be32(buffer, off + 12)
-        (dst_ip,) = unpack_be32(buffer, off + 16)
-        src_ip_out.append(src_ip)
-        dst_ip_out.append(dst_ip)
-        src_port, dst_port, seq, ack = unpack_tcp(buffer, tcp_off)
-        src_port_out.append(src_port)
-        dst_port_out.append(dst_port)
-        seq_out.append(seq)
-        ack_out.append(ack)
-        flags_out.append(buffer[tcp_off + 13])
-        window_out.append(
-            (buffer[tcp_off + 14] << 8) | buffer[tcp_off + 15]
-        )
-        payload_out.append(tcp_avail - doff)
-        tsval_out.append(ts_val)
-        tsecr_out.append(ts_ecr)
-        optbits_out.append(optbits)
-    counters.skipped += skipped
-    counters.option_errors += option_errors
-    return cols
-
-
-# -- numpy-vectorized decoder -----------------------------------------
-
-
-def _decode_spans_numpy(
-    buffer: bytes,
-    starts: array,
-    incls: array,
-    endian: str,
-    ethernet: bool,
-    tolerant: bool,
-    counters,
-    kept_spans: list[int] | None = None,
-) -> PacketColumns:
-    np = _np
     buf = np.frombuffer(buffer, dtype=np.uint8)
     limit = len(buf) - 1
     count = len(starts)
@@ -604,8 +430,9 @@ def _decode_spans_numpy(
     doff = (tcp[12] >> 4).astype(i64) * 4
     ok &= (doff >= 20) & (doff <= tcp_avail)
 
-    # Option-area pattern match, full width (see the python decoder
-    # for the patterns).  Garbage rows — no options, or a window that
+    # Option-area pattern match, full width: the ubiquitous 12-byte
+    # timestamp area, ``NOP NOP TS`` or ``TS`` + padding; anything
+    # else goes to ``TCPOptions.decode`` below.  Garbage rows — no options, or a window that
     # overran its record and clamp-shifted — are fenced out by
     # ``has_opts`` and the length predicates: every pattern requires
     # ``opt_len >= 12``, and such a record's body (and therefore this
@@ -756,7 +583,6 @@ class _LazySackOptions(dict):
 
 def _fill(column: array, values) -> None:
     """Move a numpy vector into a stdlib array without per-item boxing."""
-    np = _np
     typecode = column.typecode
     if typecode == "d":
         dtype = np.float64

@@ -16,9 +16,10 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
+import numpy as np
+
 from ..errors import ErrorBudget, ParseError
 from .checksum import verify_tcp_checksum
-from .columnar import _np
 from .columnar import PacketColumns, decode_spans
 from .headers import HeaderDecodeError
 from .packet import PacketRecord
@@ -27,24 +28,16 @@ from .packet import PacketRecord
 def _subtract_spans(incls: "array", starts: "array", header_size: int) -> None:
     """In place: ``incls[i] -= starts[i] + header_size`` (turns the
     next-offset chain into record body lengths)."""
-    if _np is not None:
-        out = _np.frombuffer(incls, dtype=_np.int64)
-        out -= _np.frombuffer(starts, dtype=_np.int64)
-        out -= header_size
-        return
-    for index in range(len(incls)):
-        incls[index] -= starts[index] + header_size
+    out = np.frombuffer(incls, dtype=np.int64)
+    out -= np.frombuffer(starts, dtype=np.int64)
+    out -= header_size
 
 
 def _shift_spans(starts: "array", header_size: int) -> None:
     """In place: ``starts[i] += header_size`` (header offsets from the
     strict chase become body offsets)."""
-    if _np is not None:
-        out = _np.frombuffer(starts, dtype=_np.int64)
-        out += header_size
-        return
-    for index in range(len(starts)):
-        starts[index] += header_size
+    out = np.frombuffer(starts, dtype=np.int64)
+    out += header_size
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1

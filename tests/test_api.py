@@ -1,5 +1,5 @@
-"""Public-facade tests: ``repro.api`` verbs, frozen configs,
-deprecation shims, lazy imports, and the unified CLI dispatcher."""
+"""Public-facade tests: ``repro.api`` verbs, frozen configs, the
+deprecation policy, lazy imports, and the unified CLI dispatcher."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ import pytest
 import repro
 from repro import api
 from repro.config import AnalysisConfig, RunConfig
-from repro.core.flow_analyzer import FlowAnalysis
+from repro.core.flow_analyzer import FlowAnalysis, FlowAnalyzer
 from repro.core.report import ServiceReport
-from repro.core.tapo import Tapo
+from repro.core.tapo import Tapo, analyze_pcap
 from repro.packet.headers import FLAG_ACK, FLAG_FIN, FLAG_SYN
 from repro.packet.packet import PacketRecord
 from repro.packet.pcap import write_pcap
@@ -86,54 +86,78 @@ class TestConfigs:
         assert AnalysisConfig() != AnalysisConfig(tau=3.0)
 
 
+def _tiny_dataset(**kwargs):
+    from repro.experiments.dataset import build_dataset
+
+    return build_dataset(
+        flows_per_service=1, seed=1, services=("web_search",), **kwargs
+    )
+
+
+#: Every spelling 2.0 removed, as a call that used to warn and forward.
+REMOVED_SPELLINGS = {
+    "Tapo(tau=)": lambda: Tapo(tau=1.5),
+    "Tapo(2.5)": lambda: Tapo(2.5),
+    "Tapo(init_cwnd=, record_series=)": lambda: Tapo(
+        init_cwnd=10, record_series=True
+    ),
+    "tapo.analyze_pcap(tau=)": lambda: analyze_pcap(
+        "unread.pcap", tau=1.5
+    ),
+    "FlowAnalyzer(tau=)": lambda: FlowAnalyzer(None, tau=1.5),
+    "FlowAnalyzer(init_cwnd=, record_series=)": lambda: FlowAnalyzer(
+        None, init_cwnd=10, record_series=True
+    ),
+    "build_dataset(workers=)": lambda: _tiny_dataset(workers=1),
+    "build_dataset(use_cache=)": lambda: _tiny_dataset(use_cache=False),
+    "Coordinator(transport=)": lambda: api.Coordinator(
+        "unread.pcap", n_shards=2, transport="pipe"
+    ),
+    "analyze_cluster(transport=)": lambda: api.analyze_cluster(
+        "unread.pcap", shards=1, transport="socket"
+    ),
+}
+
+
 class TestDeprecationShims:
-    def test_tapo_tau_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="tau"):
-            tapo = Tapo(tau=1.5)
-        assert tapo.config.tau == 1.5
-        assert tapo.tau == 1.5
+    """The 2.0 window is closed: no shim is open, the config objects
+    are the only spelling, and what the shims accepted is a
+    ``TypeError`` (README, "API stability & deprecation policy")."""
 
-    def test_tapo_positional_tau_warns(self):
-        with pytest.warns(DeprecationWarning, match="tau"):
-            tapo = Tapo(2.5)
-        assert tapo.config.tau == 2.5
+    @pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
+    def test_removed_spelling_raises_type_error(self, spelling):
+        with pytest.raises(TypeError):
+            REMOVED_SPELLINGS[spelling]()
 
-    def test_tapo_multiple_legacy_kwargs(self):
-        with pytest.warns(DeprecationWarning):
-            tapo = Tapo(init_cwnd=10, record_series=True)
-        assert tapo.config.init_cwnd == 10
-        assert tapo.config.record_series is True
+    def test_compat_attributes_and_helpers_are_gone(self):
+        import repro.config
+
+        tapo = Tapo(config=AnalysisConfig(tau=1.5))
+        for name in ("tau", "init_cwnd", "record_series"):
+            assert not hasattr(tapo, name)
+        assert not hasattr(RunConfig(), "resolved_workers")
+        assert not hasattr(repro.config, "warn_deprecated_kwargs")
+        assert not hasattr(repro.config, "DEPRECATED_REMOVAL_VERSION")
 
     def test_tapo_config_object_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             tapo = Tapo(config=AnalysisConfig(tau=1.5))
-        assert tapo.tau == 1.5
+        assert tapo.config.tau == 1.5
 
-    def test_build_dataset_legacy_kwargs_warn(self):
-        from repro.experiments.dataset import build_dataset
+    def test_readme_documents_the_policy(self):
+        from pathlib import Path
 
-        with pytest.warns(DeprecationWarning, match="workers"):
-            dataset = build_dataset(
-                flows_per_service=1,
-                seed=1,
-                services=("web_search",),
-                workers=1,
-                use_cache=False,
-            )
-        assert len(dataset.reports) == 1
+        readme = (
+            Path(__file__).resolve().parent.parent / "README.md"
+        ).read_text()
+        assert "deprecation policy" in readme.lower()
+        assert "No shim is currently open" in readme
 
     def test_build_dataset_run_config_does_not_warn(self):
-        from repro.experiments.dataset import build_dataset
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            build_dataset(
-                flows_per_service=1,
-                seed=1,
-                services=("web_search",),
-                run=RunConfig(workers=1, use_cache=False),
-            )
+            _tiny_dataset(run=RunConfig(workers=1, use_cache=False))
 
 
 class TestFacade:

@@ -196,10 +196,7 @@ class TestCorruptSlabs:
         assert columnar.faults.resyncs == faults.resyncs
         assert columnar.faults.option_errors == faults.option_errors
 
-    @pytest.mark.parametrize("decoder", ("numpy", "python"))
-    def test_checksum_errors_counted_on_every_path(
-        self, decoder, tmp_path, monkeypatch
-    ):
+    def test_checksum_errors_counted_on_every_path(self, tmp_path):
         """verify_checksums is honoured wherever columns are decoded —
         batch, worker fan-out, cluster shards, live sources — and
         counts what the record-level ``drain`` counts."""
@@ -207,12 +204,7 @@ class TestCorruptSlabs:
 
         from repro.cluster import run_cluster
         from repro.live.sources import PcapTailSource, SourceCounters
-        from repro.packet import columnar as columnar_module
 
-        if decoder == "python":
-            monkeypatch.setattr(columnar_module, "_np", None)
-        elif columnar_module._np is None:
-            pytest.skip("numpy not importable")
         path = tmp_path / "trace.pcap"
         _write(path, generate_trace(2, flows=5))
         raw = bytearray(path.read_bytes())
@@ -252,6 +244,29 @@ class TestCorruptSlabs:
         default = Tapo(config=AnalysisConfig())
         default.analyze_pcap(path)
         assert default.faults.checksum_errors == 0
+
+
+def test_one_decoder_numpy_at_import():
+    """numpy is a declared dependency, imported when the module loads:
+    no numpy-less decoder exists to drift from the vectorized one, and
+    that one handles the degenerate empty slab itself."""
+    from array import array
+
+    import numpy
+
+    from repro.live.sources import SourceCounters
+    from repro.packet import columnar as columnar_module
+
+    assert columnar_module.np is numpy
+    assert not hasattr(columnar_module, "_decode_spans_python")
+    counters = SourceCounters()
+    kept: list[int] = []
+    for ethernet in (False, True):
+        cols = columnar_module.decode_spans(
+            b"", array("q"), array("q"), "<", ethernet, True, counters, kept
+        )
+        assert len(cols) == 0 and list(cols.records()) == []
+    assert kept == [] and counters.skipped == 0
 
 
 class TestSeqWraparound:

@@ -7,6 +7,7 @@ import pytest
 from repro.app.client import ClientApp
 from repro.app.server import ServerApp
 from repro.app.session import Request, Session
+from repro.config import AnalysisConfig
 from repro.core import StallCause, Tapo
 from repro.netsim.engine import EventLoop
 from repro.netsim.link import PathConfig
@@ -159,8 +160,12 @@ class TestTapoFacade:
         ClientApp(engine, conn.client, session)
         conn.open()
         engine.run(until=10.0)
-        strict = Tapo(tau=0.5).analyze_packets(tap.packets)[0]
-        lax = Tapo(tau=20.0).analyze_packets(tap.packets)[0]
+        strict, lax = (
+            Tapo(config=AnalysisConfig(tau=tau)).analyze_packets(
+                tap.packets
+            )[0]
+            for tau in (0.5, 20.0)
+        )
         assert len(strict.stalls) >= len(lax.stalls)
 
 

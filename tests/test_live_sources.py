@@ -3,7 +3,9 @@
 The invariant under test everywhere: feeding the same bytes
 incrementally (any chunking, any poll cadence) produces exactly the
 records and fault counters a batch :class:`PcapReader` produces on
-the finished file — because both run the same scanner.
+the finished file — because both run the same scanner.  Sources hand
+over column batches (what the daemon pumps); the tests read them back
+as records through :func:`poll` / :func:`finish` below.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from repro.errors import ErrorBudget
 from repro.live.sources import (
+    LiveSource,
     PcapTailSource,
     RotatingDirectorySource,
     SourceCounters,
@@ -97,6 +100,19 @@ def counters_sig(c) -> tuple:
     )
 
 
+def _records(batches) -> list[PacketRecord]:
+    return [r for cols in batches for r in cols.records()]
+
+
+def poll(source) -> list[PacketRecord]:
+    """Everything ``source.poll_columns()`` hands over, as records."""
+    return _records(source.poll_columns())
+
+
+def finish(source) -> list[PacketRecord]:
+    return _records(source.finish_columns())
+
+
 def drip_feed(path, data, source, chunks):
     """Append ``data`` to ``path`` in the given chunk sizes, polling
     the source after each append; return every record yielded."""
@@ -107,10 +123,19 @@ def drip_feed(path, data, source, chunks):
             sink.write(data[offset : offset + size])
             sink.flush()
             offset += size
-            records.extend(source.poll())
+            records.extend(poll(source))
         assert offset == len(data)
-    records.extend(source.finish())
+    records.extend(finish(source))
     return records
+
+
+@pytest.mark.parametrize(
+    "cls", [LiveSource, PcapTailSource, RotatingDirectorySource, StdinSource]
+)
+def test_sources_have_no_record_twin(cls):
+    """A stale ``.poll()`` caller gets ``AttributeError``, not columns."""
+    assert not hasattr(cls, "poll") and not hasattr(cls, "finish")
+    assert callable(cls.poll_columns) and callable(cls.finish_columns)
 
 
 class TestPcapTail:
@@ -145,10 +170,10 @@ class TestPcapTail:
         cut = len(data) - 7  # mid-record
         grow.write_bytes(data[:cut])
         source = PcapTailSource(grow)
-        first = list(source.poll())
+        first = poll(source)
         with open(grow, "ab") as sink:
             sink.write(data[cut:])
-        rest = list(source.poll())
+        rest = poll(source)
         assert len(first) + len(rest) == 16
         assert len(rest) >= 1  # the split record arrived intact
 
@@ -159,18 +184,18 @@ class TestPcapTail:
         grow = tmp_path / "tail.pcap"
         grow.write_bytes(data[:10])  # partial global header
         source = PcapTailSource(grow)
-        assert list(source.poll()) == []
+        assert poll(source) == []
         assert source.offset == 0
         with open(grow, "ab") as sink:
             sink.write(data[10:])
-        assert len(list(source.poll())) == 8
+        assert len(poll(source)) == 8
 
     def test_bad_magic_raises(self, tmp_path):
         bad = tmp_path / "bad.pcap"
         bad.write_bytes(b"\x00" * 64)
         source = PcapTailSource(bad)
         with pytest.raises(PcapFormatError):
-            list(source.poll())
+            poll(source)
 
     def test_truncated_tail_strict_vs_lenient(self, tmp_path):
         path = tmp_path / "full.pcap"
@@ -180,9 +205,9 @@ class TestPcapTail:
         cut.write_bytes(data[:-5])
         strict = PcapTailSource(cut)
         with pytest.raises(PcapFormatError):
-            list(strict.finish())
+            finish(strict)
         lenient = PcapTailSource(cut, errors="lenient")
-        got = list(lenient.finish())
+        got = finish(lenient)
         assert len(got) == 15
         assert lenient.counters.corrupt_records >= 1
 
@@ -192,11 +217,11 @@ class TestPcapTail:
         with PcapReader(path) as reader:
             want = [record_sig(r) for r in reader]
         source = PcapTailSource(path)
-        first = [record_sig(r) for r in source.poll()]
+        first = [record_sig(r) for r in poll(source)]
         state = json.loads(json.dumps(source.checkpoint()))
         source.close()
         resumed = PcapTailSource.restore(state)
-        rest = [record_sig(r) for r in resumed.finish()]
+        rest = [record_sig(r) for r in finish(resumed)]
         assert first + rest == want
         # counters carried across the resume
         assert resumed.counters.records_read == len(want)
@@ -218,7 +243,7 @@ class TestPcapTail:
             },
         }
         resumed = PcapTailSource.restore(json.loads(json.dumps(state)))
-        assert len(list(resumed.finish())) == 48
+        assert len(finish(resumed)) == 48
         counters = resumed.counters
         assert (counters.records_read, counters.checksum_errors) == (55, 3)
         assert "checksums_skipped" not in counters.to_state()
@@ -231,14 +256,14 @@ class TestPcapTail:
         cut = len(data) // 2
         grow.write_bytes(data[:cut])
         source = PcapTailSource(grow)
-        first = [record_sig(r) for r in source.poll()]
+        first = [record_sig(r) for r in poll(source)]
         state = source.checkpoint()
         assert 24 <= state["offset"] <= cut
         source.close()
         with open(grow, "ab") as sink:
             sink.write(data[cut:])
         resumed = PcapTailSource.restore(state)
-        rest = [record_sig(r) for r in resumed.finish()]
+        rest = [record_sig(r) for r in finish(resumed)]
         with PcapReader(path) as reader:
             assert first + rest == [record_sig(r) for r in reader]
 
@@ -252,7 +277,7 @@ class TestPcapTail:
             "counters": SourceCounters().to_state(),
         }
         resumed = PcapTailSource.restore(state)
-        assert len(list(resumed.finish())) == 48
+        assert len(finish(resumed)) == 48
 
     def test_corruption_recovery_matches_batch(self, tmp_path):
         clean = tmp_path / "clean.pcap"
@@ -285,7 +310,7 @@ class TestRotatingDirectory:
         make_pcap(tmp_path / "cap-001.pcap", n=3, first=3)
         make_pcap(tmp_path / "cap-002.pcap", n=3, first=6)
         source = RotatingDirectorySource(tmp_path)
-        got = [record_sig(r) for r in source.finish()]
+        got = [record_sig(r) for r in finish(source)]
         want = []
         for name in ("cap-000.pcap", "cap-001.pcap", "cap-002.pcap"):
             with PcapReader(tmp_path / name) as reader:
@@ -296,12 +321,12 @@ class TestRotatingDirectory:
     def test_newest_is_tailed_until_rotation(self, tmp_path):
         make_pcap(tmp_path / "cap-000.pcap", n=2, first=0)
         source = RotatingDirectorySource(tmp_path)
-        got = list(source.poll())
+        got = poll(source)
         assert len(got) == 16  # newest file's available records
         assert source.files_completed == 0  # still tailing it
         # rotation: a newer file appears -> cap-000 finalizes
         make_pcap(tmp_path / "cap-001.pcap", n=2, first=2)
-        got2 = list(source.poll())
+        got2 = poll(source)
         assert source.files_completed == 1
         assert len(got2) == 16  # cap-001's records (cap-000 had no tail)
 
@@ -309,10 +334,10 @@ class TestRotatingDirectory:
         make_pcap(tmp_path / "cap-000.pcap", n=2, first=0)
         make_pcap(tmp_path / "cap-001.pcap", n=2, first=2)
         source = RotatingDirectorySource(tmp_path)
-        first = list(source.poll())
+        first = poll(source)
         # touch the finished file; it must not re-enter processing
         make_pcap(tmp_path / "cap-000.pcap", n=5, first=10)
-        again = list(source.poll())
+        again = poll(source)
         assert again == []
         assert len(first) == 32
 
@@ -321,20 +346,20 @@ class TestRotatingDirectory:
         (tmp_path / "notes.txt").write_text("not a capture")
         make_pcap(tmp_path / "other.dump", n=2, first=2)
         source = RotatingDirectorySource(tmp_path, pattern="cap-*.pcap")
-        assert len(list(source.finish())) == 16
+        assert len(finish(source)) == 16
 
     def test_checkpoint_restore_roundtrip(self, tmp_path):
         make_pcap(tmp_path / "cap-000.pcap", n=3, first=0)
         make_pcap(tmp_path / "cap-001.pcap", n=3, first=3)
         source = RotatingDirectorySource(tmp_path)
-        first = [record_sig(r) for r in source.poll()]
+        first = [record_sig(r) for r in poll(source)]
         state = json.loads(json.dumps(source.checkpoint()))
         source.close()
         assert state["done"] == ["cap-000.pcap"]
         assert state["current"] == "cap-001.pcap"
         make_pcap(tmp_path / "cap-002.pcap", n=3, first=6)
         resumed = RotatingDirectorySource.restore(state)
-        rest = [record_sig(r) for r in resumed.finish()]
+        rest = [record_sig(r) for r in finish(resumed)]
         want = []
         for name in ("cap-000.pcap", "cap-001.pcap", "cap-002.pcap"):
             with PcapReader(tmp_path / name) as reader:
@@ -344,13 +369,13 @@ class TestRotatingDirectory:
     def test_restore_with_deleted_current_file(self, tmp_path):
         make_pcap(tmp_path / "cap-000.pcap", n=2, first=0)
         source = RotatingDirectorySource(tmp_path)
-        list(source.poll())
+        poll(source)
         state = source.checkpoint()
         source.close()
         (tmp_path / "cap-000.pcap").unlink()
         make_pcap(tmp_path / "cap-001.pcap", n=2, first=2)
         resumed = RotatingDirectorySource.restore(state)
-        got = list(resumed.finish())
+        got = finish(resumed)
         assert len(got) == 16  # only the new file; old one marked done
 
     def test_missing_directory_raises(self, tmp_path):
@@ -363,16 +388,16 @@ class TestStdin:
         path = tmp_path / "cap.pcap"
         make_pcap(path, n=4)
         source = StdinSource(stream=io.BytesIO(path.read_bytes()))
-        got = list(source.poll())
+        got = poll(source)
         assert len(got) == 32
         assert source.exhausted
-        assert list(source.poll()) == []
+        assert poll(source) == []
 
     def test_finish_drains_remaining(self, tmp_path):
         path = tmp_path / "cap.pcap"
         make_pcap(path, n=4)
         source = StdinSource(stream=io.BytesIO(path.read_bytes()))
-        got = list(source.finish())
+        got = finish(source)
         assert len(got) == 32
 
     def test_checkpoint_is_stateless(self, tmp_path):
@@ -386,16 +411,16 @@ class TestStdin:
         try:
             reader = os.fdopen(read_fd, "rb", buffering=0)
             source = StdinSource(stream=reader)
-            assert list(source.poll()) == []  # nothing yet; returns
+            assert poll(source) == []  # nothing yet; returns
             path = tmp_path / "cap.pcap"
             make_pcap(path, n=2)
             os.write(write_fd, path.read_bytes())
-            got = list(source.poll())
+            got = poll(source)
             assert len(got) == 16
             assert not source.exhausted
             os.close(write_fd)
             write_fd = None
-            list(source.poll())
+            poll(source)
             assert source.exhausted
         finally:
             if write_fd is not None:
@@ -408,8 +433,8 @@ class TestStdin:
         data = path.read_bytes()[:-5]
         strict = StdinSource(stream=io.BytesIO(data))
         with pytest.raises(PcapFormatError):
-            list(strict.finish())
+            finish(strict)
         lenient = StdinSource(
             stream=io.BytesIO(data), errors=ErrorBudget.lenient()
         )
-        assert len(list(lenient.finish())) == 15
+        assert len(finish(lenient)) == 15

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.config import AnalysisConfig
 from repro.experiments.cli import main as cli_main
 from repro.experiments.metrics import RunMetrics
 from repro.experiments.parallel import run_flows_parallel
@@ -209,7 +210,9 @@ def test_ground_truth_alignment_and_report(tmp_path):
     from repro.core.tapo import Tapo
 
     analyses = Tapo(
-        init_cwnd=scenario.server_config.init_cwnd, record_series=True
+        config=AnalysisConfig(
+            init_cwnd=scenario.server_config.init_cwnd, record_series=True
+        )
     ).analyze_packets(result.packets)
     inferred = analyses[0].kernel_series
     assert inferred

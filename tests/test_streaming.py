@@ -612,3 +612,67 @@ class TestEvictionEdgeCases:
         got = [a for a in analyses if a.flow.key == key]
         assert len(got) == 2
         assert all(a.duration >= 0 for a in got)
+
+
+class TestCliOneAnswerPerCapture:
+    """How ``tapo`` is asked to run and what it is asked to print never
+    changes what it finds: only ``--stream`` turns eviction on."""
+
+    @pytest.fixture
+    def idle_gap_pcap(self, tmp_path):
+        """Six connections, two of which fall silent mid-transfer for
+        longer than the default 60 s idle timeout (100 s and 70 s)."""
+        from collections import defaultdict
+
+        from repro.testing import generate_trace
+
+        packets = generate_trace(3, flows=6)
+        rows = defaultdict(list)
+        for index, packet in enumerate(packets):
+            rows[FlowKey.from_packet(packet)].append(index)
+        longest = sorted(rows.values(), key=len, reverse=True)[:2]
+        for indices, gap in zip(longest, (100.0, 70.0)):
+            for index in indices[len(indices) // 2 :]:
+                packets[index] = dataclasses.replace(
+                    packets[index],
+                    timestamp=packets[index].timestamp + gap,
+                )
+        packets.sort(key=lambda p: p.timestamp)
+        path = tmp_path / "idle-gap.pcap"
+        write_pcap(path, packets)
+        return path
+
+    def _run(self, capsys, path, *flags):
+        import json
+
+        from repro.core.cli import main
+
+        assert main([str(path), "--json", *flags]) == 0
+        captured = capsys.readouterr()
+        return captured.out, json.loads(captured.out), captured.err
+
+    def test_flags_do_not_change_the_report(
+        self, idle_gap_pcap, tmp_path, capsys
+    ):
+        plain, summary, _ = self._run(capsys, idle_gap_pcap)
+        assert (summary["flows"], summary["stalls"]) == (6, 9)
+        for flags in (
+            ["--stats"],
+            ["--metrics-out", str(tmp_path / "metrics")],
+            ["--workers", "2"],
+            ["--stats", "--workers", "2"],
+            ["--shards", "2"],
+        ):
+            out, _, _ = self._run(capsys, idle_gap_pcap, *flags)
+            assert out == plain, flags
+
+    def test_only_stream_evicts_and_says_so(self, idle_gap_pcap, capsys):
+        plain, _, _ = self._run(capsys, idle_gap_pcap)
+        out, summary, err = self._run(
+            capsys, idle_gap_pcap, "--stream", "--stats"
+        )
+        assert out != plain
+        assert summary["flows"] == 7
+        assert "1 idle-evicted, 1 reopened" in err
+        _, _, err = self._run(capsys, idle_gap_pcap, "--stats")
+        assert "0 idle-evicted, 0 reopened" in err
