@@ -28,41 +28,50 @@ import os
 import sys
 import time
 
-from repro.netsim.engine import EventLoop, _Event
+from repro.netsim.engine import EventLoop
 from repro.experiments.runner import run_flow
 from repro.workload.generator import generate_flows
 from repro.workload.services import get_profile
 
 DEFAULT_EVENTS = 200_000
-DEFAULT_REPEATS = 9
+#: The list-entry loop runs the workload ~2.4x faster than the dataclass
+#: one did, so the same wall time buys more repeats for the min filter.
+DEFAULT_REPEATS = 21
 DEFAULT_FLOWS = 6
 DEFAULT_SEED = 20141222
 
 #: Default ceiling on (hooked, untraced) / baseline wall time.
 OVERHEAD_BUDGET = 1.02
 
+# The engine's heap-entry layout, under module globals as the engine
+# reads it, so the replica pays the same name lookups.
+_TIME, _CALLBACK, _DONE = 0, 2, 3
+
 
 class _BaselineTimer:
-    """Pre-hook ``Timer``: cancel just flags the event."""
+    """Pre-hook ``Timer``: cancel just flags the heap entry."""
 
-    __slots__ = ("_engine", "_event")
+    __slots__ = ("_engine", "_entry")
 
-    def __init__(self, engine, event):
+    def __init__(self, engine, entry):
         self._engine = engine
-        self._event = event
+        self._entry = entry
 
     def cancel(self):
-        self._event.cancelled = True
+        entry = self._entry
+        if not entry[_DONE]:
+            entry[_DONE] = True
 
 
 class _BaselineLoop:
     """Replica of the event loop as it was before the observer hooks.
 
-    Kept faithful on purpose: same ``_Event``, same heap discipline,
-    same ``Timer``-handle allocation, same sanity checks and local
-    bindings in ``run`` — the only difference from :class:`EventLoop`
-    is the absence of the observer branches, so the timing delta
-    isolates exactly what the hooks cost when unset.
+    Kept faithful on purpose: same ``[time, tie, callback, done]``
+    list entries, same heap discipline, same ``Timer``-handle
+    allocation, same sanity checks, bounds tests and local bindings in
+    ``run`` — the only difference from :class:`EventLoop` is the
+    absence of the observer branches, so the timing delta isolates
+    exactly what the hooks cost when unset.
     """
 
     __slots__ = ("now", "_heap", "_tie", "events_run")
@@ -76,27 +85,39 @@ class _BaselineLoop:
     def schedule_at(self, when, callback):
         if when < self.now:
             raise RuntimeError("cannot schedule in the past")
-        event = _Event(when, next(self._tie), callback)
-        heapq.heappush(self._heap, event)
-        return _BaselineTimer(self, event)
+        entry = [when, next(self._tie), callback, False]
+        heapq.heappush(self._heap, entry)
+        return _BaselineTimer(self, entry)
 
     def schedule(self, delay, callback):
         if delay < 0:
             raise RuntimeError("negative delay")
         return self.schedule_at(self.now + delay, callback)
 
-    def run(self):
+    def run(self, until=None, max_events=None):
+        remaining = max_events
         heap = self._heap
         heappop = heapq.heappop
-        while True:
-            while heap and heap[0].cancelled:
-                heappop(heap)
+        while remaining is None or remaining > 0:
             if not heap:
+                if until is not None:
+                    self.now = max(self.now, until)
                 return
-            event = heappop(heap)
-            self.now = event.time
+            entry = heap[0]
+            if entry[_DONE]:
+                heappop(heap)
+                continue
+            time = entry[_TIME]
+            if until is not None and time > until:
+                self.now = until
+                return
+            heappop(heap)
+            entry[_DONE] = True
+            self.now = time
             self.events_run += 1
-            event.callback()
+            entry[_CALLBACK]()
+            if remaining is not None:
+                remaining -= 1
 
 
 def _drive(loop, events: int) -> None:

@@ -15,48 +15,48 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 
 class SimulationError(RuntimeError):
     """Raised on engine misuse (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True, slots=True)
-class _Event:
-    time: float
-    tie: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+# A heap entry is a plain list ``[time, tie, callback, done]``: heapq
+# compares lists in C, and because ``tie`` is unique the comparison
+# never reaches the callback.  ``done`` is set when the entry is popped
+# to fire and when its timer is cancelled.
+_TIME, _CALLBACK, _DONE = 0, 2, 3
 
 
 class Timer:
     """Handle for a scheduled callback.
 
-    ``cancel()`` is idempotent; ``pending`` tells whether the callback
-    is still going to fire.
+    ``cancel()`` is idempotent and silent on a timer that already
+    fired; ``pending`` tells whether the callback is still going to
+    fire (false from the moment the callback starts).
     """
 
-    __slots__ = ("_engine", "_event", "_callback")
+    __slots__ = ("_engine", "_entry")
 
-    def __init__(self, engine: "EventLoop", event: _Event):
+    def __init__(self, engine: "EventLoop", entry: list):
         self._engine = engine
-        self._event = event
+        self._entry = entry
 
     @property
     def pending(self) -> bool:
-        return not self._event.cancelled and self._event.time >= self._engine.now
+        return not self._entry[_DONE]
 
     @property
     def fire_time(self) -> float:
-        return self._event.time
+        return self._entry[_TIME]
 
     def cancel(self) -> None:
-        if not self._event.cancelled:
+        entry = self._entry
+        if not entry[_DONE]:
+            entry[_DONE] = True
             observer = self._engine.observer
             if observer is not None:
-                observer.on_cancel(self._event.time)
-        self._event.cancelled = True
+                observer.on_cancel(entry[_TIME])
 
 
 class EventLoop:
@@ -74,7 +74,7 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0):
         self.now = start_time
-        self._heap: list[_Event] = []
+        self._heap: list[list] = []
         self._tie = itertools.count()
         self.events_run = 0
         self.observer = None
@@ -85,11 +85,11 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}, now is {self.now:.6f}"
             )
-        event = _Event(time, next(self._tie), callback)
-        heapq.heappush(self._heap, event)
+        entry = [time, next(self._tie), callback, False]
+        heapq.heappush(self._heap, entry)
         if self.observer is not None:
             self.observer.on_schedule(time, callback)
-        return Timer(self, event)
+        return Timer(self, entry)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` after ``delay`` seconds."""
@@ -99,23 +99,23 @@ class EventLoop:
 
     def peek_time(self) -> float | None:
         """Timestamp of the next pending event, or None when idle."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][_DONE]:
+            heapq.heappop(heap)
+        return heap[0][_TIME] if heap else None
 
     def step(self) -> bool:
         """Run the next event; return False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self.events_run += 1
-            if self.observer is not None:
-                self.observer.on_fire(event.time, event.callback)
-            event.callback()
-            return True
-        return False
+        if self.peek_time() is None:
+            return False
+        entry = heapq.heappop(self._heap)
+        entry[_DONE] = True
+        self.now = entry[_TIME]
+        self.events_run += 1
+        if self.observer is not None:
+            self.observer.on_fire(entry[_TIME], entry[_CALLBACK])
+        entry[_CALLBACK]()
+        return True
 
     def run(
         self,
@@ -135,28 +135,31 @@ class EventLoop:
         heap = self._heap
         heappop = heapq.heappop
         observer = self.observer
-        while True:
-            if remaining is not None and remaining <= 0:
-                return
-            while heap and heap[0].cancelled:
-                heappop(heap)
+        while remaining is None or remaining > 0:
             if not heap:
                 if until is not None:
                     self.now = max(self.now, until)
                 return
-            event = heap[0]
-            if until is not None and event.time > until:
+            entry = heap[0]
+            if entry[_DONE]:
+                heappop(heap)
+                continue
+            time = entry[_TIME]
+            if until is not None and time > until:
                 self.now = until
                 return
             heappop(heap)
-            self.now = event.time
+            entry[_DONE] = True
+            self.now = time
             self.events_run += 1
             if observer is not None:
-                observer.on_fire(event.time, event.callback)
-            event.callback()
+                observer.on_fire(time, entry[_CALLBACK])
+            entry[_CALLBACK]()
             if remaining is not None:
                 remaining -= 1
 
     def clear(self) -> None:
         """Drop every pending event."""
+        for entry in self._heap:
+            entry[_DONE] = True
         self._heap.clear()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..packet.packet import PacketRecord
 from .engine import EventLoop
@@ -93,11 +94,12 @@ class Link:
 
     def send(self, pkt: PacketRecord) -> None:
         """Inject a packet into the link."""
+        engine = self.engine
+        now = engine.now
         self.stats.sent += 1
-        if self.loss.should_drop(self.rng, self.engine.now, pkt):
+        if self.loss.should_drop(self.rng, now, pkt):
             self.stats.dropped_loss += 1
             return
-        now = self.engine.now
         if self.rate_bps is None:
             depart = now
         else:
@@ -113,12 +115,12 @@ class Link:
             # The packet occupies the bottleneck queue only until it
             # finishes serializing; time on the wire afterwards must
             # not count against the queue limit.
-            self.engine.schedule_at(depart, self._on_depart)
+            engine.schedule_at(depart, self._on_depart)
         arrival = depart + self.delay + self.jitter.extra_delay(self.rng, now)
         if not self.allow_reorder:
             arrival = max(arrival, self._last_delivery)
             self._last_delivery = arrival
-        self.engine.schedule_at(arrival, lambda p=pkt: self._deliver(p))
+        engine.schedule_at(arrival, partial(self._deliver, pkt))
 
     def _on_depart(self) -> None:
         self._queued = max(0, self._queued - 1)

@@ -383,7 +383,12 @@ class CompositeJitter(JitterModel):
         self.models = list(models)
 
     def extra_delay(self, rng: random.Random, now: float = 0.0) -> float:
-        return sum(model.extra_delay(rng, now) for model in self.models)
+        # Left to right from an int zero, as ``sum`` adds: the float
+        # result is part of every packet timestamp.
+        total = 0
+        for model in self.models:
+            total += model.extra_delay(rng, now)
+        return total
 
 
 @dataclass

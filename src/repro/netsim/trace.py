@@ -29,11 +29,20 @@ class CaptureTap:
 
         Returns the stamped copy so callers can forward it.
         """
-        stamped = pkt.copy(timestamp=self.engine.now)
-        self.packets.append(stamped)
-        if self._writer is not None:
-            self._writer.write(stamped)
+        stamped = PacketRecord(
+            self.engine.now, pkt.src_ip, pkt.dst_ip, pkt.src_port,
+            pkt.dst_port, pkt.seq, pkt.ack, pkt.flags, pkt.window,
+            pkt.payload_len, pkt.options,
+        )
+        self.record(stamped)
         return stamped
+
+    def record(self, pkt: PacketRecord) -> None:
+        """Record a packet that already carries the current simulation
+        time, without copying it."""
+        self.packets.append(pkt)
+        if self._writer is not None:
+            self._writer.write(pkt)
 
     def close(self) -> None:
         if self._writer is not None:

@@ -6,8 +6,9 @@ distance, exactly as the Linux kernel's ``before()``/``after()`` macros
 do.  Every module in this repository that touches sequence numbers goes
 through these helpers so that wraparound is handled in exactly one
 place — except the analyzer's per-packet loops, which spell the same
-comparisons inline on :data:`SEQ_MASK` / :data:`SEQ_HALF` (two function
-calls per comparison are measurable there).  With
+comparisons inline on :data:`SEQ_MASK` / :data:`SEQ_HALF` (a function
+call per comparison is measurable there).  Each comparison is one
+masked expression, the sign of :func:`seq_sub` without the call; with
 ``d = (a - b) & SEQ_MASK``::
 
     seq_geq(a, b)     d < SEQ_HALF
@@ -45,22 +46,22 @@ def seq_sub(a: int, b: int) -> int:
 
 def seq_before(a: int, b: int) -> bool:
     """True when sequence number ``a`` is strictly before ``b``."""
-    return seq_sub(a, b) < 0
+    return (a - b) & SEQ_MASK >= SEQ_HALF
 
 
 def seq_after(a: int, b: int) -> bool:
     """True when sequence number ``a`` is strictly after ``b``."""
-    return seq_sub(a, b) > 0
+    return 0 < (a - b) & SEQ_MASK < SEQ_HALF
 
 
 def seq_leq(a: int, b: int) -> bool:
     """True when ``a`` is before or equal to ``b``."""
-    return seq_sub(a, b) <= 0
+    return not 0 < (a - b) & SEQ_MASK < SEQ_HALF
 
 
 def seq_geq(a: int, b: int) -> bool:
     """True when ``a`` is after or equal to ``b``."""
-    return seq_sub(a, b) >= 0
+    return (a - b) & SEQ_MASK < SEQ_HALF
 
 
 def seq_max(a: int, b: int) -> int:

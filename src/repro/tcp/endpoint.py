@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from ..netsim.engine import EventLoop, Timer
 from ..netsim.link import Link, PathConfig
 from ..netsim.trace import CaptureTap
-from ..packet.headers import FLAG_ACK, FLAG_PSH, FLAG_SYN
+from ..packet.headers import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
 from ..packet.options import TCPOptions
 from ..packet.packet import PacketRecord
 from ..packet.seqnum import seq_add
@@ -230,11 +230,12 @@ class TcpEndpoint:
             pkt = self.tap.capture(pkt)
         if self.closed:
             return
-        if pkt.syn and not pkt.has_ack:
-            self._on_syn(pkt)
-            return
-        if pkt.syn and pkt.has_ack:
-            self._on_syn_ack(pkt)
+        flags = pkt.flags
+        if flags & FLAG_SYN:
+            if flags & FLAG_ACK:
+                self._on_syn_ack(pkt)
+            else:
+                self._on_syn(pkt)
             return
         if self.sender is None or self.receiver is None:
             return  # packet for a connection we never opened
@@ -242,9 +243,9 @@ class TcpEndpoint:
             # Final handshake ACK.
             if pkt.ack == seq_add(self._iss, 1):
                 self._become_established()
-        if pkt.has_ack:
+        if flags & FLAG_ACK:
             self.sender.on_ack(pkt)
-        if pkt.payload_len > 0 or pkt.fin:
+        if pkt.payload_len > 0 or flags & FLAG_FIN:
             self.receiver.on_data(pkt)
 
     def _on_syn(self, pkt: PacketRecord) -> None:
@@ -294,18 +295,10 @@ class TcpEndpoint:
     ) -> PacketRecord:
         assert self.peer is not None or self._is_server
         dst_ip, dst_port = self.peer if self.peer else (0, 0)
+        config = self.config
         return PacketRecord(
-            timestamp=self.engine.now,
-            src_ip=self.config.ip,
-            dst_ip=dst_ip,
-            src_port=self.config.port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=window,
-            payload_len=payload_len,
-            options=options or TCPOptions(),
+            self.engine.now, config.ip, dst_ip, config.port, dst_port,
+            seq, ack, flags, window, payload_len, options or TCPOptions(),
         )
 
     def _window_field(self) -> int:
@@ -328,8 +321,6 @@ class TcpEndpoint:
         assert self.receiver is not None
         flags = FLAG_ACK | (FLAG_PSH if length else 0)
         if fin:
-            from ..packet.headers import FLAG_FIN
-
             flags |= FLAG_FIN
         pkt = self._base_packet(
             seq=seq,
@@ -357,7 +348,10 @@ class TcpEndpoint:
         if self.closed:
             return
         if self.tap is not None:
-            pkt = self.tap.capture(pkt)
+            # ``_base_packet`` stamped the record with ``engine.now``
+            # one call ago and nothing mutates a record, so the tap
+            # keeps this one rather than a copy.
+            self.tap.record(pkt)
         if self.link is None:
             raise RuntimeError("endpoint has no outgoing link attached")
         self.link.send(pkt)

@@ -9,6 +9,14 @@ paper's Table 2 use::
     packets_out = snd_nxt - snd_una                 (in segments)
     in_flight   = packets_out + retrans_out - (sacked_out + lost_out)
 
+``sacked_out``, ``lost_out`` and ``retrans_out`` are counters, not
+rescans: every write of a segment's ``sacked``, ``lost`` or
+``retrans_outstanding`` flag goes through a :class:`Scoreboard` method
+that moves the matching counter, so nothing outside this module
+assigns those three flags.  Two facts keep the bookkeeping small: a
+segment is never un-SACKed, and SACKing clears ``lost`` — so a segment
+is never both.
+
 The scoreboard also implements the loss-marking rule that creates the
 paper's *f-double* stalls: a segment that has already been fast-
 retransmitted is never eligible for another fast retransmit — if the
@@ -66,6 +74,10 @@ class Scoreboard:
     def __init__(self) -> None:
         self._segments: list[Segment] = []
         self.highest_sacked: int | None = None
+        self._sacked_out = 0
+        self._lost_out = 0
+        # Counts ``retrans_outstanding and not sacked``.
+        self._retrans_out = 0
 
     # -- queue management ---------------------------------------------
     def add(self, segment: Segment) -> None:
@@ -81,14 +93,27 @@ class Scoreboard:
 
     def ack_through(self, ack: int) -> list[Segment]:
         """Remove and return all segments fully covered by ``ack``."""
-        acked: list[Segment] = []
-        while self._segments and seq_leq(self._segments[0].end_seq, ack):
-            acked.append(self._segments.pop(0))
+        segments = self._segments
+        count = 0
+        for seg in segments:
+            if not seq_leq(seg.end_seq, ack):
+                break
+            count += 1
+        acked = segments[:count]
+        del segments[:count]
+        if self._sacked_out or self._lost_out or self._retrans_out:
+            for seg in acked:
+                if seg.sacked:
+                    self._sacked_out -= 1
+                else:
+                    self._lost_out -= seg.lost
+                    self._retrans_out -= seg.retrans_outstanding
         return acked
 
     def clear(self) -> None:
         self._segments.clear()
         self.highest_sacked = None
+        self._sacked_out = self._lost_out = self._retrans_out = 0
 
     # -- SACK processing -----------------------------------------------
     def apply_sack(
@@ -120,7 +145,10 @@ class Scoreboard:
                 if seq_geq(seg.seq, left) and seq_leq(seg.end_seq, right):
                     seg.sacked = True
                     seg.sacked_time = now
+                    self._sacked_out += 1
+                    self._lost_out -= seg.lost
                     seg.lost = False
+                    self._retrans_out -= seg.retrans_outstanding
                     result.newly_sacked += 1
                     result.newly_sacked_segments.append(seg)
                     if self.highest_sacked is None or seq_after(
@@ -136,15 +164,17 @@ class Scoreboard:
         ``dup_thresh`` SACKed segments lie above it.  Returns the number
         of segments newly marked lost.
         """
-        sacked_above = sum(1 for seg in self._segments if seg.sacked)
+        sacked_above = self._sacked_out
         newly_lost = 0
         for seg in self._segments:
+            if sacked_above < dup_thresh:
+                break
             if seg.sacked:
                 sacked_above -= 1
-                continue
-            if sacked_above >= dup_thresh and not seg.lost:
+            elif not seg.lost:
                 seg.lost = True
                 newly_lost += 1
+        self._lost_out += newly_lost
         return newly_lost
 
     def mark_head_lost(self) -> Segment | None:
@@ -153,6 +183,7 @@ class Scoreboard:
             if not seg.sacked:
                 if not seg.lost:
                     seg.lost = True
+                    self._lost_out += 1
                 return seg
         return None
 
@@ -167,7 +198,25 @@ class Scoreboard:
                 seg.fast_retrans = False
                 seg.retrans_outstanding = False
                 count += 1
+        self._lost_out = count
+        self._retrans_out = 0
         return count
+
+    def clear_lost(self) -> None:
+        """Undo: the episode's loss marks were spurious."""
+        if self._lost_out:
+            for seg in self._segments:
+                seg.lost = False
+            self._lost_out = 0
+
+    def mark_retransmitted(self, seg: Segment, now: float) -> None:
+        """``seg`` was just (re)transmitted: its latest copy is in the
+        network until it is SACKed, acked or declared lost by the RTO."""
+        seg.retrans_count += 1
+        seg.last_tx_time = now
+        if not seg.retrans_outstanding:
+            seg.retrans_outstanding = True
+            self._retrans_out += not seg.sacked
 
     # -- queries --------------------------------------------------------
     def __len__(self) -> int:
@@ -192,11 +241,11 @@ class Scoreboard:
 
     @property
     def sacked_out(self) -> int:
-        return sum(1 for seg in self._segments if seg.sacked)
+        return self._sacked_out
 
     @property
     def lost_out(self) -> int:
-        return sum(1 for seg in self._segments if seg.lost)
+        return self._lost_out
 
     @property
     def retrans_out(self) -> int:
@@ -207,19 +256,15 @@ class Scoreboard:
         lost-then-retransmitted segment contributes ``+1`` here and
         ``-1`` through ``lost_out``, keeping Equation (1) correct.
         """
-        return sum(
-            1
-            for seg in self._segments
-            if seg.retrans_outstanding and not seg.sacked
-        )
+        return self._retrans_out
 
     @property
     def in_flight(self) -> int:
         """Equation (1) of the paper."""
         return (
-            self.packets_out
-            + self.retrans_out
-            - (self.sacked_out + self.lost_out)
+            len(self._segments)
+            + self._retrans_out
+            - (self._sacked_out + self._lost_out)
         )
 
     def next_retransmittable(self) -> Segment | None:

@@ -386,9 +386,7 @@ class SenderHalf:
         self.cwnd = max(self.cwnd, self._undo_cwnd)
         self.ssthresh = max(self.ssthresh, self._undo_ssthresh)
         self._clear_undo()
-        for seg in self.scoreboard:
-            if not seg.sacked:
-                seg.lost = False
+        self.scoreboard.clear_lost()
         if self.ca_state in (self.RECOVERY, self.LOSS):
             self._high_seq = None
             self._set_state(self.OPEN)
@@ -412,9 +410,7 @@ class SenderHalf:
                 self.cwnd = max(self.cwnd, self._undo_cwnd)
                 self.ssthresh = max(self.ssthresh, self._undo_ssthresh)
                 self._clear_undo()
-                for seg in self.scoreboard:
-                    if not seg.sacked:
-                        seg.lost = False
+                self.scoreboard.clear_lost()
                 self._high_seq = None
                 self._set_state(self.OPEN)
             else:
@@ -732,17 +728,21 @@ class SenderHalf:
 
     def _send_one_new(self) -> bool:
         """Transmit at most one new segment; True when one was sent."""
-        budget = self._send_window_bytes()
-        if self.scoreboard.in_flight >= self.cwnd:
-            return False
         if self._app_bytes > 0:
-            if budget < min(self.mss, self._app_bytes):
-                return False
             length = min(self.mss, self._app_bytes)
+            if (
+                self.scoreboard.in_flight >= self.cwnd
+                or self._send_window_bytes() < length
+            ):
+                return False
             fin = self._fin_pending and self._app_bytes == length
             self._transmit_new(length, fin)
             return True
-        if self._fin_pending and not self._fin_sent:
+        if (
+            self._fin_pending
+            and not self._fin_sent
+            and self.scoreboard.in_flight < self.cwnd
+        ):
             self._transmit_new(0, True)
             return True
         return False
@@ -782,10 +782,7 @@ class SenderHalf:
         probe: bool = False,
     ) -> None:
         """(Re)transmit one scoreboard segment."""
-        now = self.engine.now
-        seg.retrans_count += 1
-        seg.last_tx_time = now
-        seg.retrans_outstanding = True
+        self.scoreboard.mark_retransmitted(seg, self.engine.now)
         if self._undo_marker is not None:
             self._undo_retrans += 1
         if fast:

@@ -85,6 +85,56 @@ class TestTimer:
         timer = engine.schedule(2.0, lambda: None)
         assert timer.fire_time == 2.0
 
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_fired_timer_is_not_pending(self, drive):
+        """The clock still reads the fire time when the callback runs
+        and afterwards, so ``pending`` cannot be a clock comparison."""
+        engine = EventLoop()
+        seen = []
+        timer = engine.schedule(1.0, lambda: seen.append(timer.pending))
+        getattr(engine, drive)()
+        assert seen == [False]
+        assert engine.now == timer.fire_time
+        assert not timer.pending
+
+    def test_cancel_after_fire_is_silent(self):
+        """A callback cancelling its own timer (the receiver's delayed
+        ACK does) must not report a cancel for an event that fired."""
+
+        class Log:
+            def __init__(self):
+                self.calls = []
+
+            def on_schedule(self, time, callback):
+                self.calls.append("schedule")
+
+            def on_fire(self, time, callback):
+                self.calls.append("fire")
+
+            def on_cancel(self, time):
+                self.calls.append("cancel")
+
+        engine = EventLoop()
+        engine.observer = log = Log()
+        timer = engine.schedule(1.0, lambda: timer.cancel())
+        other = engine.schedule(2.0, lambda: None)
+        other.cancel()
+        engine.run()
+        timer.cancel()
+        assert log.calls == ["schedule", "schedule", "cancel", "fire"]
+
+    def test_cleared_timer_is_not_pending(self):
+        engine = EventLoop()
+        timer = engine.schedule(1.0, lambda: None)
+        engine.clear()
+        assert not timer.pending
+
+    def test_timer_has_no_unassigned_slot(self):
+        engine = EventLoop()
+        timer = engine.schedule(1.0, lambda: None)
+        for slot in type(timer).__slots__:
+            getattr(timer, slot)
+
 
 class TestRunBounds:
     def test_until_leaves_later_events(self):

@@ -13,6 +13,7 @@ The contract under test is the one ISSUE'd for the obs subsystem:
 
 import csv
 import json
+from collections import Counter
 
 import pytest
 
@@ -64,6 +65,18 @@ def test_tracing_off_and_on_byte_identical():
     assert _packet_signature(plain) == _packet_signature(engine_traced)
     assert plain.sim_time == traced.sim_time == engine_traced.sim_time
     assert plain.events == traced.events == engine_traced.events
+
+
+def test_engine_trace_never_logs_a_timer_as_fired_and_cancelled():
+    """The delayed-ACK callback cancels its own, already fired timer;
+    every scheduled event ends at most one way."""
+    for scenario in _scenarios(25, seed=3, service="cloud_storage"):
+        result = run_flow(scenario, trace="engine", trace_capacity=1 << 20)
+        assert result.trace_dropped == 0
+        count = Counter(
+            e.detail for e in result.trace_events if e.kind == "engine"
+        )
+        assert count["schedule"] >= count["fire"] + count["cancel"]
 
 
 def test_trace_events_are_time_ordered_and_typed():

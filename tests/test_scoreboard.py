@@ -117,11 +117,13 @@ class TestLossMarking:
     def test_mark_all_lost_clears_fast_retrans(self):
         board = filled_board(3)
         board.head().fast_retrans = True
-        board.head().retrans_outstanding = True
+        board.mark_retransmitted(board.head(), now=1.0)
+        assert board.retrans_out == 1
         count = board.mark_all_lost()
         assert count == 3
         assert not board.head().fast_retrans
         assert not board.head().retrans_outstanding
+        assert board.retrans_out == 0 and board.lost_out == 3
 
     def test_mark_all_lost_spares_sacked(self):
         board = filled_board(3)
@@ -145,8 +147,8 @@ class TestEquationOne:
         board.mark_lost_by_sack(dup_thresh=3)
         head = board.head()
         assert board.in_flight == 0  # lost head, everything else sacked
-        head.retrans_count += 1
-        head.retrans_outstanding = True
+        board.mark_retransmitted(head, now=1.0)
+        assert head.retrans_count == 1 and head.retrans_outstanding
         assert board.in_flight == 1  # its retransmission is in the net
 
     def test_holes(self):
@@ -160,16 +162,14 @@ class TestRetransmitSelection:
         """The 2.6.32 rule creating f-double stalls: a fast-
         retransmitted segment is never fast-retransmitted again."""
         board = filled_board(3)
-        for s in board:
-            s.lost = True
+        board.mark_all_lost()
         board.head().fast_retrans = True
         candidate = board.next_retransmittable()
         assert candidate.seq == 1000
 
     def test_next_rto_retransmittable_includes_fast_retransmitted(self):
         board = filled_board(3)
-        for s in board:
-            s.lost = True
+        board.mark_all_lost()
         board.head().fast_retrans = True
         assert board.next_rto_retransmittable().seq == 0
 

@@ -9,17 +9,19 @@ MSS = 1000
 WINDOW = 20  # segments in the test window
 
 
+def segment(index):
+    return Segment(
+        seq=1 + index * MSS,
+        end_seq=1 + (index + 1) * MSS,
+        first_tx_time=0.0,
+        last_tx_time=0.0,
+    )
+
+
 def fresh_board():
     board = Scoreboard()
     for i in range(WINDOW):
-        board.add(
-            Segment(
-                seq=1 + i * MSS,
-                end_seq=1 + (i + 1) * MSS,
-                first_tx_time=0.0,
-                last_tx_time=0.0,
-            )
-        )
+        board.add(segment(i))
     return board
 
 
@@ -36,8 +38,19 @@ mark_events = st.tuples(
     st.just(0),
     st.just(0),
 )
+# The remaining flag writers: retransmit the a-th outstanding segment,
+# the undo that clears loss marks, new data after the tail, and clear.
+other_events = st.tuples(
+    st.sampled_from(["retransmit", "clear_lost", "add", "clear"]),
+    st.integers(0, WINDOW - 1),
+    st.just(0),
+)
 events = st.lists(
     st.one_of(ack_events, sack_events, mark_events), max_size=40
+)
+all_events = st.lists(
+    st.one_of(ack_events, sack_events, mark_events, other_events),
+    max_size=60,
 )
 
 
@@ -59,7 +72,51 @@ def apply_events(board, event_list):
             board.mark_all_lost()
         elif kind == "mark_head":
             board.mark_head_lost()
+        elif kind == "retransmit":
+            if not board.empty:
+                outstanding = list(board)
+                board.mark_retransmitted(
+                    outstanding[a % len(outstanding)], now=2.0
+                )
+        elif kind == "clear_lost":
+            board.clear_lost()
+        elif kind == "add":
+            tail = board.tail()
+            board.add(
+                segment(WINDOW if tail is None else tail.end_seq // MSS)
+            )
+        elif kind == "clear":
+            board.clear()
     return snd_una
+
+
+class TestCounters:
+    @given(all_events)
+    @settings(max_examples=300)
+    def test_counters_equal_a_recount(self, event_list):
+        """``sacked_out`` / ``lost_out`` / ``retrans_out`` are kept
+        where flags flip; a rescan of the segment list is the
+        definition they must track through every writer."""
+        board = fresh_board()
+        apply_events(board, event_list)
+        segments = list(board)
+        sacked = sum(1 for s in segments if s.sacked)
+        lost = sum(1 for s in segments if s.lost)
+        retrans = sum(
+            1 for s in segments if s.retrans_outstanding and not s.sacked
+        )
+        assert board.sacked_out == sacked
+        assert board.lost_out == lost
+        assert board.retrans_out == retrans
+        assert board.in_flight == len(segments) + retrans - (sacked + lost)
+        highest = board.highest_sacked
+        assert board.holes() == (
+            0
+            if highest is None
+            else sum(
+                1 for s in segments if not s.sacked and s.seq < highest
+            )
+        )
 
 
 class TestInvariants:

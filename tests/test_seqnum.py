@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.packet.seqnum import (
+    SEQ_HALF,
     SEQ_SPACE,
     seq_add,
     seq_after,
@@ -85,6 +86,44 @@ class TestComparisons:
     @given(seqs, seqs)
     def test_leq_is_before_or_equal(self, a, b):
         assert seq_leq(a, b) == (seq_before(a, b) or a == b)
+
+
+class TestComparisonsMatchSeqSub:
+    """Each comparison helper is one masked expression; its definition
+    is the sign of ``seq_sub``, over the whole 32-bit range."""
+
+    @staticmethod
+    def check(a, b):
+        distance = seq_sub(a, b)
+        assert seq_before(a, b) == (distance < 0)
+        assert seq_after(a, b) == (distance > 0)
+        assert seq_leq(a, b) == (distance <= 0)
+        assert seq_geq(a, b) == (distance >= 0)
+
+    @given(seqs, seqs)
+    def test_every_pair(self, a, b):
+        self.check(a, b)
+
+    @pytest.mark.parametrize("base", [0, 1, 12345, SEQ_HALF, SEQ_SPACE - 1])
+    @pytest.mark.parametrize(
+        "distance", [0, 1, SEQ_HALF - 1, SEQ_HALF, SEQ_HALF + 1, SEQ_SPACE - 1]
+    )
+    def test_edges_from_either_side(self, base, distance):
+        other = seq_add(base, distance)
+        self.check(other, base)
+        self.check(base, other)
+
+    def test_half_space_tie(self):
+        """At distance 2**31 the direction is ambiguous; ``seq_sub``
+        answers -2**31, so the pair reads as *before*."""
+        for a, b in ((SEQ_HALF, 0), (0, SEQ_HALF), (5, SEQ_HALF + 5)):
+            assert seq_sub(a, b) == -SEQ_HALF
+            assert seq_before(a, b) and seq_leq(a, b)
+            assert not seq_after(a, b) and not seq_geq(a, b)
+
+    def test_across_the_wrap(self):
+        assert seq_before(SEQ_SPACE - 1, 0) and seq_leq(SEQ_SPACE - 1, 0)
+        assert seq_after(0, SEQ_SPACE - 1) and seq_geq(0, SEQ_SPACE - 1)
 
 
 class TestMinMax:
