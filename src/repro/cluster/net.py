@@ -48,6 +48,7 @@ import multiprocessing
 import os
 import random
 import selectors
+import signal
 import socket
 import time
 from collections import deque
@@ -70,6 +71,10 @@ logger = logging.getLogger("repro.cluster.net")
 
 #: Floor for the selectors timeout so deadline checks stay responsive.
 _MIN_POLL = 0.05
+
+#: How long a dropped local worker gets to exit (on SIGTERM mid-shard,
+#: on end-of-stream when idle) before it is sent SIGKILL.
+_REAP_TIMEOUT = 2.0
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,12 @@ def run_sessions(coord, todo: list[int], results: dict) -> None:
             # kill it.  An idle child exits on SHUTDOWN/end-of-stream.
             if session.shard is not None and process.is_alive():
                 process.terminate()
-            process.join(timeout=10)
+            process.join(timeout=_REAP_TIMEOUT)
+            if process.is_alive():
+                # SIGTERM blocked or ignored (native code, a handler a
+                # library installed): SIGKILL cannot be.
+                process.kill()
+                process.join()
 
     def lose(session: _Session, why: str) -> None:
         nonlocal last_activity
@@ -530,7 +540,12 @@ def _local_worker(sock: socket.socket, inherited) -> None:
     The fork copied the coordinator's end of every session, this one
     included; a copy left open here would keep a dead peer's stream
     from ever reading as ended, so all are closed before serving.
+    It also copied the coordinator's signal handlers (a live daemon
+    routes SIGTERM to "flush and stop"), which here would swallow the
+    coordinator's ``terminate()``; a worker dies when told to.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     for transport in inherited:
         transport.close()
     transport = SocketTransport(sock)

@@ -5,8 +5,11 @@ This is the analysis half of the zero-copy columnar path
 columns flow through :class:`ColumnarStreamDemuxer`, which mirrors
 :class:`repro.packet.flow.StreamDemuxer` decision for decision —
 server identification, eviction order, :class:`StreamStats`
-accounting — but keys flows by packed integers and buffers per-flow
-*columns* instead of per-packet objects.  Completed flows come out as
+accounting — but keys flows by packed integers, buffers per-flow
+*columns* instead of per-packet objects, and works a slab at a time:
+rows are grouped by flow with one sort and each flow's columns grow by
+one slice, so only SYN/FIN/RST and odd-option rows cost a Python step
+each (DESIGN.md 5.2).  Completed flows come out as
 :class:`LazyFlowTrace` objects: real :class:`FlowTrace`\\ s whose
 packet list materializes only if someone actually needs the objects.
 
@@ -15,9 +18,11 @@ flow's rows through the same arithmetic
 :class:`~repro.core.flow_analyzer.FlowAnalyzer` performs — including a
 real :class:`~repro.tcp.rto.RTOEstimator` — for as long as the flow
 stays *clean*: no stall (``gap > min(tau*SRTT, RTO)``), no SACK
-blocks, no duplicate ACKs, no retransmitted or out-of-order data.  A
-clean flow never leaves the ``Open`` congestion state and its
-:class:`~repro.core.flow_analyzer.FlowAnalysis` is reproduced exactly.
+blocks (those are known from the flow's odd-option rows before the
+first row is read), no duplicate ACKs, no retransmitted or
+out-of-order data.  A clean flow never leaves the ``Open`` congestion
+state and its :class:`~repro.core.flow_analyzer.FlowAnalysis` is
+reproduced exactly.
 The moment any of those conditions trips, the replay *bails*: it
 returns ``None`` and the caller hands the flow to the full analyzer,
 which reads the same rows (:meth:`LazyFlowTrace.rows`) off the same
@@ -40,7 +45,6 @@ from ..packet.columnar import (
     OPT_ODD,
     OPT_TS,
     _U32,
-    _U32_ITEMSIZE,
     PacketColumns,
 )
 from ..packet.flow import (
@@ -65,6 +69,20 @@ from .flow_analyzer import FlowAnalysis
 #: full analyzer.
 _SEQ_SPACE = 1 << 32
 
+
+def _marked(mask, starts: list[int]) -> tuple[list[int], list[int]]:
+    """Positions where ``mask`` is set, and the offsets that split them
+    among the groups starting at ``starts`` (group ``g`` owns
+    ``positions[offsets[g]:offsets[g + 1]]``)."""
+    positions = mask.nonzero()[0]
+    offsets = (
+        np.searchsorted(positions, starts).tolist()
+        if len(starts) > 1 else [0]
+    )
+    offsets.append(len(positions))
+    return positions.tolist(), offsets
+
+
 def _endpoint(packed: int) -> tuple[int, int]:
     """Unpack a 48-bit ``(ip << 16) | port`` endpoint."""
     return packed >> 16, packed & 0xFFFF
@@ -73,7 +91,8 @@ def _endpoint(packed: int) -> tuple[int, int]:
 class _FlowStore:
     """Per-flow packet buffer as compact parallel arrays.
 
-    Rows are appended in capture order; ``src_pk`` keeps the packed
+    Rows are appended in capture order, a slab's worth of one
+    connection at a time; ``src_pk`` keeps the packed
     source endpoint so direction is derivable once the server is
     known (which, for pending flows, is only at resolution time).
     When every appended row came from a batch that kept its source
@@ -81,11 +100,12 @@ class _FlowStore:
     materialization returns the *original* objects.
     """
 
-    __slots__ = (
-        "pk_a", "pk_b", "server_pk",
+    #: The per-row columns, in the order :meth:`extend` takes them.
+    COLUMNS = (
         "times", "src_pk", "seq", "ack", "flags", "window",
-        "payload", "ts_val", "ts_ecr", "optbits", "odd", "records",
+        "payload", "ts_val", "ts_ecr", "optbits",
     )
+    __slots__ = ("pk_a", "pk_b", "server_pk", *COLUMNS, "odd", "records")
 
     def __init__(self, pk_a: int, pk_b: int):
         self.pk_a = pk_a
@@ -107,27 +127,14 @@ class _FlowStore:
     def __len__(self) -> int:
         return len(self.times)
 
-    def append(
-        self, t, src, seq, ack, flags, window, payload,
-        ts_val, ts_ecr, optbits, options, record,
-    ) -> None:
-        if optbits & OPT_ODD:
-            self.odd[len(self.times)] = options
-        self.times.append(t)
-        self.src_pk.append(src)
-        self.seq.append(seq)
-        self.ack.append(ack)
-        self.flags.append(flags)
-        self.window.append(window)
-        self.payload.append(payload)
-        self.ts_val.append(ts_val)
-        self.ts_ecr.append(ts_ecr)
-        self.optbits.append(optbits)
-        if self.records is not None:
-            if record is not None:
-                self.records.append(record)
-            else:
-                self.records = None
+    def extend(self, slab: list[memoryview], start: int, end: int) -> None:
+        """Append rows ``start..end`` of a slab's columns, given as
+        byte views in :attr:`COLUMNS` order.  ``frombytes`` copies, so
+        the store owns its rows and keeps no slab alive."""
+        for name, view in zip(self.COLUMNS, slab):
+            column = getattr(self, name)
+            size = column.itemsize
+            column.frombytes(view[start * size:end * size])
 
     def options_at(self, index: int) -> TCPOptions:
         bits = self.optbits[index]
@@ -350,107 +357,195 @@ class ColumnarStreamDemuxer:
 
     # -- feeding ------------------------------------------------------
     def feed_columns(self, cols: PacketColumns) -> None:
-        """Demultiplex one batch of decoded columns."""
+        """Demultiplex one batch of decoded columns.
+
+        Rows are grouped by flow key with one stable sort, each column
+        is gathered once and every flow's buffers grow by one slice;
+        only SYN/FIN/RST rows and odd-option rows are visited one at a
+        time.  With eviction on the slab is cut after each row at
+        which a sweep falls due, and a connection's rows on either
+        side of a cut are separate groups, so eviction order and
+        re-opened tuples come out as they would row by row.
+        """
         count = len(cols)
         if not count:
             return
-        u32 = np.uint32 if _U32_ITEMSIZE == 4 else np.uint64
-        src_pks = (
-            (np.frombuffer(cols.src_ip, dtype=u32).astype(np.int64) << 16)
-            | np.frombuffer(cols.src_port, dtype=np.uint16)
-        ).tolist()
-        dst_pks = (
-            (np.frombuffer(cols.dst_ip, dtype=u32).astype(np.int64) << 16)
-            | np.frombuffer(cols.dst_port, dtype=np.uint16)
-        ).tolist()
-        times = cols.timestamps.tolist()
-        seqs = cols.seq.tolist()
-        acks = cols.ack.tolist()
-        flags_col = cols.flags.tolist()
-        windows = cols.window.tolist()
-        payloads = cols.payload_len.tolist()
-        ts_vals = cols.ts_val.tolist()
-        ts_ecrs = cols.ts_ecr.tolist()
-        optbits_col = cols.optbits.tolist()
-        odd_options = cols.odd_options
-        sources = cols.source_records
-        predicate = self._server_side
+        src = np.asarray(cols.src_ip).astype(np.int64)
+        src <<= 16
+        src |= np.asarray(cols.src_port)
+        dst = np.asarray(cols.dst_ip).astype(np.int64)
+        dst <<= 16
+        dst |= np.asarray(cols.dst_port)
+        lo = np.minimum(src, dst)
+        hi = np.maximum(src, dst)
+        cuts = self._sweep_rows(cols.timestamps)
+        slab = [
+            cols.timestamps, src, cols.seq, cols.ack, cols.flags,
+            cols.window, cols.payload_len, cols.ts_val, cols.ts_ecr,
+            cols.optbits,
+        ]
+        records = cols.source_records
 
+        # ``rows`` lists the slab's rows group by group (capture order
+        # inside a group), ``starts`` the group boundaries in it, and
+        # ``lo``/``hi`` each group's packed endpoints.
+        if (lo != lo[0]).any() or (hi != hi[0]).any():
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            change = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            if cuts:
+                segment = np.searchsorted(cuts, order)
+                change |= segment[1:] != segment[:-1]
+            starts = change.nonzero()[0]
+            starts += 1
+            starts = [0, *starts.tolist()]
+            lo, hi = lo[starts].tolist(), hi[starts].tolist()
+            rows = order.tolist()
+            # Gathered copies the flows copy their slices out of: a
+            # flow's buffers own their bytes and never pin the slab.
+            slab = [np.asarray(column)[order] for column in slab]
+            if records is not None:
+                gathered = np.empty(count, dtype=object)
+                gathered[:] = records
+                records = gathered[order].tolist()
+        else:
+            # One connection (every trace the simulator hands over):
+            # the slab is its own group, nothing to sort or gather.
+            starts = [0, *(cut + 1 for cut in cuts if cut + 1 < count)]
+            lo, hi = [int(lo[0])] * len(starts), [int(hi[0])] * len(starts)
+            rows = range(count)
+        ends = [*starts[1:], count]
+        flagged, flagged_at = _marked(
+            np.asarray(slab[4]) & (FLAG_SYN | FLAG_FIN | FLAG_RST), starts
+        )
+        flagged = [rows[at] for at in flagged]
+        odd, odd_at = _marked(np.asarray(slab[9]) & OPT_ODD, starts)
+        slab = [memoryview(column).cast("B") for column in slab]
+        # Groups in order of first row: ``_flows`` / ``_pending`` keep
+        # insertion order and ``finish`` breaks ties with it.
+        visit = sorted(
+            range(len(starts)), key=[rows[at] for at in starts].__getitem__
+        )
+
+        timestamps = cols.timestamps
+        flag_col = cols.flags
+        odd_options = cols.odd_options
+        predicate = self._server_side
         flows = self._flows
         pending = self._pending
         stats = self.stats
-        last_seen = self._last_seen
         closed_at = self._closed_at
-        sweep_every = self._sweep_every
+        identified: list[tuple[int, int, _FlowStore]] = []
+        cut_at = 0
+        done = 0
 
-        for row in range(count):
-            src = src_pks[row]
-            dst = dst_pks[row]
-            if src <= dst:
-                key = (src << 48) | dst
-            else:
-                key = (dst << 48) | src
-            now = times[row]
-            flags = flags_col[row]
+        for group in visit:
+            start = starts[group]
+            end = ends[group]
+            first = rows[start]
+            if cut_at < len(cuts) and first > cuts[cut_at]:
+                # The previous group closed a segment: sweep at its
+                # last row before this one's packets count.
+                self._end_segment(cuts[cut_at] + 1 - done, identified)
+                done = cuts[cut_at] + 1
+                self._sweep(timestamps[cuts[cut_at]])
+                cut_at += 1
+            key = (lo[group] << 48) | hi[group]
             store = flows.get(key)
-            known_before = True
-            if store is None:
+            waiting = store is None
+            # The row that names the server, and whether it sent it.
+            identifying: tuple[int, int] | None = None
+            if waiting:
                 store = pending.get(key)
                 if store is None:
-                    known_before = False
-                    if src <= dst:
-                        store = _FlowStore(src, dst)
-                    else:
-                        store = _FlowStore(dst, src)
-                # Server inference, attempted on every packet while the
-                # flow is unidentified (FlowDemuxer._identify_server).
-                server = None
+                    store = _FlowStore(lo[group], hi[group])
+                    stats.flows_started += 1
+                    if not flag_col[first] & FLAG_SYN:
+                        stats.flows_reopened += 1
+                    stats.active_flows += 1
                 if predicate is not None:
-                    record = (
-                        sources[row] if sources is not None
-                        else cols.record(row)
-                    )
-                    server = src if predicate(record) else dst
-                elif flags & FLAG_SYN:
-                    server = src if flags & FLAG_ACK else dst
-                if server is None:
-                    pending[key] = store
-                else:
-                    store.server_pk = server
-                    pending.pop(key, None)
-                    flows[key] = store
-            optbits = optbits_col[row]
-            store.append(
-                now, src, seqs[row], acks[row], flags, windows[row],
-                payloads[row], ts_vals[row], ts_ecrs[row], optbits,
-                odd_options[row] if optbits & OPT_ODD else None,
-                sources[row] if sources is not None else None,
-            )
-            stats.packets += 1
-            stats.buffered_packets += 1
-            if stats.buffered_packets > stats.peak_buffered_packets:
-                stats.peak_buffered_packets = stats.buffered_packets
-            if not known_before:
-                stats.flows_started += 1
-                if not flags & FLAG_SYN:
-                    stats.flows_reopened += 1
-                stats.active_flows += 1
-                if stats.active_flows > stats.peak_active_flows:
-                    stats.peak_active_flows = stats.active_flows
-            last_seen[key] = now
-            if flags & FLAG_RST:
-                closed_at.setdefault(key, now)
-            elif flags & FLAG_FIN:
-                fins = self._fins.setdefault(key, set())
-                fins.add(src)
-                if len(fins) >= 2:
-                    closed_at.setdefault(key, now)
-            if sweep_every is not None:
-                if self._next_sweep is None:
-                    self._next_sweep = now + sweep_every
-                elif now >= self._next_sweep:
-                    self._sweep(now)
-                    self._next_sweep = now + sweep_every
+                    identifying = first, predicate(cols.record(first))
+            for row in flagged[flagged_at[group]:flagged_at[group + 1]]:
+                bits = flag_col[row]
+                if bits & FLAG_SYN and waiting and identifying is None:
+                    # SYN+ACK comes from the server, a bare SYN points
+                    # at it.
+                    identifying = row, bits & FLAG_ACK
+                if bits & FLAG_RST:
+                    closed_at.setdefault(key, timestamps[row])
+                elif bits & FLAG_FIN:
+                    fins = self._fins.setdefault(key, set())
+                    fins.add((cols.src_ip[row] << 16) | cols.src_port[row])
+                    if len(fins) >= 2:
+                        closed_at.setdefault(key, timestamps[row])
+            if identifying is not None:
+                row, from_server = identifying
+                server = (cols.src_ip[row] << 16) | cols.src_port[row]
+                if not from_server:
+                    server = lo[group] + hi[group] - server  # its peer
+                store.server_pk = server
+                identified.append((row, key, store))
+                pending.pop(key, None)
+            elif waiting:
+                pending[key] = store
+
+            base = len(store) - start
+            for at in odd[odd_at[group]:odd_at[group + 1]]:
+                # By row, never through the mapping's own iteration: a
+                # lazy mapping does not list its undecoded SACK rows.
+                store.odd[base + at] = odd_options[rows[at]]
+            store.extend(slab, start, end)
+            if records is None:
+                store.records = None
+            elif store.records is not None:
+                store.records.extend(records[start:end])
+            self._last_seen[key] = timestamps[rows[end - 1]]
+
+        self._end_segment(count - done, identified)
+        if cut_at < len(cuts):  # the slab's last row is itself due
+            self._sweep(timestamps[cuts[cut_at]])
+
+    def _sweep_rows(self, timestamps: array) -> list[int]:
+        """The rows of a slab after which :meth:`_sweep` falls due
+        (none with eviction off), advancing the sweep clock past it."""
+        every = self._sweep_every
+        if every is None:
+            return []
+        due = self._next_sweep
+        if due is None:
+            due = timestamps[0] + every
+        # Timestamps may step backwards, but every row before the one
+        # that reaches ``due`` is below it, so the running maximum
+        # crosses ``due`` exactly there — and it is sorted.
+        peak = np.maximum.accumulate(np.asarray(timestamps))
+        cuts = []
+        row = int(peak.searchsorted(due))
+        while row < len(peak):
+            cuts.append(row)
+            due = timestamps[row] + every
+            row = int(peak.searchsorted(due))
+        self._next_sweep = due
+        return cuts
+
+    def _end_segment(
+        self, packets: int, identified: list[tuple[int, int, _FlowStore]]
+    ) -> None:
+        """Book a run of rows no sweep interrupts.  Inside one the
+        buffered-packet and open-flow counts only grow, so their peaks
+        are the values at its end; flows whose server was identified
+        in it join ``_flows`` in the order of the identifying rows,
+        which :meth:`finish` relies on to break ``first_time`` ties."""
+        stats = self.stats
+        stats.packets += packets
+        stats.buffered_packets += packets
+        if stats.buffered_packets > stats.peak_buffered_packets:
+            stats.peak_buffered_packets = stats.buffered_packets
+        if stats.active_flows > stats.peak_active_flows:
+            stats.peak_active_flows = stats.active_flows
+        identified.sort()
+        for _row, key, store in identified:
+            self._flows[key] = store
+        identified.clear()
 
     # -- eviction -----------------------------------------------------
     def _sweep(self, now: float) -> None:
@@ -569,8 +664,16 @@ def fast_replay_flow(
     """
     if config.record_series or not isinstance(flow, LazyFlowTrace):
         return None
+    store = flow._store
+    # The lane is decided before a row is read: the replay bails on any
+    # incoming non-SYN row that carries an options object, and those
+    # are all in ``store.odd``.
+    server = store.server_pk
+    for index in store.odd:
+        if store.src_pk[index] != server and not store.flags[index] & FLAG_SYN:
+            return None
     try:
-        return _replay(flow, flow._store, config)
+        return _replay(flow, store, config)
     except Exception:
         return None
 

@@ -29,19 +29,40 @@ import enum
 import json
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..errors import SkippedFlow
 from .flow_analyzer import FlowAnalysis
-from .stalls import CaState, DoubleKind, RetxCause, StallCause
+from .stalls import (
+    CaState,
+    DoubleKind,
+    RetxCause,
+    Stall,
+    StallCause,
+    StallContext,
+)
+
+#: Read off the dataclasses once, so a new field is serialized without
+#: anyone remembering to list it here.
+_STALL_FIELDS = tuple(f.name for f in fields(Stall))
+_CONTEXT_FIELDS = tuple(f.name for f in fields(StallContext))
 
 
-def _plain(pairs) -> dict:
-    """``asdict`` dict factory: enums become their values."""
-    return {
-        key: value.value if isinstance(value, enum.Enum) else value
-        for key, value in pairs
-    }
+def _plain(obj, names: tuple[str, ...]) -> dict:
+    """The named attributes of ``obj``, enums as their values."""
+    out = {}
+    for name in names:
+        value = getattr(obj, name)
+        out[name] = value.value if isinstance(value, enum.Enum) else value
+    return out
+
+
+def _stall_dict(stall: Stall) -> dict:
+    """What ``dataclasses.asdict`` would give, without its deep copy
+    of every value."""
+    out = _plain(stall, _STALL_FIELDS)
+    out["context"] = _plain(stall.context, _CONTEXT_FIELDS)
+    return out
 
 
 def cdf_points(values: list[float]) -> list[tuple[float, float]]:
@@ -378,10 +399,7 @@ class ServiceReport:
             "mss": analysis.mss,
             "init_rwnd": analysis.init_rwnd,
             "wscale": analysis.wscale,
-            "stalls": [
-                asdict(stall, dict_factory=_plain)
-                for stall in analysis.stalls
-            ],
+            "stalls": [_stall_dict(stall) for stall in analysis.stalls],
             "rtt_samples": list(analysis.rtt_samples),
             "rto_samples": list(analysis.rto_samples),
             "in_flight_on_ack": list(analysis.in_flight_on_ack),

@@ -145,6 +145,7 @@ class LiveDaemon:
         self._skips_absorbed = 0
         self._lock = threading.Lock()
         self._stop = threading.Event()
+        self._previous_handlers: dict = {}
         self._started_at: float | None = None
         self._finished = False
         self.http: LiveHTTPServer | None = None
@@ -283,7 +284,10 @@ class LiveDaemon:
         return self._stop.is_set()
 
     def install_signal_handlers(self) -> None:
-        """Route SIGTERM/SIGINT to :meth:`stop` (main thread only)."""
+        """Route SIGTERM/SIGINT to :meth:`stop` (main thread only) until
+        :meth:`run` returns, which puts the previous handlers back — a
+        process that goes on to fork workers must not hand them a
+        handler that swallows ``terminate()``."""
 
         def handler(signum, frame):
             logger.info(
@@ -292,8 +296,8 @@ class LiveDaemon:
             )
             self.stop()
 
-        signal.signal(signal.SIGTERM, handler)
-        signal.signal(signal.SIGINT, handler)
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            self._previous_handlers[signum] = signal.signal(signum, handler)
 
     # -- the pump ------------------------------------------------------
     def _batches(self) -> Iterator:
@@ -389,6 +393,8 @@ class LiveDaemon:
             if self.http is not None:
                 self.http.stop()
             self.source.close()
+            while self._previous_handlers:
+                signal.signal(*self._previous_handlers.popitem())
         return report
 
     # -- checkpointing -------------------------------------------------

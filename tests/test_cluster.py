@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -461,9 +462,13 @@ class TestCoordinator:
             batch_reference(trace_pcap).to_json()
         )
 
-    def test_wedged_local_worker_is_killed_and_its_shard_rerun(
-        self, trace_pcap, tmp_path, monkeypatch
+    @staticmethod
+    def _run_with_one_wedged_worker(
+        trace_pcap, tmp_path, monkeypatch, on_wedge=lambda: None
     ):
+        """Run two shards with the first worker to take one going
+        silent (after calling ``on_wedge``); returns the result and the
+        wedged worker's pid."""
         sentinel = tmp_path / "wedged.pid"
         serve = cluster_net.serve_assignments
 
@@ -477,6 +482,7 @@ class TestCoordinator:
             # Take the shard, then say nothing with the socket open:
             # only the heartbeat deadline can notice.
             assert transport.recv().kind is MessageKind.ASSIGN
+            on_wedge()
             time.sleep(60)
 
         monkeypatch.setattr(cluster_net, "serve_assignments", wedge_once)
@@ -485,16 +491,57 @@ class TestCoordinator:
             heartbeat_interval=0.1, heartbeat_deadline=0.5,
             run=RunConfig(retry_backoff=0.05), jitter_seed=7,
         )
+        return result, int(sentinel.read_text())
+
+    def test_wedged_local_worker_is_killed_and_its_shard_rerun(
+        self, trace_pcap, tmp_path, monkeypatch
+    ):
+        result, wedged = self._run_with_one_wedged_worker(
+            trace_pcap, tmp_path, monkeypatch
+        )
         assert result.heartbeat_misses == 1
         assert (result.workers_died, result.reassignments) == (1, 1)
         with pytest.raises(ProcessLookupError):  # killed and reaped
-            os.kill(int(sentinel.read_text()), 0)
+            os.kill(wedged, 0)
         # Both shards came back from workers, none from the in-process
         # last rung.
         assert sum(w["shards_done"] for w in result.workers) == 2
         assert result.report.to_json() == (
             batch_reference(trace_pcap).to_json()
         )
+
+    def test_wedged_worker_does_not_inherit_a_sigterm_handler(
+        self, trace_pcap, tmp_path, monkeypatch
+    ):
+        """A coordinator process that routes SIGTERM somewhere (a live
+        daemon's "flush and stop") forks workers that still die on
+        ``terminate()``."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            began = time.monotonic()
+            result, wedged = self._run_with_one_wedged_worker(
+                trace_pcap, tmp_path, monkeypatch
+            )
+            elapsed = time.monotonic() - began
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        with pytest.raises(ProcessLookupError):
+            os.kill(wedged, 0)
+        assert elapsed < cluster_net._REAP_TIMEOUT  # died on SIGTERM
+        assert (result.workers_died, result.reassignments) == (1, 1)
+
+    def test_wedged_worker_that_ignores_sigterm_is_sent_sigkill(
+        self, trace_pcap, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cluster_net, "_REAP_TIMEOUT", 0.2)
+        result, wedged = self._run_with_one_wedged_worker(
+            trace_pcap, tmp_path, monkeypatch,
+            on_wedge=lambda: signal.signal(signal.SIGTERM, signal.SIG_IGN),
+        )
+        with pytest.raises(ProcessLookupError):
+            os.kill(wedged, 0)
+        assert (result.workers_died, result.reassignments) == (1, 1)
+        assert sum(w["shards_done"] for w in result.workers) == 2
 
     def test_worker_crash_is_a_death_not_an_error_frame(
         self, trace_pcap, monkeypatch

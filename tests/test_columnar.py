@@ -41,6 +41,7 @@ from repro.core import ServiceReport, Tapo
 from repro.core.cli import main as cli_main
 from repro.core.columnar_pipeline import (
     LazyFlowTrace,
+    _replay,
     batch_records,
     demux_columns_stream,
     fast_replay_flow,
@@ -713,6 +714,40 @@ class TestColumnDrivenReplay:
         assert seen == {
             "unordered", "dsack", "stall", "zero-window", "sack", "wrap"
         }
+
+    def test_lane_chosen_from_odd_rows_is_the_replays_own_verdict(self):
+        """``fast_replay_flow`` turns a flow away on its ``odd`` rows
+        before reading one; the flows it turns away are exactly those
+        the row-by-row replay bails on, not one more or fewer."""
+        config = AnalysisConfig()
+
+        def by_rows(flow):
+            try:
+                return _replay(flow, flow._store, config)
+            except Exception:
+                return None
+
+        traces = [generate_trace(seed) for seed in PARITY_SEEDS]
+        traces += [lossy_flow(random.Random(seed)) for seed in range(40)]
+        turned_away = prescreened = 0
+        for packets in traces:
+            flows = _lazy_flows(packets)
+            missed = {
+                f.key for f in flows if fast_replay_flow(f, config) is None
+            }
+            assert missed == {f.key for f in flows if by_rows(f) is None}
+            turned_away += len(missed)
+            prescreened += sum(
+                any(
+                    store.src_pk[row] != store.server_pk
+                    and not store.flags[row] & FLAG_SYN
+                    for row in store.odd
+                )
+                for store in (f._store for f in flows)
+            )
+        # Both ways out are taken: SACK-bearing flows never start the
+        # replay, stalled-but-SACK-free ones bail inside it.
+        assert 0 < prescreened < turned_away
 
     def test_request_retransmit_regression(self):
         """Scenario ``short_flows:20711``: a client request

@@ -1,5 +1,7 @@
 """Aggregation and statistics helpers tests."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,3 +213,28 @@ class TestServiceReport:
         report.add(make_analysis())
         assert report.total_stalls() == 2
         assert report.flows_with_stalls() == 1
+
+    def test_serialized_stall_lists_every_dataclass_field(self):
+        """The serializer reads its field names off the dataclasses, so
+        a field added to ``Stall`` / ``StallContext`` cannot be dropped
+        from the report — and the values are ``asdict``'s, enums as
+        their values."""
+        stall = make_stall(
+            retx=RetxCause.DOUBLE, ca_state=CaState.LOSS,
+            in_flight=7,
+        )
+        stall.double_kind = DoubleKind.T_DOUBLE
+        report = ServiceReport(service="x")
+        report.add(make_analysis(stalls=[stall]))
+        (out,) = report.to_dict()["flows"][0]["stalls"]
+        assert set(out) == {f.name for f in dataclasses.fields(Stall)}
+        assert set(out["context"]) == {
+            f.name for f in dataclasses.fields(StallContext)
+        }
+        expected = dataclasses.asdict(stall)
+        expected["context"]["ca_state"] = "Loss"
+        expected.update(
+            cause=stall.cause.value, retx_cause="double_retrans",
+            double_kind="t-double",
+        )
+        assert out == expected

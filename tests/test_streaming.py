@@ -11,17 +11,21 @@ evicting flows as soon as the stream shows they are over.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import AnalysisConfig, RunConfig
+from repro.core.columnar_pipeline import ColumnarStreamDemuxer
 from repro.core.report import ServiceReport
 from repro.core.tapo import Tapo
 from repro.obs.metrics import MetricsRegistry
+from repro.packet.columnar import OPT_ODD, PacketColumns
 from repro.packet.flow import (
     FlowKey,
+    StreamDemuxer,
     StreamStats,
     demux,
     demux_stream,
@@ -612,6 +616,250 @@ class TestEvictionEdgeCases:
         got = [a for a in analyses if a.flow.key == key]
         assert len(got) == 2
         assert all(a.duration >= 0 for a in got)
+
+
+def _reference_image(flow):
+    """What the column store of ``flow`` must hold, computed from the
+    record-level demuxer's packets."""
+    records = [record for record, _ in flow.packets]
+    cols = PacketColumns.from_records(records)
+    src_pk = array(
+        "q", ((r.src_ip << 16) | r.src_port for r in records)
+    )
+    return (
+        flow.key, flow.server, flow.client,
+        (flow.server[0] << 16) | flow.server[1],
+        sorted(cols.odd_options),
+        [
+            column.tobytes() for column in (
+                cols.timestamps, src_pk, cols.seq, cols.ack, cols.flags,
+                cols.window, cols.payload_len, cols.ts_val, cols.ts_ecr,
+                cols.optbits,
+            )
+        ],
+        records,
+    )
+
+
+def _columnar_image(trace):
+    store = trace._store
+    return (
+        trace.key, trace.server, trace.client, store.server_pk,
+        sorted(store.odd),
+        [
+            column.tobytes() for column in (
+                store.times, store.src_pk, store.seq, store.ack,
+                store.flags, store.window, store.payload, store.ts_val,
+                store.ts_ecr, store.optbits,
+            )
+        ],
+        [record for record, _ in trace.packets],
+    )
+
+
+class TestSlabDemuxProperty:
+    """``ColumnarStreamDemuxer.feed_columns`` works slab by slab; the
+    record-level :class:`StreamDemuxer` works packet by packet.  For
+    any trace cut into slabs anywhere they hand over the same flows in
+    the same order with the same column bytes and the same
+    :class:`StreamStats` after every slab."""
+
+    @staticmethod
+    def _compare(slabs, records, predicate, idle, linger):
+        columnar = ColumnarStreamDemuxer(
+            predicate, idle_timeout=idle, close_linger=linger
+        )
+        reference = StreamDemuxer(
+            predicate, idle_timeout=idle, close_linger=linger
+        )
+        fed = 0
+        for slab in slabs:
+            columnar.feed_columns(slab)
+            for record in records[fed : fed + len(slab)]:
+                reference.feed(record)
+            fed += len(slab)
+            assert columnar.stats == reference.stats
+            assert [_columnar_image(t) for t in columnar.poll()] == [
+                _reference_image(f) for f in reference.poll()
+            ]
+        assert fed == len(records)
+        assert [_columnar_image(t) for t in columnar.finish()] == [
+            _reference_image(f) for f in reference.finish()
+        ]
+        assert columnar.stats == reference.stats
+
+    @staticmethod
+    def _perturbed(seed, flows, quantum, steps_back):
+        """A generated trace, optionally with timestamps coarsened to
+        ``quantum`` (ties on ``first_time``, many packets per sweep
+        instant) and some packets moved back in time in place."""
+        from repro.testing import generate_trace
+
+        packets = generate_trace(seed, flows=flows)
+        if quantum:
+            packets = [
+                dataclasses.replace(
+                    p, timestamp=p.timestamp // quantum * quantum
+                )
+                for p in packets
+            ]
+        for index, back in steps_back:
+            index %= len(packets)
+            packets[index] = dataclasses.replace(
+                packets[index],
+                timestamp=max(0.0, packets[index].timestamp - back),
+            )
+        return packets
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 40),
+        flows=st.integers(1, 8),
+        quantum=st.sampled_from((0.0, 0.25, 2.0)),
+        steps_back=st.lists(
+            st.tuples(
+                st.integers(0, 10_000),
+                st.sampled_from((0.01, 0.4, 3.0)),
+            ),
+            max_size=4,
+        ),
+        cuts=st.one_of(
+            st.just("rows"), st.just("one"),
+            st.lists(st.integers(0, 10_000), max_size=6),
+        ),
+        eviction=st.sampled_from(
+            ((None, None), (60.0, 5.0), (0.3, 0.05), (None, 0.01), (2.0, None))
+        ),
+        by_predicate=st.booleans(),
+    )
+    def test_record_batches(
+        self, seed, flows, quantum, steps_back, cuts, eviction, by_predicate
+    ):
+        """``from_records`` batches cut at arbitrary rows: one-row
+        slabs, one slab (flows evicted and re-opened inside it under
+        the short timeouts), timestamps that step backwards across a
+        sweep boundary, flows tied on ``first_time``, a server
+        predicate — and the original record objects handed through."""
+        from repro.testing.traces import SERVER_IP
+
+        packets = self._perturbed(seed, flows, quantum, steps_back)
+        if cuts == "rows":
+            edges = list(range(len(packets) + 1))
+        elif cuts == "one":
+            edges = [0, len(packets)]
+        else:
+            edges = sorted(
+                {0, len(packets), *(cut % len(packets) for cut in cuts)}
+            )
+        slabs = [
+            PacketColumns.from_records(packets[a:b])
+            for a, b in zip(edges, edges[1:])
+        ]
+        predicate = (
+            (lambda record: record.src_ip == SERVER_IP)
+            if by_predicate else None
+        )
+        self._compare(slabs, packets, predicate, *eviction)
+        # Materialization returned the objects that went in.
+        demuxer = ColumnarStreamDemuxer(idle_timeout=None, close_linger=None)
+        for slab in slabs:
+            demuxer.feed_columns(slab)
+        out = {
+            id(record)
+            for trace in demuxer.finish() for record, _ in trace.packets
+        }
+        assert out == {id(record) for record in packets}
+
+    def test_one_slab_holds_the_hard_cases(self):
+        """One pinned draw of the property above, so it cannot pass
+        vacuously: inside a single slab connections are evicted and
+        re-opened, the row after a sweep steps back in time past the
+        sweep instant, and two flows tie on ``first_time``."""
+        packets = self._perturbed(0, 6, 2.0, ())
+        probe = ColumnarStreamDemuxer(idle_timeout=0.3, close_linger=0.05)
+        swept = probe._sweep_rows(
+            PacketColumns.from_records(packets).timestamps
+        )
+        after = swept[len(swept) // 2] + 1
+        packets[after] = dataclasses.replace(
+            packets[after], timestamp=packets[after].timestamp - 3.0
+        )
+        slab = PacketColumns.from_records(packets)
+        self._compare([slab], packets, None, 0.3, 0.05)
+
+        demuxer = ColumnarStreamDemuxer(idle_timeout=0.3, close_linger=0.05)
+        demuxer.feed_columns(slab)
+        stats = demuxer.stats
+        assert stats.flows_reopened and stats.flows_evicted_idle
+        assert stats.flows_closed and demuxer.poll()
+        demuxer = ColumnarStreamDemuxer(idle_timeout=None, close_linger=None)
+        demuxer.feed_columns(slab)
+        firsts = [trace.first_time for trace in demuxer.finish()]
+        assert len(set(firsts)) < len(firsts)
+
+    def test_flows_join_in_the_order_their_servers_were_identified(self):
+        """``finish`` breaks ``first_time`` ties by the order flows were
+        *identified*, not first seen: a mid-capture connection whose
+        SYN shows up later lines up behind one identified meanwhile."""
+        server, early, late = (9, 80), (1, 1000), (2, 2000)
+        packets = [
+            pkt(early, server, payload=10, ts=5.0),  # no SYN yet
+            pkt(late, server, FLAG_SYN, ts=5.0),
+            pkt(server, late, FLAG_SYN | FLAG_ACK, ts=5.1),
+            pkt(early, server, FLAG_SYN, ts=5.2),
+            pkt((3, 3000), server, payload=10, ts=5.0),  # never identified
+        ]
+        slab = PacketColumns.from_records(packets)
+        self._compare([slab], packets, None, None, None)
+        demuxer = ColumnarStreamDemuxer(idle_timeout=None, close_linger=None)
+        demuxer.feed_columns(slab)
+        peers = [
+            ({trace.server, trace.client} - {server}).pop()
+            for trace in demuxer.finish()
+        ]
+        assert peers == [late, early, (3, 3000)]
+
+    @staticmethod
+    def _decoded(tmp_path_factory, seed, buffer_bytes):
+        """``(slabs, records)`` of a generated capture read back in
+        ``buffer_bytes`` windows; the slabs are fresh, their SACK rows
+        still undecoded (``_LazySackOptions``)."""
+        from repro.testing import generate_trace
+
+        path = tmp_path_factory.mktemp("slabs") / "trace.pcap"
+        write_pcap(path, generate_trace(seed, flows=6))
+        with PcapReader(path) as reader:
+            records = [
+                record
+                for slab in reader.iter_columns(buffer_bytes)
+                for record in slab.records()
+            ]
+        with PcapReader(path) as reader:
+            return list(reader.iter_columns(buffer_bytes)), records
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.sampled_from((1, 3, 6, 8, 9, 11)),
+        buffer_bytes=st.integers(120, 6000),
+        eviction=st.sampled_from(((None, None), (60.0, 5.0), (0.3, 0.05))),
+    )
+    def test_decoded_slabs(
+        self, tmp_path_factory, seed, buffer_bytes, eviction
+    ):
+        slabs, records = self._decoded(tmp_path_factory, seed, buffer_bytes)
+        self._compare(slabs, records, None, *eviction)
+
+    def test_lazy_sack_rows_in_a_syn_free_slab(self, tmp_path_factory):
+        """The case the mapping's own ``bool()`` / ``items()`` cannot
+        see: a slab whose only odd rows are undecoded SACK rows."""
+        slabs, records = self._decoded(tmp_path_factory, 9, 600)
+        blind = [
+            slab for slab in slabs
+            if not slab.odd_options
+            and any(bits & OPT_ODD for bits in slab.optbits)
+        ]
+        assert blind
+        self._compare(slabs, records, None, None, None)
 
 
 class TestCliOneAnswerPerCapture:
