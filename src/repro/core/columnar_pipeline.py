@@ -690,6 +690,8 @@ def _replay(
     rto_est = RTOEstimator()
     stall_threshold = rto_est.stall_threshold
     observe = rto_est.observe
+    stall_floor = rto_est.stall_floor
+    floor = 0.0  # stall_floor(tau) as of the last RTT sample
 
     # Mirrored FlowAnalyzer state (clean-flow subset: the congestion
     # state machine stays in Open, so cwnd/state never need tracking).
@@ -729,10 +731,10 @@ def _replay(
         if prev_time is not None and established and not syn:
             # The first-pass stall screen: the same threshold the
             # analyzer applies.  Any stall -> full analyzer.
-            if t - prev_time > stall_threshold(tau):
+            if t - prev_time > floor and t - prev_time > stall_threshold(tau):
                 return None
         if dir_in:
-            # -- incoming (client -> server), FlowAnalyzer._process_in
+            # -- incoming (client -> server), as FlowAnalyzer.feed_rows
             if syn:
                 wscale = 0
                 if options is not None:
@@ -760,6 +762,7 @@ def _replay(
                     if rtt > 0:
                         observe(rtt, now=t)
                         rtt_samples.append(rtt)
+                        floor = stall_floor(tau)
             if payload > 0:
                 if not request_pending:
                     request_count += 1
@@ -775,19 +778,21 @@ def _replay(
                     head += 1
                 snd_una = ack
                 rto_est.on_ack()
-                # FlowAnalyzer._sample_rtts for a new ACK (a clean
+                # FlowAnalyzer's RTT sampling for a new ACK (a clean
                 # flow never acks a retransmitted batch).
                 if ts_ecr:
                     rtt = t - ts_to_time(ts_ecr)
                     if rtt > 0:
                         observe(rtt, now=t)
                         rtt_samples.append(rtt)
+                        floor = stall_floor(tau)
                 else:
                     for j in range(first_acked, head):
                         rtt = t - tx_time[j]
                         if rtt > 0:
                             observe(rtt, now=t)
                             rtt_samples.append(rtt)
+                            floor = stall_floor(tau)
             elif ack == snd_una and head < tx_len:
                 # Duplicate ACK: loss signals start here.  Any packet
                 # repeating snd_una counts, payload- or FIN-bearing
@@ -796,7 +801,7 @@ def _replay(
             in_flight.append(tx_len - head)
             prev_time = t
             continue
-        # -- outgoing (server -> client), FlowAnalyzer._process_out
+        # -- outgoing (server -> client), as FlowAnalyzer.feed_rows
         if syn:
             snd_una = (seq + 1) & 0xFFFFFFFF  # SegmentTracker.init_seq
             snd_nxt = snd_una

@@ -20,14 +20,15 @@ Classification of the collected stalls is pass 2
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..config import AnalysisConfig
-from ..packet.flow import Direction, FlowTrace, packet_row
+from ..packet.flow import Direction, FlowTrace, PacketRow, packet_row
 from ..packet.headers import FLAG_ACK, FLAG_FIN, FLAG_SYN
 from ..packet.options import TCPOptions
 from ..packet.packet import PacketRecord
-from ..packet.seqnum import SEQ_HALF, SEQ_MASK, SEQ_SPACE, seq_before, seq_leq
+from ..packet.seqnum import SEQ_HALF, SEQ_MASK, seq_before, seq_leq
 from ..tcp.constants import ts_to_time
 from ..tcp.rto import RTOEstimator
 from .segments import AnalyzedSegment, SegmentTracker
@@ -112,12 +113,14 @@ class FlowAnalysis:
 class FlowAnalyzer:
     """Replays one flow; produces a :class:`FlowAnalysis`.
 
-    The core is row-level: :meth:`feed_row` and everything below it
-    consume the primitive fields of a
-    :data:`~repro.packet.flow.PacketRow`, which :meth:`run` reads from
-    ``flow.rows()`` — straight off the columns for a column-backed
-    trace, so a stalled flow is replayed without one packet object.
-    :meth:`feed` is the packet-object adapter.
+    The core is one row-level loop: :meth:`feed_rows` consumes the
+    primitive fields of :data:`~repro.packet.flow.PacketRow` tuples,
+    which :meth:`run` reads from ``flow.rows()`` — straight off the
+    columns for a column-backed trace, so a stalled flow is replayed
+    without one packet object.  Only the rare events (client SYN, stall
+    snapshot, sequence-based RTT sampling, retransmission
+    classification) are methods.  :meth:`feed` is the packet-object
+    adapter.
     """
 
     def __init__(self, flow: FlowTrace,
@@ -137,14 +140,10 @@ class FlowAnalyzer:
         self._handshake_sampled = False
         self._request_pending = False
         self._response_started = False
-        self._bytes_sent = 0
         self._last_new_ack_time: float | None = None
         self._last_in_packet_time: float | None = None
         self._counted_recovery_point: int | None = None
         self._prev_time: float | None = None
-        #: ``rto_est.stall_threshold(tau)``, or ``None`` after anything
-        #: that moves it (an RTT sample, a new ACK, a timeout).
-        self._threshold: float | None = None
         self._fed = 0
 
     # -- public API -------------------------------------------------------
@@ -152,9 +151,7 @@ class FlowAnalyzer:
         """Replay the whole flow: feed every packet, then finish."""
         if not self.flow.packets:
             return self.analysis
-        feed_row = self.feed_row  # hoist the bound-method lookup
-        for row in self.flow.rows():
-            feed_row(*row)
+        self.feed_rows(self.flow.rows())
         return self.finish()
 
     def feed(self, pkt: PacketRecord, direction: Direction) -> None:
@@ -167,45 +164,212 @@ class FlowAnalyzer:
         per-trace state here.  Feeding the whole flow in order then
         calling :meth:`finish` is exactly :meth:`run`.
         """
-        self.feed_row(*packet_row(pkt, direction))
+        self.feed_rows((packet_row(pkt, direction),))
 
-    def feed_row(
-        self, t: float, dir_in: bool, seq: int, ack: int, flags: int,
-        window: int, payload: int, ts_ecr: int = 0,
-        options: TCPOptions | None = None,
-    ) -> None:
-        """Process one packet given as a
-        :data:`~repro.packet.flow.PacketRow`."""
+    def feed_rows(self, rows: Iterable[PacketRow]) -> None:
+        """Process :data:`~repro.packet.flow.PacketRow` tuples, in order.
+
+        The state every row touches lives in locals and is written back
+        in the ``finally``, so a crash at row *k* leaves ``_fed == k``.
+        Two steady-state steps run in place, each under the guard that
+        makes it what the general step does: new data at snd_nxt skips
+        ``SegmentTracker.record_segment``, a new ACK in Open with
+        nothing SACKed skips ``CaStateTracker.on_ack`` (DESIGN.md 5.2).
+        """
+        analysis = self.analysis
+        tracker = self.tracker
+        segments = tracker.segments
+        by_seq = tracker._by_seq
+        ca = self.ca
+        shadow = ca.window
+        est = self.rto_est
+        observe = est.observe
+        stall_floor = est.stall_floor
+        tau = self.tau
+        record_series = self.record_series
+        add_rtt = analysis.rtt_samples.append
+        add_in_flight = analysis.in_flight_on_ack.append
+        OPEN = CaState.OPEN
         prev_time = self._prev_time
-        if prev_time is not None and self.established and not flags & FLAG_SYN:
-            # Handshake retransmissions (SYN / SYN+ACK) are not
-            # data-transfer stalls; the paper's analysis starts at
-            # established connections.
-            threshold = self._threshold
-            if threshold is None:
-                threshold = self._threshold = self.rto_est.stall_threshold(
-                    self.tau
-                )
-            if t - prev_time > threshold:
-                self._record_stall(
-                    t, dir_in, seq, flags, payload, prev_time, threshold
-                )
-        if dir_in:
-            self._process_in(t, ack, flags, window, payload, ts_ecr, options)
-        else:
-            self._process_out(t, seq, flags, payload)
-        self._prev_time = t
-        self._fed += 1
+        fed = self._fed
+        established = self.established
+        # Refreshed where an RTT sample is folded in: only a gap above
+        # it has to consult the exact stall threshold.
+        floor = stall_floor(tau)
+        wscale = analysis.wscale
+        mss = analysis.mss
+        try:
+            for (
+                t, dir_in, seq, ack, flags, window, payload, ts_ecr, options
+            ) in rows:
+                syn = flags & FLAG_SYN
+                # Handshake retransmissions (SYN / SYN+ACK) are not
+                # data-transfer stalls; the paper's analysis starts at
+                # established connections (which have seen a row).
+                if established and not syn and t - prev_time > floor:
+                    threshold = est.stall_threshold(tau)
+                    if t - prev_time > threshold:
+                        self._record_stall(
+                            t, dir_in, seq, flags, payload, prev_time,
+                            threshold, fed,
+                        )
+                if not dir_in:
+                    if syn:  # SYN+ACK from the server
+                        tracker.init_seq(seq)
+                        established = True
+                        self._synack_time = t
+                        self._synack_count += 1
+                    elif payload > 0 or flags & FLAG_FIN:
+                        fin = flags & FLAG_FIN
+                        length = payload + (1 if fin else 0)
+                        end_seq = (seq + length) & SEQ_MASK
+                        snd_una = tracker.snd_una
+                        if (
+                            payload == 1
+                            and seq_before(seq, snd_una)
+                            and seq_leq(end_seq, snd_una)
+                        ):
+                            pass  # zero-window probe: one acked byte
+                        elif (
+                            seq != tracker.transmitted_max
+                            or seq in by_seq
+                            or length >= SEQ_HALF
+                        ):
+                            self._record_data(t, seq, end_seq, payload, fin)
+                        else:
+                            # New data at snd_nxt: record_segment's
+                            # contiguous first transmission.
+                            by_seq[seq] = segment = AnalyzedSegment(
+                                seq, end_seq, bool(fin), len(segments), [t]
+                            )
+                            segments.append(segment)
+                            if length > tracker._max_length:
+                                tracker._max_length = length
+                            tracker.transmitted_max = end_seq
+                            analysis.data_packets += 1
+                            analysis.bytes_out += payload
+                            self._request_pending = False
+                            self._response_started = True
+                elif syn:
+                    self._client_syn(window, options)
+                    wscale = analysis.wscale
+                    mss = analysis.mss
+                else:
+                    # Window update (scaled after the handshake).
+                    self.rwnd = rwnd = window << wscale
+                    if rwnd < mss and analysis.bytes_out > 0:
+                        # The advertised window cannot hold one full
+                        # segment: the sender is (or is about to be)
+                        # blocked on the receiver.
+                        analysis.zero_window_seen = True
+                    has_ack = flags & FLAG_ACK
+                    if not self._handshake_sampled and has_ack and established:
+                        # Handshake RTT sample (SYN+ACK -> first ACK),
+                        # Karn-guarded.
+                        self._handshake_sampled = True
+                        rtt = t - self._synack_time
+                        if self._synack_count == 1 and rtt > 0:
+                            observe(rtt, t)
+                            add_rtt(rtt)
+                            floor = stall_floor(tau)
+                    if payload > 0:  # client request data
+                        if not self._request_pending:
+                            analysis.request_count += 1
+                        self._request_pending = True
+                        self._response_started = False
+                    if has_ack:
+                        snd_una = tracker.snd_una
+                        newly_sacked = ()
+                        dsack = False
+                        if options is not None and options.sack_blocks:
+                            newly_sacked, dsack = tracker.apply_sack(
+                                options.sack_blocks, ack, t
+                            )
+                            if dsack:
+                                analysis.spurious_retransmissions += 1
+                        # apply_ack advances on seq_after(ack, snd_una);
+                        # new_ack is seq_before(snd_una, ack), which
+                        # also holds at exactly SEQ_HALF ahead.
+                        ahead = (ack - snd_una) & SEQ_MASK
+                        new_ack = 0 < ahead <= SEQ_HALF
+                        acked = ()
+                        if 0 < ahead < SEQ_HALF:
+                            acked = tracker.apply_ack(ack, t)
+                        self._last_in_packet_time = t
+                        if new_ack:
+                            self._last_new_ack_time = t
+                            est.on_ack()
+                        if new_ack or newly_sacked:
+                            # RTT samples as the mimicked sender takes
+                            # them: ``now - TSecr`` when the trace has
+                            # timestamps, else sequence-based.
+                            if not ts_ecr:
+                                sampled = self._sample_seq_rtts(
+                                    t, acked, newly_sacked
+                                )
+                            else:
+                                rtt = t - ts_to_time(ts_ecr)
+                                sampled = rtt > 0
+                                if sampled:
+                                    observe(rtt, t)
+                                    add_rtt(rtt)
+                            if sampled:
+                                floor = stall_floor(tau)
+                        packets_out = len(segments) - tracker._first_unacked
+                        sacked_out = tracker._sacked_out
+                        lost_out = 0
+                        if (
+                            new_ack and ca.state is OPEN
+                            and not sacked_out and not dsack
+                        ):
+                            # CaStateTracker.on_ack would stay in Open.
+                            ca.dup_acks = 0
+                            shadow.on_new_ack(len(acked), False, False)
+                        else:
+                            # Known deviation (DESIGN.md 6): any packet
+                            # with an ACK that repeats snd_una counts
+                            # as a duplicate, pure ACK or not.
+                            is_dupack = not new_ack and (
+                                ack == snd_una and packets_out > 0
+                            )
+                            ca.on_ack(
+                                t, tracker, new_ack, len(acked), is_dupack,
+                                dsack,
+                            )
+                            if ca.state is not OPEN:
+                                lost_out = self._estimate_lost_out()
+                        # Per-ACK in-flight sample (Fig. 11), Equation (1).
+                        in_flight = (
+                            packets_out + tracker._retrans_out
+                            - sacked_out - lost_out
+                        )
+                        add_in_flight(in_flight if in_flight > 0 else 0)
+                        if record_series:
+                            # The sender's per-ACK ``vars`` snapshot,
+                            # inferred, at the same capture timestamps.
+                            analysis.kernel_series.append(
+                                (t, shadow.cwnd, est.srtt, est.rto)
+                            )
+                prev_time = t
+                fed += 1
+        finally:
+            self._prev_time = prev_time
+            self._fed = fed
+            self.established = established
 
     def finish(self) -> FlowAnalysis:
         """Finalize after the last packet and return the analysis."""
-        self._finalize()
-        return self.analysis
+        analysis = self.analysis
+        analysis.duration = self.flow.duration
+        analysis.final_srtt = self.rto_est.srtt
+        analysis.final_rto = self.rto_est.rto
+        analysis.state_log = list(self.ca.state_log)
+        return analysis
 
     # -- stall snapshots -----------------------------------------------------
     def _record_stall(
         self, t: float, dir_in: bool, seq: int, flags: int, payload: int,
-        start_time: float, threshold: float,
+        start_time: float, threshold: float, index: int,
     ) -> None:
         is_data = payload > 0 or bool(flags & FLAG_FIN)
         is_retrans = (
@@ -213,19 +377,18 @@ class FlowAnalyzer:
             and is_data
             and seq_before(seq, self.tracker.transmitted_max)
         )
-        context = self._snapshot_context()
         self.analysis.stalls.append(
             Stall(
                 start_time=start_time,
                 end_time=t,
                 threshold=threshold,
-                cur_pkt_index=self._fed,
+                cur_pkt_index=index,
                 cur_pkt_dir_in=dir_in,
                 cur_pkt_is_data=is_data,
                 cur_pkt_is_retrans=is_retrans,
                 cur_pkt_seq=seq,
                 cur_pkt_payload=payload,
-                context=context,
+                context=self._snapshot_context(),
             )
         )
 
@@ -254,7 +417,7 @@ class FlowAnalyzer:
             mss=self.analysis.mss,
             request_pending=self._request_pending,
             response_started=self._response_started,
-            bytes_sent=self._bytes_sent,
+            bytes_sent=self.analysis.bytes_out,
         )
 
     def _estimate_lost_out(self) -> int:
@@ -268,172 +431,57 @@ class FlowAnalyzer:
             return self.tracker.unsacked_below_sacked(self.ca.dup_thresh)
         return 0
 
-    def _observe(self, rtt: float, now: float) -> None:
-        """Fold one positive RTT sample into the estimator and the
-        flow's sample list."""
-        self.rto_est.observe(rtt, now=now)
-        self.analysis.rtt_samples.append(rtt)
-        self._threshold = None
-
-    # -- packet processing ---------------------------------------------------
-    def _process_in(
-        self, t: float, ack: int, flags: int, window: int, payload: int,
-        ts_ecr: int, options: TCPOptions | None,
-    ) -> None:
+    # -- the rare rows -------------------------------------------------------
+    def _client_syn(self, window: int, options: TCPOptions | None) -> None:
+        """Client SYN: initial receive window and options."""
         analysis = self.analysis
-        if flags & FLAG_SYN:
-            # Client SYN: initial receive window and options.
-            analysis.wscale = 0
-            if options is not None:
-                analysis.wscale = options.wscale or 0
-                if options.mss:
-                    analysis.mss = min(analysis.mss, options.mss)
-            self.rwnd = analysis.init_rwnd = window << analysis.wscale
-            return
-        # Window update (scaled after the handshake).
-        self.rwnd = rwnd = window << analysis.wscale
-        if rwnd < analysis.mss and analysis.bytes_out > 0:
-            # The advertised window cannot hold one full segment: the
-            # sender is (or is about to be) blocked on the receiver.
-            analysis.zero_window_seen = True
+        analysis.wscale = 0
+        if options is not None:
+            analysis.wscale = options.wscale or 0
+            if options.mss:
+                analysis.mss = min(analysis.mss, options.mss)
+        self.rwnd = analysis.init_rwnd = window << analysis.wscale
 
-        has_ack = flags & FLAG_ACK
-        # Handshake RTT sample (SYN+ACK -> first ACK), Karn-guarded.
-        if (
-            not self._handshake_sampled
-            and has_ack
-            and self._synack_time is not None
-        ):
-            self._handshake_sampled = True
-            if self._synack_count == 1:
-                rtt = t - self._synack_time
-                if rtt > 0:
-                    self._observe(rtt, t)
+    def _sample_seq_rtts(self, now: float, acked, newly_sacked) -> bool:
+        """Sequence-based RTT samples, for an ACK carrying new
+        information in a trace without timestamps; whether any was
+        taken.
 
-        if payload > 0:
-            # Client request data.
-            if not self._request_pending:
-                analysis.request_count += 1
-            self._request_pending = True
-            self._response_started = False
-
-        if not has_ack:
-            return
-        tracker = self.tracker
-        ca = self.ca
-        snd_una_before = tracker.snd_una
-        blocks = options.sack_blocks if options is not None else None
-        if blocks:
-            newly_sacked, dsack = tracker.apply_sack(blocks, ack, t)
-            if dsack:
-                analysis.spurious_retransmissions += 1
-        else:
-            newly_sacked = ()
-            dsack = False
-        acked_segments = tracker.apply_ack(ack, t)
-        # seq_before(snd_una_before, ack)
-        new_ack = (snd_una_before - ack) & SEQ_MASK >= SEQ_HALF
-        self._last_in_packet_time = t
-        if new_ack:
-            self._last_new_ack_time = t
-            self.rto_est.on_ack()
-            self._threshold = None
-        if new_ack or newly_sacked:
-            self._sample_rtts(t, ts_ecr, acked_segments, newly_sacked)
-        packets_out = tracker.packets_out
-        # Known deviation (DESIGN.md 6): any ACK-bearing packet that
-        # repeats snd_una counts, pure or not -- the historical rule
-        # tested ``pkt.is_pure_ack`` without calling it.
-        is_dupack = (
-            not new_ack and ack == snd_una_before and packets_out > 0
-        )
-        ca.on_ack(
-            t,
-            tracker,
-            new_ack=new_ack,
-            acked_segments=len(acked_segments),
-            is_dupack=is_dupack,
-            dsack=dsack,
-        )
-        # Per-ACK in-flight sample (Fig. 11), Equation (1).
-        in_flight = (
-            packets_out
-            + tracker.retrans_out()
-            - tracker.sacked_out
-            - self._estimate_lost_out()
-        )
-        analysis.in_flight_on_ack.append(in_flight if in_flight > 0 else 0)
-        if self.record_series:
-            # Inferred counterpart of the sender's per-ACK ``vars``
-            # flight-recorder snapshot, sampled at the same capture
-            # timestamps (the tap stamps an arriving ACK with the
-            # simulation time at which the sender processes it).
-            analysis.kernel_series.append(
-                (t, ca.cwnd, self.rto_est.srtt, self.rto_est.rto)
-            )
-
-    def _sample_rtts(
-        self, now: float, ts_ecr: int, acked_segments, newly_sacked
-    ) -> None:
-        """RTT samples for an ACK carrying new information, exactly as
-        the mimicked sender computes them.
-
-        Timestamps (``now - TSecr``) when the trace carries them;
-        otherwise sequence-based samples under Karn's rule, taken at
-        SACK time for SACKed segments and skipping stale cumulative
-        ACKs of segments SACKed earlier.
+        Under Karn's rule, taken at SACK time for SACKed segments and
+        skipping stale cumulative ACKs of segments SACKed earlier.
         """
-        if ts_ecr:
-            rtt = now - ts_to_time(ts_ecr)
-            if rtt > 0:
-                self._observe(rtt, now)
-            return
+        rtts = []
         # FLAG_RETRANS_DATA_ACKED (see the sender): a batch containing
         # a retransmitted segment yields no sequence-based samples.
-        if not any(seg.retransmitted for seg in acked_segments):
-            for segment in acked_segments:
-                if segment.sacked or not segment.tx_times:
-                    continue
-                rtt = segment.acked_at - segment.tx_times[0]
-                if rtt > 0:
-                    self._observe(rtt, now)
-        for segment in newly_sacked:
-            if segment.retrans_count == 0 and segment.tx_times:
-                rtt = now - segment.tx_times[0]
-                if rtt > 0:
-                    self._observe(rtt, now)
+        if not any(seg.retransmitted for seg in acked):
+            rtts += [
+                segment.acked_at - segment.tx_times[0]
+                for segment in acked
+                if not segment.sacked and segment.tx_times
+            ]
+        rtts += [
+            now - segment.tx_times[0]
+            for segment in newly_sacked
+            if segment.retrans_count == 0 and segment.tx_times
+        ]
+        rtts = [rtt for rtt in rtts if rtt > 0]
+        for rtt in rtts:
+            self.rto_est.observe(rtt, now)
+        self.analysis.rtt_samples += rtts
+        return bool(rtts)
 
-    def _process_out(
-        self, t: float, seq: int, flags: int, payload: int
+    def _record_data(
+        self, t: float, seq: int, end_seq: int, payload: int, fin: int
     ) -> None:
+        """An outgoing data/FIN segment that is not plain new data at
+        snd_nxt: a retransmission, or new boundaries the tracker has to
+        place."""
         tracker = self.tracker
-        if flags & FLAG_SYN:
-            # SYN+ACK from the server.
-            tracker.init_seq(seq)
-            self.established = True
-            self._synack_time = t
-            self._synack_count += 1
-            return
-        fin = flags & FLAG_FIN
-        if not payload > 0 and not fin:
-            return
-        end_seq = (seq + payload + (1 if fin else 0)) % SEQ_SPACE
-        snd_una = tracker.snd_una
-        # Zero-window probe: one already-acked byte.
-        if (
-            payload == 1
-            and seq_before(seq, snd_una)
-            and seq_leq(end_seq, snd_una)
-        ):
-            return
-        segment, is_retrans = tracker.record_segment(
-            seq, end_seq, payload, bool(fin), t
-        )
+        segment, is_retrans = tracker.record_segment(seq, end_seq, bool(fin), t)
         analysis = self.analysis
         analysis.data_packets += 1
         if not is_retrans:
             analysis.bytes_out += payload
-            self._bytes_sent += payload
             self._request_pending = False
             self._response_started = True
             return
@@ -441,11 +489,7 @@ class FlowAnalyzer:
         ca = self.ca
         rto = self.rto_est.rto
         kind = ca.classify_retransmission(
-            segment,
-            t,
-            tracker,
-            rto=rto,
-            srtt=self.rto_est.srtt,
+            segment, t, tracker, rto=rto, srtt=self.rto_est.srtt,
             last_new_ack=self._last_new_ack_time,
             last_in_packet=self._last_in_packet_time,
         )
@@ -465,7 +509,6 @@ class FlowAnalyzer:
                 analysis.rto_samples.append(rto)
                 analysis.timeouts += 1
                 self.rto_est.on_timeout()
-                self._threshold = None
             segment.rto_retrans_times.append(t)
         elif kind == FAST:
             # The kernel performs one fast retransmit per Recovery
@@ -481,9 +524,3 @@ class FlowAnalyzer:
             analysis.probe_retransmissions += 1
             segment.probe_retrans_times.append(t)
         ca.on_retransmission(kind, t, tracker)
-
-    def _finalize(self) -> None:
-        self.analysis.duration = self.flow.duration
-        self.analysis.final_srtt = self.rto_est.srtt
-        self.analysis.final_rto = self.rto_est.rto
-        self.analysis.state_log = list(self.ca.state_log)

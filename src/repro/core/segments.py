@@ -77,14 +77,6 @@ class AnalyzedSegment:
     def sacked(self) -> bool:
         return self.sacked_at is not None
 
-    @property
-    def acked(self) -> bool:
-        return self.acked_at is not None
-
-    @property
-    def length(self) -> int:
-        return (self.end_seq - self.seq) % (1 << 32)
-
     def first_retrans_kind(self) -> str | None:
         """'fast', 'rto' or 'probe' — trigger of the first retransmission."""
         candidates = []
@@ -125,9 +117,6 @@ class SegmentTracker:
         self.snd_una: int = 0
         self.transmitted_max: int = 0  # == reconstructed snd_nxt
         self.highest_sacked: int | None = None
-        self.total_data_packets = 0
-        self.total_retransmissions = 0
-        self.total_new_bytes = 0
 
     def init_seq(self, iss: int) -> None:
         self.snd_una = (iss + 1) % (1 << 32)
@@ -138,18 +127,18 @@ class SegmentTracker:
         self, pkt: PacketRecord, now: float
     ) -> tuple[AnalyzedSegment, bool]:
         """Packet-object adapter of :meth:`record_segment`."""
-        return self.record_segment(
-            pkt.seq, pkt.end_seq, pkt.payload_len, pkt.fin, now
-        )
+        return self.record_segment(pkt.seq, pkt.end_seq, pkt.fin, now)
 
     def record_segment(
-        self, seq: int, end_seq: int, payload: int, is_fin: bool, now: float
+        self, seq: int, end_seq: int, is_fin: bool, now: float
     ) -> tuple[AnalyzedSegment, bool]:
         """Record an outgoing data/FIN segment ``[seq, end_seq)``.
 
-        Returns ``(segment, is_retransmission)``.
+        Returns ``(segment, is_retransmission)``.  The analyzer's loop
+        performs the contiguous-first-transmission case (``seq ==
+        transmitted_max``, not in ``_by_seq``, shorter than
+        ``SEQ_HALF``) in place; the two must agree.
         """
-        self.total_data_packets += 1
         transmitted_max = self.transmitted_max
         # seq_before(seq, transmitted_max)
         is_retrans = (seq - transmitted_max) & SEQ_MASK >= SEQ_HALF
@@ -185,10 +174,6 @@ class SegmentTracker:
             # earlier may cover a segment it did not cover then.
             self._last_unordered = len(self.segments) - 1
             self._applied_blocks.clear()
-        if is_retrans:
-            self.total_retransmissions += 1
-        else:
-            self.total_new_bytes += payload
         if advances:
             self.transmitted_max = end_seq
         return segment, is_retrans

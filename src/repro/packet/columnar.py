@@ -519,7 +519,6 @@ def decode_spans(
                 dict(zip(position[sack_rows].tolist(), range(len(sack_rows)))),
                 raw,
                 opt_len[sack_rows].tolist(),
-                tolerant,
             )
         odd_options = cols.odd_options
         decode_rows = np.nonzero(odd & ~pat_sack)[0]
@@ -545,28 +544,44 @@ class _LazySackOptions(dict):
 
     Eagerly-decoded oddballs (SYN options, damage) live in the dict
     itself; pattern-matched SACK rows keep only their raw option
-    bytes until first access, when :meth:`TCPOptions.decode
-    <repro.packet.options.TCPOptions.decode>` — the same oracle the
-    object path runs — materializes and caches the object.  Flows
-    that never leave the fast path never pay for it.
+    bytes until first access.  The pattern pins the layout — TS
+    kind/len at bytes 0-1, ``ts_val`` at 2, ``ts_ecr`` at 6, SACK
+    kind/len at 10-11, block edges from 12, ``(opt_len - 12) / 8``
+    blocks — so the first access reads every row's timestamps and edges
+    as two big-endian columns, and a row's object is built from them:
+    equal field for field to what :meth:`TCPOptions.decode
+    <repro.packet.options.TCPOptions.decode>`, the oracle the object
+    path runs, returns for the same bytes.  Flows that never leave the
+    fast path never pay for it.
     """
 
-    __slots__ = ("_at", "_raw", "_lengths", "_lenient")
+    __slots__ = ("_at", "_raw", "_lengths", "_columns")
 
-    def __init__(self, at, raw, lengths, lenient):
+    def __init__(self, at, raw, lengths):
         super().__init__()
-        self._at = at          #: batch row -> column in ``_raw``
+        self._at = at          #: batch row -> row of ``_raw``
         self._raw = raw        #: (rows, 44) uint8 option-area bytes
         self._lengths = lengths
-        self._lenient = lenient
+        self._columns = None   #: per-row (timestamps, edges) lists
 
     def __missing__(self, key):
         at = self._at.get(key)
         if at is None:
             raise KeyError(key)
-        options = TCPOptions.decode(
-            self._raw[at][: self._lengths[at]].tobytes(),
-            lenient=self._lenient,
+        if self._columns is None:
+            # A column slice is not contiguous: copy before the view.
+            self._columns = (
+                self._raw[:, 2:10].copy().view(">u4").tolist(),
+                self._raw[:, 12:44].copy().view(">u4").tolist(),
+            )
+        timestamps, edges = self._columns
+        ts_val, ts_ecr = timestamps[at]
+        last = (self._lengths[at] - 12) >> 2  # two edges per block
+        row = edges[at]
+        options = TCPOptions(
+            sack_blocks=list(zip(row[0:last:2], row[1:last:2])),
+            ts_val=ts_val,
+            ts_ecr=ts_ecr,
         )
         self[key] = options
         return options

@@ -86,7 +86,8 @@ class RTOEstimator:
         if rtt <= 0:
             return
         self.samples += 1
-        if self.srtt is None:
+        srtt = self.srtt
+        if srtt is None:
             self.srtt = rtt
             self.mdev = rtt / 2
             self.rttvar4 = max(2 * rtt, self.min_rto)
@@ -95,20 +96,26 @@ class RTOEstimator:
             if self.on_update is not None:
                 self.on_update("sample", rtt)
             return
-        err = rtt - self.srtt
-        self.srtt += self.ALPHA * err
+        err = rtt - srtt
+        self.srtt = srtt + self.ALPHA * err
         aerr = abs(err)
-        if err < 0 and aerr > self.mdev:
+        mdev = self.mdev
+        if err < 0 and aerr > mdev:
             # The kernel damps sudden *downward* RTT jumps so that one
             # fast sample does not collapse the deviation estimate.
-            self.mdev += (aerr - self.mdev) * self.BETA / 8
+            mdev += (aerr - mdev) * self.BETA / 8
         else:
-            self.mdev += (aerr - self.mdev) * self.BETA
-        if 4 * self.mdev > self.mdev_max:
-            self.mdev_max = 4 * self.mdev
+            mdev += (aerr - mdev) * self.BETA
+        self.mdev = mdev
+        if 4 * mdev > self.mdev_max:
+            self.mdev_max = 4 * mdev
             if self.mdev_max > self.rttvar4:
                 self.rttvar4 = self.mdev_max
-        self._maybe_close_window(now)
+        # Inside the RTT window (nearly every sample) there is nothing
+        # to close.
+        window_end = self._window_end
+        if now is None or window_end is None or not now < window_end:
+            self._maybe_close_window(now)
         if self.on_update is not None:
             self.on_update("sample", rtt)
 
@@ -168,3 +175,16 @@ class RTOEstimator:
         if self.srtt is None:
             return self.rto
         return min(tau * self.srtt, self.rto)
+
+    def stall_floor(self, tau: float = 2.0) -> float:
+        """A lower bound of :meth:`stall_threshold` that costs one
+        multiply: ``min(tau * SRTT, min_rto)``, 0.0 before any sample.
+
+        The RTO is at least ``min_rto`` under any backoff, so a gap at
+        or below the floor is never a stall; it moves only with SRTT,
+        so the packet loops refresh it where they fold a sample in and
+        consult the exact threshold only for longer gaps.
+        """
+        if self.srtt is None:
+            return 0.0
+        return min(tau * self.srtt, self.min_rto)

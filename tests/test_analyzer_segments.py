@@ -1,7 +1,11 @@
 """Analyzer-side segment tracker tests."""
 
+from dataclasses import replace
+
+from repro.core.flow_analyzer import FlowAnalyzer
 from repro.core.segments import SegmentTracker
-from repro.packet.headers import FLAG_ACK, FLAG_FIN
+from repro.packet.flow import Direction, FlowKey, FlowTrace
+from repro.packet.headers import FLAG_ACK, FLAG_FIN, FLAG_SYN
 from repro.packet.packet import PacketRecord
 
 MSS = 1000
@@ -45,11 +49,22 @@ class TestTransmissions:
         assert len(segment.tx_times) == 2
 
     def test_counters(self):
-        tracker = tracker_with(3)
-        tracker.record_transmission(out_pkt(1, ts=1.0), 1.0)
-        assert tracker.total_data_packets == 4
-        assert tracker.total_retransmissions == 1
-        assert tracker.total_new_bytes == 3 * MSS
+        """The tracker keeps segments; the counts live on the analysis."""
+        synack = replace(out_pkt(0, length=0), flags=FLAG_SYN | FLAG_ACK)
+        packets = [synack]
+        packets += [out_pkt(1 + i * MSS, ts=0.01 * (i + 1)) for i in range(3)]
+        packets.append(out_pkt(1, ts=1.0))
+        flow = FlowTrace(
+            key=FlowKey.from_packet(synack), server=(1, 80), client=(2, 90),
+            packets=[(packet, Direction.OUT) for packet in packets],
+        )
+        analyzer = FlowAnalyzer(flow)
+        analysis = analyzer.run()
+        assert len(analyzer.tracker.segments) == 3
+        assert analyzer.tracker.segments[0].retrans_count == 1
+        assert analysis.data_packets == 4
+        assert analysis.retransmissions == 1
+        assert analysis.bytes_out == 3 * MSS
 
     def test_ordinals_assigned(self):
         tracker = tracker_with(3)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +53,8 @@ from repro.errors import ErrorBudget, FlowAnalysisError
 from repro.packet.headers import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
 from repro.packet.options import TCPOptions
 from repro.packet.packet import PacketRecord
-from repro.packet.pcap import PcapWriter
+from repro.packet.columnar import _LazySackOptions
+from repro.packet.pcap import PcapReader, PcapWriter
 from repro.packet.seqnum import seq_after, seq_geq, seq_leq
 from repro.testing import (
     corrupt_pcap_records,
@@ -810,6 +812,138 @@ class TestColumnDrivenReplay:
         assert report_a.to_json() == report_b.to_json()
 
 
+class TestFlattenedLoop:
+    """The pieces of ``FlowAnalyzer.feed_rows`` and of the lazy SACK
+    decode that no parity suite sees (both sides share them)."""
+
+    edges = st.one_of(st.sampled_from((0, 1, _MASK - 1, _MASK)),
+                      st.integers(0, _MASK))
+
+    sack_rows = st.lists(
+        st.tuples(
+            st.lists(st.tuples(edges, edges), min_size=1, max_size=4),
+            edges, edges,
+        ),
+        min_size=1, max_size=12,
+    )
+
+    @given(sack_rows)
+    def test_lazy_sack_rows_equal_decode(self, rows):
+        """TS+SACK rows built from the two big-endian columns equal
+        what ``TCPOptions.decode`` makes of the same bytes: 1-4 blocks
+        (the pattern's range; the wire fits three beside timestamps),
+        edges at both ends of the sequence space."""
+        expected = [
+            TCPOptions(sack_blocks=blocks, ts_val=ts_val, ts_ecr=ts_ecr)
+            for blocks, ts_val, ts_ecr in rows
+        ]
+        areas = [options.encode() for options in expected]
+        raw = np.zeros((len(rows), 44), dtype=np.uint8)
+        for at, area in enumerate(areas):
+            raw[at, : len(area)] = list(area)
+        lazy = _LazySackOptions(
+            {10 + at: at for at in range(len(rows))}, raw,
+            [len(area) for area in areas],
+        )
+        assert not lazy and 10 in lazy and 9 not in lazy
+        for at, (options, area) in enumerate(zip(expected, areas)):
+            assert lazy[10 + at] == TCPOptions.decode(area) == options
+            assert all(
+                type(edge) is int
+                for block in lazy[10 + at].sack_blocks for edge in block
+            )
+        with pytest.raises(KeyError):
+            lazy[9]
+
+    @settings(max_examples=25, deadline=None)
+    @given(sack_rows)
+    def test_lazy_sack_rows_off_the_wire(self, tmp_path_factory, rows):
+        """The same through the decoder, in a slab with no SYN (the
+        mapping starts out an empty dict)."""
+        packets = [
+            PacketRecord(
+                timestamp=1.0 + index, src_ip=_CLIENT[0], dst_ip=_SERVER[0],
+                src_port=_CLIENT[1], dst_port=_SERVER[1], seq=1, ack=1,
+                flags=FLAG_ACK, window=100,
+                options=TCPOptions(
+                    sack_blocks=blocks[:3], ts_val=ts_val, ts_ecr=ts_ecr
+                ),
+            )
+            for index, (blocks, ts_val, ts_ecr) in enumerate(rows)
+        ]
+        path = tmp_path_factory.mktemp("sack") / "sack.pcap"
+        _write(path, packets)
+        with PcapReader(path) as reader:
+            (cols,) = reader.iter_columns()
+        lazy = cols.odd_options
+        assert isinstance(lazy, _LazySackOptions) and not lazy
+        assert [lazy[row] for row in range(len(cols))] == [
+            packet.options for packet in packets
+        ]
+
+    @pytest.mark.parametrize("crash_row", [0, 1, 2, 7, 40, -1])
+    def test_crash_at_any_row_reports_that_row(self, crash_row):
+        """State lives in locals while the loop runs; a crash at row
+        *k* — whatever kind of row — still surfaces with
+        ``packet_index == k``."""
+
+        class Boom:
+            def __and__(self, other):
+                raise RuntimeError("bad flags")
+
+        packets = lossy_flow(random.Random(1))
+        (flow,) = _lazy_flows(packets)
+        rows = list(flow.rows())
+        crash_row %= len(rows)
+        row = rows[crash_row]
+        rows[crash_row] = (*row[:4], Boom(), *row[5:])
+        flow.rows = lambda start=0: iter(rows[start:])
+        with pytest.raises(FlowAnalysisError) as caught:
+            Tapo(config=AnalysisConfig()).analyze_flow(flow)
+        assert caught.value.packet_index == crash_row
+        # The same through the one-packet adapter.
+        analyzer = FlowAnalyzer(flow, config=AnalysisConfig())
+        with pytest.raises(RuntimeError):
+            for row in rows:
+                analyzer.feed_rows((row,))
+        assert analyzer._fed == crash_row
+
+    def test_ack_half_the_sequence_space_ahead(self):
+        """``new_ack`` is ``seq_before(snd_una, ack)``, the tracker
+        advances on ``seq_after(ack, snd_una)``; they differ at exactly
+        2**31 apart, where the ACK counts as new (it restarts the
+        timer base and clears the backoff) but acknowledges nothing."""
+        iss = 5000
+        rows = [
+            (0.0, True, 99, 0, FLAG_SYN, 1000, 0, 0, None),
+            (0.0, False, iss, 100, FLAG_SYN | FLAG_ACK, 1000, 0, 0, None),
+            (0.1, True, 100, iss + 1, FLAG_ACK, 1000, 0, 0, None),
+            (0.1, False, iss + 1, 100, FLAG_ACK, 1000, 1000, 0, None),
+            (0.2, True, 100, (iss + 1 + (1 << 31)) & _MASK, FLAG_ACK,
+             1000, 0, 0, None),
+        ]
+        analyzer = FlowAnalyzer(None, config=AnalysisConfig())
+        analyzer.rto_est.backoff = 3
+        analyzer.feed_rows(rows)
+        assert analyzer._fed == 5
+        assert analyzer.tracker.snd_una == iss + 1  # nothing acked
+        assert analyzer.analysis.in_flight_on_ack == [0, 1]
+        assert analyzer._last_new_ack_time == 0.2   # ...yet a new ACK
+        assert analyzer.rto_est.backoff == 0
+        assert analyzer.ca.dup_acks == 0
+        # One step closer it acknowledges the segment, one step
+        # further it is an old ACK.
+        for delta, new_ack_time, snd_una in (
+            ((1 << 31) - 1, 0.2, (iss + (1 << 31)) & _MASK),
+            ((1 << 31) + 1, None, iss + 1),
+        ):
+            analyzer = FlowAnalyzer(None, config=AnalysisConfig())
+            ack = (iss + 1 + delta) & _MASK
+            analyzer.feed_rows(rows[:4] + [(*rows[4][:3], ack, *rows[4][4:])])
+            assert analyzer.tracker.snd_una == snd_una
+            assert analyzer._last_new_ack_time == new_ack_time
+
+
 class TestLazyFlowPickle:
     """A column-backed flow crosses a process boundary as its columns."""
 
@@ -994,14 +1128,14 @@ def _run_tracker_script(ops, iss):
                 for unit in units:
                     seq = (base + unit * _UNIT) & _MASK
                     tracker.record_segment(
-                        seq, (seq + _UNIT) & _MASK, _UNIT, False, float(now)
+                        seq, (seq + _UNIT) & _MASK, False, float(now)
                     )
             elif kind == "retx":
                 # b odd: new boundaries (half a unit in, 1.5 units long).
                 seq = (base + a * _UNIT + (b % 2) * _UNIT // 2) & _MASK
                 length = _UNIT * (1 + b // 2) + (b % 2) * _UNIT // 2
                 tracker.record_segment(
-                    seq, (seq + length) & _MASK, length, False, float(now)
+                    seq, (seq + length) & _MASK, False, float(now)
                 )
             elif kind == "ack":
                 results.append(
@@ -1056,10 +1190,10 @@ class TestSackWalkShortcuts:
         tracker.init_seq(0)
         for unit in range(5):
             tracker.record_segment(
-                1 + unit * 100, 1 + (unit + 1) * 100, 100, False, 0.0
+                1 + unit * 100, 1 + (unit + 1) * 100, False, 0.0
             )
         tracker.apply_sack([(201, 501)], 1, 1.0)
-        segment, _ = tracker.record_segment(351, 401, 50, False, 2.0)
+        segment, _ = tracker.record_segment(351, 401, False, 2.0)
         assert segment.sacked_at is None
         newly, _ = tracker.apply_sack([(201, 501)], 1, 3.0)
         assert newly == [segment]
@@ -1090,7 +1224,7 @@ class TestSackWalkShortcuts:
         tracker.init_seq(0)
         for unit in range(50):
             tracker.record_segment(
-                1 + unit * 100, 1 + (unit + 1) * 100, 100, False, 0.0
+                1 + unit * 100, 1 + (unit + 1) * 100, False, 0.0
             )
 
         class Counting(list):

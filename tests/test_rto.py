@@ -171,3 +171,43 @@ class TestInvariants:
             est.observe(sample, now=now)
             now += 0.05
         assert est.stall_threshold() <= est.rto + 1e-12
+
+
+class TestStallFloor:
+    """``stall_floor`` — the packet loops' pre-screen — is a lower bound
+    of the stall threshold at every step, so skipping the exact
+    threshold for gaps at or below it cannot lose a stall."""
+
+    steps = st.lists(
+        st.one_of(
+            st.tuples(st.just("sample"), rtts),
+            st.tuples(st.just("timeout"), st.just(0.0)),
+            st.tuples(st.just("ack"), st.just(0.0)),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+
+    @given(
+        steps,
+        st.sampled_from((MIN_RTO, 0.001, 0.05, 1.0, 5.0)),
+        st.sampled_from((0.5, 1.0, 2.0, 4.0)),
+    )
+    @settings(max_examples=200)
+    def test_floor_never_exceeds_threshold(self, steps, min_rto, tau):
+        est = RTOEstimator(min_rto=min_rto)
+        assert est.stall_floor(tau) == 0.0  # the initial RTO may be lower
+        now = 0.0
+        for kind, value in steps:
+            floor = est.stall_floor(tau)
+            if kind == "sample":
+                est.observe(value, now=now)
+                now += value
+                assert est.stall_floor(tau) == min(tau * est.srtt, min_rto)
+            elif kind == "timeout":
+                est.on_timeout()
+                assert est.stall_floor(tau) == floor  # moves with SRTT only
+            else:
+                est.on_ack()
+                assert est.stall_floor(tau) == floor
+            assert est.stall_floor(tau) <= est.stall_threshold(tau)

@@ -471,6 +471,40 @@ class TestAnalyzerFeedPath:
             streamed = incremental.finish()
             assert signature(streamed) == signature(batch)
 
+    def test_feed_finish_equals_run_on_sack_heavy_flows(self):
+        """One packet per ``feed`` call writes the loop's locals back
+        after every row; lossy flows (SACK blocks, retransmissions,
+        stalls) must come out field for field as from one ``run``."""
+        from repro.core.flow_analyzer import FlowAnalyzer
+        from repro.experiments.runner import run_flow
+        from repro.workload.generator import generate_flows
+        from repro.workload.services import get_profile
+
+        traces = [
+            run_flow(scenario).packets
+            for scenario in generate_flows(
+                get_profile("cloud_storage"), 6, seed=20141222
+            )
+        ]
+        assert sum(
+            bool(p.options.sack_blocks) for trace in traces for p in trace
+        ) > 100
+        stalls = 0
+        for trace in traces:
+            (flow,) = demux_stream(
+                trace, idle_timeout=None, close_linger=None
+            )
+            whole = FlowAnalyzer(flow, config=AnalysisConfig())
+            batch = whole.run()
+            incremental = FlowAnalyzer(flow, config=AnalysisConfig())
+            for packet, direction in flow.packets:
+                incremental.feed(packet, direction)
+            assert incremental.finish() == batch
+            assert incremental.tracker.segments == whole.tracker.segments
+            assert incremental._fed == whole._fed == len(flow.packets)
+            stalls += len(batch.stalls)
+        assert stalls
+
 
 class TestEvictionEdgeCases:
     """Regression tests for the demuxer's eviction caveats: the same
