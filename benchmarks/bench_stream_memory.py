@@ -6,7 +6,10 @@ a synthetic trace of sequential short flows lazily (never holding the
 trace in memory), streams it through the full demux→analyze pipeline
 in a subprocess, and records the subprocess's peak RSS
 (``getrusage.ru_maxrss``) plus the demuxer's own
-``peak_buffered_packets`` counter.
+``peak_buffered_packets`` counter.  The same flows are also written to
+a pcap file and streamed from disk (``--mode pcap``), so the capture
+reader is held to the bound too: it may keep one read window of the
+file resident, never the file.
 
 Run at 1x and 10x the packet count, both must stay flat:
 
@@ -33,6 +36,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 FLOWS_1X = 100
@@ -98,8 +102,9 @@ def packets_per_flow() -> int:
     return 6 + 2 * DATA_SEGMENTS
 
 
-def _measure(flows: int, mode: str) -> dict:
-    """Subprocess body: stream (or batch) ``flows`` flows, report peaks."""
+def _measure(flows: int, mode: str, capture: str | None = None) -> dict:
+    """Subprocess body: stream (or batch) ``flows`` flows — from
+    ``capture`` in ``pcap`` mode — and report peaks."""
     import resource
 
     from repro.config import RunConfig
@@ -109,9 +114,10 @@ def _measure(flows: int, mode: str) -> dict:
     stats = StreamStats()
     analyzed = 0
     stalls = 0
-    if mode == "stream":
+    if mode in ("stream", "pcap"):
+        source = capture if mode == "pcap" else synthetic_packets(flows)
         for analysis in Tapo().analyze_stream(
-            synthetic_packets(flows),
+            source,
             run=RunConfig(workers=1, idle_timeout=30.0, close_linger=2.0),
             stats=stats,
         ):
@@ -133,16 +139,19 @@ def _measure(flows: int, mode: str) -> dict:
     }
 
 
-def run_measure(flows: int, mode: str = "stream") -> dict:
+def run_measure(
+    flows: int, mode: str = "stream", capture: str | None = None
+) -> dict:
     """Run one measurement in a fresh interpreter (clean RSS baseline)."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
+    extra = ["--capture", capture] if capture else []
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--measure",
-         str(flows), "--mode", mode],
+         str(flows), "--mode", mode, *extra],
         env=env,
         check=True,
         capture_output=True,
@@ -152,41 +161,69 @@ def run_measure(flows: int, mode: str = "stream") -> dict:
     return json.loads(out.stdout)
 
 
+def measure_capture(flows: int, directory: str) -> dict:
+    """Write ``flows`` flows to a pcap in ``directory`` and stream it
+    from disk in a fresh interpreter."""
+    from repro.packet.pcap import PcapWriter
+
+    path = os.path.join(directory, f"stream-{flows}.pcap")
+    with PcapWriter(path) as writer:
+        writer.write_all(synthetic_packets(flows))
+    return {**run_measure(flows, "pcap", path),
+            "capture_bytes": os.path.getsize(path)}
+
+
 def compare(flows_1x: int = FLOWS_1X) -> dict:
     one = run_measure(flows_1x)
     ten = run_measure(flows_1x * SCALE)
     batch_ten = run_measure(flows_1x * SCALE, mode="batch")
+    with tempfile.TemporaryDirectory() as directory:
+        pcap_one = measure_capture(flows_1x, directory)
+        pcap_ten = measure_capture(flows_1x * SCALE, directory)
     return {
         "stream_1x": one,
         "stream_10x": ten,
         "batch_10x": batch_ten,
+        "pcap_1x": pcap_one,
+        "pcap_10x": pcap_ten,
         "rss_ratio_10x_over_1x": ten["max_rss_kb"] / one["max_rss_kb"],
         "buffer_ratio_10x_over_1x": (
             ten["peak_buffered_packets"]
             / max(1, one["peak_buffered_packets"])
         ),
+        "pcap_rss_ratio_10x_over_1x": (
+            pcap_ten["max_rss_kb"] / pcap_one["max_rss_kb"]
+        ),
     }
 
 
 def test_stream_memory_stays_flat():
-    """CI gate: 10x packets, flat RSS and flat demux buffer."""
+    """CI gate: 10x packets, flat RSS and flat demux buffer, for
+    in-memory records and for a capture file streamed from disk."""
     result = compare()
     one, ten = result["stream_1x"], result["stream_10x"]
     assert ten["flows"] == SCALE * one["flows"]
+    assert result["pcap_10x"]["flows"] == ten["flows"]
+    assert result["pcap_1x"]["stalls"] == one["stalls"]
     assert (
         result["buffer_ratio_10x_over_1x"] <= BUFFER_RATIO_LIMIT
     ), f"demux buffer grew with trace length: {result}"
     assert (
         result["rss_ratio_10x_over_1x"] <= RSS_RATIO_LIMIT
     ), f"peak RSS grew superlinearly with trace length: {result}"
+    assert (
+        result["pcap_rss_ratio_10x_over_1x"] <= RSS_RATIO_LIMIT
+    ), f"peak RSS grew with capture size: {result}"
     _print_report(result)
 
 
 def _print_report(result: dict) -> None:
-    one, ten, batch = (
+    one, ten, batch, pcap_one, pcap_ten = (
         result["stream_1x"],
         result["stream_10x"],
         result["batch_10x"],
+        result["pcap_1x"],
+        result["pcap_10x"],
     )
     print()
     print("Streaming memory bound (peak RSS via getrusage):")
@@ -204,11 +241,19 @@ def _print_report(result: dict) -> None:
         f"  batch  10x: {batch['packets']:>8} packets  "
         f"{batch['max_rss_kb'] / 1024:7.1f} MiB  (holds whole trace)"
     )
+    for label, run in (("pcap   1x", pcap_one), ("pcap  10x", pcap_ten)):
+        print(
+            f"  {label}: {run['packets']:>8} packets  "
+            f"{run['max_rss_kb'] / 1024:7.1f} MiB  "
+            f"(capture {run['capture_bytes'] / 2**20:.1f} MiB on disk)"
+        )
     print(
         f"  RSS ratio 10x/1x: {result['rss_ratio_10x_over_1x']:.2f} "
         f"(limit {RSS_RATIO_LIMIT}), buffer ratio: "
         f"{result['buffer_ratio_10x_over_1x']:.2f} "
-        f"(limit {BUFFER_RATIO_LIMIT})"
+        f"(limit {BUFFER_RATIO_LIMIT}), pcap RSS ratio: "
+        f"{result['pcap_rss_ratio_10x_over_1x']:.2f} "
+        f"(limit {RSS_RATIO_LIMIT})"
     )
 
 
@@ -225,7 +270,10 @@ def main(argv: list[str] | None = None) -> int:
         help="(internal) measure one size in this process and print JSON",
     )
     parser.add_argument(
-        "--mode", choices=("stream", "batch"), default="stream"
+        "--mode", choices=("stream", "batch", "pcap"), default="stream"
+    )
+    parser.add_argument(
+        "--capture", help="(internal) the pcap file streamed in pcap mode"
     )
     import _emit
 
@@ -233,7 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.measure is not None:
-        json.dump(_measure(args.measure, args.mode), sys.stdout)
+        json.dump(
+            _measure(args.measure, args.mode, args.capture), sys.stdout
+        )
         print()
         return 0
 
@@ -253,6 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     ok = (
         result["buffer_ratio_10x_over_1x"] <= BUFFER_RATIO_LIMIT
         and result["rss_ratio_10x_over_1x"] <= RSS_RATIO_LIMIT
+        and result["pcap_rss_ratio_10x_over_1x"] <= RSS_RATIO_LIMIT
     )
     return 0 if ok else 1
 

@@ -45,7 +45,7 @@ __version__ = "2.0.0"
 _EXPORTS = {
     # facade verbs + configs
     "analyze": "repro.api",
-    "analyze_cluster": "repro.api",
+    "analyze_cluster": "repro.cluster",
     "analyze_stream": "repro.api",
     "simulate": "repro.api",
     "report": "repro.api",
@@ -110,14 +110,14 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS) + ["__version__", "api", "config"]
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
-    from .api import (
-        analyze,
+    from .api import analyze, analyze_stream, report, simulate
+    from .cluster import (
+        AuthError,
+        Coordinator,
+        NetConfig,
         analyze_cluster,
-        analyze_stream,
-        report,
-        simulate,
+        run_worker,
     )
-    from .cluster import AuthError, Coordinator, NetConfig, run_worker
     from .config import AnalysisConfig, RunConfig
     from .errors import (
         CacheError,

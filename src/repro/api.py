@@ -68,7 +68,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .cluster import AuthError, Coordinator, NetConfig, analyze_cluster, run_worker
 from .config import AnalysisConfig, RunConfig
 from .core.flow_analyzer import FlowAnalysis
 from .core.report import ServiceReport
@@ -86,8 +85,6 @@ from .errors import (
     SkippedFlow,
     WorkerError,
 )
-from .live import AlertRule, LiveDaemon, WindowStore, watch_directory
-from .matrix import MatrixConfig, MatrixResult, run_matrix
 from .packet.flow import (
     ServerPredicate,
     StreamStats,
@@ -95,13 +92,6 @@ from .packet.flow import (
     server_by_port,
 )
 from .packet.packet import PacketRecord
-from .results import (
-    ResultsStore,
-    TrendConfig,
-    merge_records,
-    render_dashboard,
-    trend_report,
-)
 from .tcp import MobileLRPolicy, PolicyRegistry, TRACKsPolicy
 
 __all__ = [
@@ -156,6 +146,25 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str):
+    """Resolve the cluster, live, matrix and results exports on first
+    use, through the package's lazy export table: analyzing a capture
+    never loads those subsystems."""
+    from importlib import import_module
+
+    from . import _EXPORTS
+
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value  # cache: resolve each name once
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
 def analyze(
     source: str | Path | Iterable[PacketRecord],
     server_side: ServerPredicate | None = None,
@@ -184,7 +193,9 @@ def analyze_stream(
     """Analyze an unbounded packet source with bounded memory.
 
     Yields each flow's analysis as the flow *completes* (FIN/RST close
-    or idle timeout).  ``run`` controls eviction bounds, worker
+    or idle timeout).  A pcap ``source`` (a path, a FIFO or
+    ``/dev/stdin``) is read one window at a time, so memory is one read
+    window plus open-flow state.  ``run`` controls eviction bounds, worker
     processes, and backpressure; classifications are identical to
     :func:`analyze` on the same trace.  See
     :meth:`repro.core.tapo.Tapo.analyze_stream`.

@@ -9,7 +9,6 @@ same captures produces.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 

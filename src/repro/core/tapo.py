@@ -288,7 +288,11 @@ class Tapo:
 
         ``source`` may be a pcap path, an open :class:`PcapReader`, an
         iterable of :class:`PacketRecord`, or an iterable of record
-        chunks.  Flows are yielded as they *complete* (FIN/RST close
+        chunks.  A pcap path may name a pipe or FIFO
+        (``/dev/stdin``); a capture is read one window at a time
+        (:meth:`PcapReader.iter_columns`), so resident memory is one
+        read window plus open-flow state, whatever the capture size.
+        Flows are yielded as they *complete* (FIN/RST close
         or ``run.idle_timeout`` of trace-time silence), not at end of
         stream; classifications are identical to
         :meth:`analyze_pcap` on the same trace, modulo yield order.

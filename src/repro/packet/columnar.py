@@ -45,7 +45,6 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .headers import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN
 from .options import TCPOptions
 from .packet import PacketRecord
 
@@ -56,9 +55,6 @@ _U32_ITEMSIZE = array(_U32).itemsize
 #: ``optbits`` flags.
 OPT_TS = 0x01   #: pattern-matched timestamp option (ts_val/ts_ecr valid)
 OPT_ODD = 0x02  #: full decode kept in :attr:`PacketColumns.odd_options`
-
-_ETHERTYPE_IPV4 = 0x0800
-
 
 
 class PacketColumns:

@@ -10,6 +10,8 @@ captured with tcpdump on a real interface can be analyzed too.
 from __future__ import annotations
 
 import mmap
+import os
+import stat
 import struct
 from array import array
 from collections.abc import Iterable, Iterator
@@ -77,7 +79,7 @@ class PcapWriter:
         self._file: BinaryIO = open(path, "wb")
         self.linktype = linktype
         header = struct.pack(
-            "!IHHiIII" if False else "<IHHiIII",
+            "<IHHiIII",
             PCAP_MAGIC,
             2,
             4,
@@ -131,10 +133,10 @@ class PcapWriter:
 #: One syscall per buffer instead of two per packet.
 READ_BUFFER_BYTES = 1 << 20
 
-#: Default slab size for :meth:`PcapReader.iter_columns`.  Columnar
+#: Default window for :meth:`PcapReader.iter_columns`.  Columnar
 #: decode has a fixed vectorization cost per batch, so it prefers
-#: fewer, larger slabs; 4 MiB keeps memory modest while making the
-#: per-batch overhead negligible.
+#: fewer, larger windows; 4 MiB bounds what a capture pass keeps
+#: resident while making the per-batch overhead negligible.
 COLUMN_BUFFER_BYTES = 4 << 20
 
 
@@ -226,18 +228,16 @@ class PcapScanner:
         """Mark end-of-input: the next :meth:`drain` judges the tail."""
         self._final = True
 
-    def drop_pending(self) -> int:
-        """Forget the unconsumed tail and return its length.
+    def drop_pending(self) -> None:
+        """Forget the unconsumed tail and the buffer holding it.
 
-        For seekable sources: the caller rewinds by the returned count
-        and re-reads, so the tail arrives again at the *front* of the
-        next slab — which :meth:`push` then adopts by reference instead
-        of paying a buffer concatenation per slab.
+        For memory-mapped windows: dropping the scanner's view lets
+        the window be unmapped, and the caller maps the tail again at
+        the *front* of the next window — which :meth:`push` then adopts
+        by reference instead of paying a buffer concatenation.
         """
-        pending = len(self._buffer) - self._offset
         self._buffer = b""
         self._offset = 0
-        return pending
 
     # -- framing heuristics (identical to the historical reader) ------
     def _plausible(self, pos: int) -> bool:
@@ -619,83 +619,84 @@ class PcapReader:
         self, buffer_bytes: int = COLUMN_BUFFER_BYTES
     ) -> Iterator[PacketColumns]:
         """Yield :class:`~repro.packet.columnar.PacketColumns` batches,
-        one per ``buffer_bytes`` slab — the columnar counterpart of
+        one per ``buffer_bytes`` window — the columnar counterpart of
         :meth:`iter_records`, with identical skip/recovery counters.
 
-        Regular files are memory-mapped and decoded through zero-copy
-        slab windows; unmappable sources (pipes) fall back to plain
-        reads.  Either way memory stays bounded by the slab size, not
-        the trace size."""
+        The capture is read one window at a time, and each window is
+        released before its batch is yielded: resident memory is one
+        window plus what the caller keeps, never the capture size, and
+        a caller that stops early holds no capture byte.  A regular
+        file's window is memory-mapped, decoded zero-copy and unmapped;
+        an unmappable source (a pipe, a FIFO, ``/dev/stdin``) is read
+        instead, the scanner carrying the partial-record tail.  Either
+        way a window spans ``buffer_bytes`` from the first unconsumed
+        byte, and a record larger than the window doubles it until the
+        record fits."""
         scanner = PcapScanner(
             self._endian, self.linktype, self.errors, counters=self
         )
-        try:
-            mapped = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except (ValueError, OSError):
-            mapped = None
-        if mapped is not None:
-            yield from self._iter_columns_mapped(
-                scanner, mapped, buffer_bytes
-            )
-            return
-        while True:
-            slab = self._file.read(buffer_bytes)
-            if not slab:
-                break
-            scanner.push(slab)
-            columns = scanner.drain_columns()
-            if len(columns):
-                yield columns
-            pending = scanner.pending_bytes
-            if 0 < pending < len(slab):
-                # Rewind over the partial record tail and re-read it
-                # at the head of the next slab; every push then adopts
-                # its slab by reference, copying nothing.  (A tail as
-                # large as the whole slab — a record bigger than the
-                # buffer — falls back to buffer growth instead.)
-                self._file.seek(-pending, 1)
-                scanner.drop_pending()
-        scanner.finish()
-        columns = scanner.drain_columns()
-        if len(columns):
-            yield columns
-
-    def _iter_columns_mapped(
-        self, scanner: PcapScanner, mapped: "mmap.mmap", buffer_bytes: int
-    ) -> Iterator[PacketColumns]:
-        """Slab windows over a memory-mapped capture: each push hands
-        the scanner a :class:`memoryview` slice, so no capture byte is
-        ever copied on its way to the columnar decoder."""
-        view = memoryview(mapped)
-        size = len(view)
-        pos = self._file.tell()
+        source = self._file
+        fd = source.fileno()
+        info = os.fstat(fd)
+        size = info.st_size if stat.S_ISREG(info.st_mode) else None
+        # Capture bytes [pos, end) sit with the scanner; pos is the
+        # first byte no parse decision has consumed yet.
+        pos = end = source.tell() if size is not None else 0
         window = buffer_bytes
-        while pos < size:
-            end = min(pos + window, size)
-            scanner.push(view[pos:end])
+        region = None
+        try:
+            while True:
+                if size is None:
+                    data = source.read(pos + window - end)
+                elif end < size:
+                    base = end - end % mmap.ALLOCATIONGRANULARITY
+                    region = mmap.mmap(
+                        fd, min(pos + window, size) - base,
+                        offset=base, access=mmap.ACCESS_READ,
+                    )
+                    data = memoryview(region)[end - base :]
+                else:
+                    data = b""
+                if not data:
+                    break
+                end += len(data)
+                scanner.push(data)
+                del data  # the scanner's reference is the one to drop
+                columns = scanner.drain_columns()
+                held = scanner.pending_bytes
+                pos = end - held
+                # A tail as long as a window is the head of a record
+                # larger than it: double the window past the tail.
+                window = buffer_bytes
+                while window <= held:
+                    window *= 2
+                if region is not None:
+                    # The partial-record tail is re-mapped at the head
+                    # of the next window; at EOF it is copied out for
+                    # finish() to judge.
+                    tail = b""
+                    if end == size:
+                        tail = region[pos - base : end - base]
+                    scanner.drop_pending()
+                    region.close()
+                    region = None
+                    scanner.push(tail)
+                    end = pos + len(tail)
+                if len(columns):
+                    yield columns
+            scanner.finish()
             columns = scanner.drain_columns()
             if len(columns):
                 yield columns
-            pending = scanner.pending_bytes
-            if pending == 0 or end == size:
-                # Fully consumed — or at EOF, where the tail stays
-                # with the scanner for finish() to judge.
-                pos = end
-                window = buffer_bytes
-                continue
-            consumed = (end - pos) - pending
-            pos = end - pending
-            scanner.drop_pending()
-            # A record larger than the window makes no progress;
-            # double the window until it fits.
-            window = buffer_bytes if consumed else window * 2
-        scanner.finish()
-        columns = scanner.drain_columns()
-        if len(columns):
-            yield columns
-        self._file.seek(size)
+        finally:
+            if region is not None:
+                scanner.drop_pending()
+                try:
+                    region.close()
+                except BufferError:
+                    # A decode error in flight still holds a view of
+                    # the window; it is unmapped with that traceback.
+                    pass
 
     def iter_chunks(
         self,
