@@ -7,7 +7,8 @@ columns flow through :class:`ColumnarStreamDemuxer`, which mirrors
 server identification, eviction order, :class:`StreamStats`
 accounting — but keys flows by packed integers, buffers per-flow
 *columns* instead of per-packet objects, and works a slab at a time:
-rows are grouped by flow with one sort and each flow's columns grow by
+rows are grouped by flow with one numpy sort (a small one-connection
+slab, without numpy, is its own group) and each flow's columns grow by
 one slice, so only SYN/FIN/RST and odd-option rows cost a Python step
 each (DESIGN.md 5.2).  Completed flows come out as
 :class:`LazyFlowTrace` objects: real :class:`FlowTrace`\\ s whose
@@ -34,9 +35,12 @@ module to (:func:`repro.testing.reference_analyze`).
 
 from __future__ import annotations
 
+import sys
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from copy import copy
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,7 +48,6 @@ from ..config import AnalysisConfig
 from ..packet.columnar import (
     OPT_ODD,
     OPT_TS,
-    _U32,
     PacketColumns,
 )
 from ..packet.flow import (
@@ -70,6 +73,43 @@ from .flow_analyzer import FlowAnalysis
 _SEQ_SPACE = 1 << 32
 
 
+#: One-connection slabs with fewer rows than this are grouped in
+#: Python (:func:`_group_rows`), any other slab by a numpy sort and
+#: gather (:func:`_group_sorted`).  numpy's fixed cost per call is what
+#: a short trace pays, its per-row cost what a capture window pays;
+#: measured (DESIGN.md 5.2), the Python pass is the faster below
+#: 125–170 rows of one connection — every trace the simulator hands
+#: over.
+SMALL_SLAB_ROWS = 128
+
+#: The flag bits whose rows the per-group loop visits: a SYN names the
+#: server; a FIN or RST starts a close linger, so only with one.
+_SERVER_FLAGS = FLAG_SYN
+_CLOSE_FLAGS = FLAG_SYN | FLAG_FIN | FLAG_RST
+
+#: Where the ip and the port bytes sit in a native int64
+#: ``(ip << 16) | port``.
+_IP_AT, _PORT_AT = (2, 0) if sys.byteorder == "little" else (2, 6)
+
+# Both grouping front-ends hand :meth:`ColumnarStreamDemuxer.feed_columns`
+# the same tuple:
+#
+# ``slab``     the ten :attr:`_FlowStore.COLUMNS`, rows in group order;
+# ``records``  the source records in that order, or ``None``;
+# ``rows``     the slab row at each grouped position (capture order
+#              inside a group);
+# ``starts``   each group's first position; ``lo``/``hi`` its packed
+#              endpoints;
+# ``flagged``  the rows with a bit of ``flags`` set, group by group,
+#              split by ``flagged_at`` (group ``g`` owns
+#              ``flagged[flagged_at[g]:flagged_at[g + 1]]``);
+# ``odd``      the grouped *positions* of odd-option rows, split by
+#              ``odd_at`` the same way;
+# ``visit``    the groups in order of first row.
+#
+# A connection's rows on either side of a sweep cut are separate groups.
+
+
 def _marked(mask, starts: list[int]) -> tuple[list[int], list[int]]:
     """Positions where ``mask`` is set, and the offsets that split them
     among the groups starting at ``starts`` (group ``g`` owns
@@ -81,6 +121,168 @@ def _marked(mask, starts: list[int]) -> tuple[list[int], list[int]]:
     )
     offsets.append(len(positions))
     return positions.tolist(), offsets
+
+
+def _offsets(positions: list[int], starts: list[int]) -> list[int]:
+    """:func:`_marked`'s offsets for positions already found."""
+    return [bisect_left(positions, start) for start in starts] + [
+        len(positions)
+    ]
+
+
+#: ``bytes.translate`` tables, by mask: a byte to 1 if it has a bit of
+#: the mask set, else to 0.
+_MARK_TABLES = {
+    mask: bytes(int(bool(b & mask)) for b in range(256))
+    for mask in (_SERVER_FLAGS, _CLOSE_FLAGS, OPT_ODD)
+}
+
+
+def _marked_rows(column: array, mask: int) -> list[int]:
+    """The rows of a byte column with a bit of ``mask`` set, found by
+    ``bytes.find`` — a Python step per marked row, none per other."""
+    marks = column.tobytes().translate(_MARK_TABLES[mask])
+    rows = []
+    row = marks.find(1)
+    while row >= 0:
+        rows.append(row)
+        row = marks.find(1, row + 1)
+    return rows
+
+
+def _slab(cols: PacketColumns, src) -> list:
+    """The slab's columns in :attr:`_FlowStore.COLUMNS` order, ``src``
+    being its packed source endpoints."""
+    return [
+        cols.timestamps, src, cols.seq, cols.ack, cols.flags,
+        cols.window, cols.payload_len, cols.ts_val, cols.ts_ecr,
+        cols.optbits,
+    ]
+
+
+def _packed(ips: array, ports: array) -> array:
+    """``(ip << 16) | port`` per row as an int64 column, written by
+    strided byte copies: what numpy's widen, shift and or do, at a
+    fixed cost instead of a Python step per row."""
+    out = bytearray(8 * len(ips))
+    ip_bytes, port_bytes = ips.tobytes(), ports.tobytes()
+    for k in range(4):
+        out[_IP_AT + k::8] = ip_bytes[k::4]
+    for k in range(2):
+        out[_PORT_AT + k::8] = port_bytes[k::2]
+    packed = array("q")
+    packed.frombytes(out)
+    return packed
+
+
+def _xor_is(a: array, b: array, value: int) -> bool:
+    """Whether ``a[i] ^ b[i] == value`` on every row, the columns XORed
+    whole as big integers."""
+    same = array(a.typecode, [value]) * len(a)
+    return int.from_bytes(a.tobytes(), "little") ^ int.from_bytes(
+        b.tobytes(), "little"
+    ) == int.from_bytes(same.tobytes(), "little")
+
+
+def _one_connection(cols: PacketColumns, src: array) -> bool:
+    """Whether every row runs between the first row's two endpoints X
+    and Y: each source is X or Y and each row's endpoints XOR to
+    ``X ^ Y`` — which makes its destination the other one (or X again,
+    when X is Y).  The XOR is checked on the ip and the port columns."""
+    first = (cols.dst_ip[0] << 16) | cols.dst_port[0]
+    return (
+        set(src) <= {src[0], first}
+        and _xor_is(cols.src_ip, cols.dst_ip, cols.src_ip[0] ^ cols.dst_ip[0])
+        and _xor_is(
+            cols.src_port, cols.dst_port, cols.src_port[0] ^ cols.dst_port[0]
+        )
+    )
+
+
+def _group_rows(
+    cols: PacketColumns, src: array, cuts: list[int], flags: int
+) -> tuple:
+    """Group a small one-connection slab without numpy: the slab is its
+    own grouped copy and its sweep segments are the groups.  ``src`` is
+    its packed source endpoints; marked rows are found by
+    ``bytes.find``."""
+    count = len(cols)
+    ends = src[0], (cols.dst_ip[0] << 16) | cols.dst_port[0]
+    starts = [0, *(cut + 1 for cut in cuts if cut + 1 < count)]
+    flagged = _marked_rows(cols.flags, flags)
+    odd = _marked_rows(cols.optbits, OPT_ODD)
+    return (
+        _slab(cols, src), cols.source_records, range(count), starts,
+        [min(ends)] * len(starts), [max(ends)] * len(starts),
+        flagged, _offsets(flagged, starts), odd, _offsets(odd, starts),
+        range(len(starts)),
+    )
+
+
+def _owned(typecode: str, values) -> array:
+    """A copy of the contiguous numpy array ``values`` as an ``array``."""
+    out = array(typecode)
+    out.frombytes(memoryview(values).cast("B"))
+    return out
+
+
+def _group_sorted(
+    cols: PacketColumns, cuts: list[int], flags: int
+) -> tuple:
+    """Group a slab by flow with one stable sort of its packed keys and
+    one gather per column (numpy; what a capture window and any slab
+    of several connections take)."""
+    count = len(cols)
+    src = np.asarray(cols.src_ip).astype(np.int64)
+    src <<= 16
+    src |= np.asarray(cols.src_port)
+    dst = np.asarray(cols.dst_ip).astype(np.int64)
+    dst <<= 16
+    dst |= np.asarray(cols.dst_port)
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    slab = _slab(cols, _owned("q", src))
+    records = cols.source_records
+    if (lo != lo[0]).any() or (hi != hi[0]).any():
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        change = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        if cuts:
+            segment = np.searchsorted(cuts, order)
+            change |= segment[1:] != segment[:-1]
+        starts = change.nonzero()[0]
+        starts += 1
+        starts = [0, *starts.tolist()]
+        lo, hi = lo[starts].tolist(), hi[starts].tolist()
+        rows = order.tolist()
+        slab = [
+            _owned(column.typecode, np.asarray(column)[order])
+            for column in slab
+        ]
+        if records is not None:
+            gathered = np.empty(count, dtype=object)
+            gathered[:] = records
+            records = gathered[order].tolist()
+    else:
+        # One connection: the slab is its own group, nothing to sort
+        # or gather.
+        starts = [0, *(cut + 1 for cut in cuts if cut + 1 < count)]
+        lo, hi = [int(lo[0])] * len(starts), [int(hi[0])] * len(starts)
+        rows = range(count)
+    flagged, flagged_at = _marked(
+        np.asarray(slab[4]) & flags, starts
+    )
+    flagged = [rows[at] for at in flagged]
+    odd, odd_at = _marked(np.asarray(slab[9]) & OPT_ODD, starts)
+    # Groups in order of first row: ``_flows`` / ``_pending`` keep
+    # insertion order and ``finish`` breaks ties with it.
+    visit = sorted(
+        range(len(starts)), key=[rows[at] for at in starts].__getitem__
+    )
+    return (
+        slab, records, rows, starts, lo, hi,
+        flagged, flagged_at, odd, odd_at, visit,
+    )
 
 
 def _endpoint(packed: int) -> tuple[int, int]:
@@ -100,41 +302,48 @@ class _FlowStore:
     materialization returns the *original* objects.
     """
 
-    #: The per-row columns, in the order :meth:`extend` takes them.
+    #: The per-row columns, in the order a slab lists them.
     COLUMNS = (
         "times", "src_pk", "seq", "ack", "flags", "window",
         "payload", "ts_val", "ts_ecr", "optbits",
     )
     __slots__ = ("pk_a", "pk_b", "server_pk", *COLUMNS, "odd", "records")
+    columns = property(attrgetter(*COLUMNS))
 
-    def __init__(self, pk_a: int, pk_b: int):
+    def __init__(
+        self, pk_a: int, pk_b: int, columns: list[array],
+        records: list[PacketRecord] | None,
+    ):
+        """A flow whose first rows are ``columns`` (owned arrays, in
+        :attr:`COLUMNS` order) and, if the batch kept them, their
+        source ``records``."""
         self.pk_a = pk_a
         self.pk_b = pk_b
         self.server_pk: int | None = None
-        self.times = array("d")
-        self.src_pk = array("q")
-        self.seq = array(_U32)
-        self.ack = array(_U32)
-        self.flags = array("B")
-        self.window = array("H")
-        self.payload = array(_U32)
-        self.ts_val = array(_U32)
-        self.ts_ecr = array(_U32)
-        self.optbits = array("B")
+        (
+            self.times, self.src_pk, self.seq, self.ack, self.flags,
+            self.window, self.payload, self.ts_val, self.ts_ecr,
+            self.optbits,
+        ) = columns
         self.odd: dict[int, TCPOptions] = {}
-        self.records: list[PacketRecord] | None = []
+        self.records = records
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def extend(self, slab: list[memoryview], start: int, end: int) -> None:
-        """Append rows ``start..end`` of a slab's columns, given as
-        byte views in :attr:`COLUMNS` order.  ``frombytes`` copies, so
-        the store owns its rows and keeps no slab alive."""
-        for name, view in zip(self.COLUMNS, slab):
-            column = getattr(self, name)
-            size = column.itemsize
-            column.frombytes(view[start * size:end * size])
+    def extend(
+        self, slab: list[array], start: int, end: int,
+        records: list[PacketRecord] | None,
+    ) -> None:
+        """Append rows ``start..end`` of a slab's columns.  Slicing an
+        ``array`` copies, so the store owns its rows and keeps no slab
+        alive."""
+        for column, source in zip(self.columns, slab):
+            column.extend(source[start:end])
+        if records is None:
+            self.records = None
+        elif self.records is not None:
+            self.records.extend(records[start:end])
 
     def options_at(self, index: int) -> TCPOptions:
         bits = self.optbits[index]
@@ -349,6 +558,7 @@ class ColumnarStreamDemuxer:
         self._fins: dict[int, set[int]] = {}
         self._closed_at: dict[int, float] = {}
         self._last_seen: dict[int, float] = {}
+        self._flags = _SERVER_FLAGS if close_linger is None else _CLOSE_FLAGS
         bounds = [b for b in (idle_timeout, close_linger) if b is not None]
         self._sweep_every = (
             max(min(bounds) * self._SWEEP_FRACTION, 1e-3) if bounds else None
@@ -359,10 +569,12 @@ class ColumnarStreamDemuxer:
     def feed_columns(self, cols: PacketColumns) -> None:
         """Demultiplex one batch of decoded columns.
 
-        Rows are grouped by flow key with one stable sort, each column
-        is gathered once and every flow's buffers grow by one slice;
-        only SYN/FIN/RST rows and odd-option rows are visited one at a
-        time.  With eviction on the slab is cut after each row at
+        Rows are grouped by flow key — a one-connection slab below
+        :data:`SMALL_SLAB_ROWS` rows is its own group, any other slab is
+        grouped by one stable sort — and every flow's buffers grow by
+        one slice of the grouped columns; only SYN rows, FIN/RST rows
+        when a close linger is on, and odd-option rows are visited one
+        at a time.  With eviction on the slab is cut after each row at
         which a sweep falls due, and a connection's rows on either
         side of a cut are separate groups, so eviction order and
         re-opened tuples come out as they would row by row.
@@ -370,62 +582,18 @@ class ColumnarStreamDemuxer:
         count = len(cols)
         if not count:
             return
-        src = np.asarray(cols.src_ip).astype(np.int64)
-        src <<= 16
-        src |= np.asarray(cols.src_port)
-        dst = np.asarray(cols.dst_ip).astype(np.int64)
-        dst <<= 16
-        dst |= np.asarray(cols.dst_port)
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
         cuts = self._sweep_rows(cols.timestamps)
-        slab = [
-            cols.timestamps, src, cols.seq, cols.ack, cols.flags,
-            cols.window, cols.payload_len, cols.ts_val, cols.ts_ecr,
-            cols.optbits,
-        ]
-        records = cols.source_records
-
-        # ``rows`` lists the slab's rows group by group (capture order
-        # inside a group), ``starts`` the group boundaries in it, and
-        # ``lo``/``hi`` each group's packed endpoints.
-        if (lo != lo[0]).any() or (hi != hi[0]).any():
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            change = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            if cuts:
-                segment = np.searchsorted(cuts, order)
-                change |= segment[1:] != segment[:-1]
-            starts = change.nonzero()[0]
-            starts += 1
-            starts = [0, *starts.tolist()]
-            lo, hi = lo[starts].tolist(), hi[starts].tolist()
-            rows = order.tolist()
-            # Gathered copies the flows copy their slices out of: a
-            # flow's buffers own their bytes and never pin the slab.
-            slab = [np.asarray(column)[order] for column in slab]
-            if records is not None:
-                gathered = np.empty(count, dtype=object)
-                gathered[:] = records
-                records = gathered[order].tolist()
+        small = count < SMALL_SLAB_ROWS
+        src = _packed(cols.src_ip, cols.src_port) if small else None
+        if small and _one_connection(cols, src):
+            grouped = _group_rows(cols, src, cuts, self._flags)
         else:
-            # One connection (every trace the simulator hands over):
-            # the slab is its own group, nothing to sort or gather.
-            starts = [0, *(cut + 1 for cut in cuts if cut + 1 < count)]
-            lo, hi = [int(lo[0])] * len(starts), [int(hi[0])] * len(starts)
-            rows = range(count)
+            grouped = _group_sorted(cols, cuts, self._flags)
+        (
+            slab, records, rows, starts, lo, hi,
+            flagged, flagged_at, odd, odd_at, visit,
+        ) = grouped
         ends = [*starts[1:], count]
-        flagged, flagged_at = _marked(
-            np.asarray(slab[4]) & (FLAG_SYN | FLAG_FIN | FLAG_RST), starts
-        )
-        flagged = [rows[at] for at in flagged]
-        odd, odd_at = _marked(np.asarray(slab[9]) & OPT_ODD, starts)
-        slab = [memoryview(column).cast("B") for column in slab]
-        # Groups in order of first row: ``_flows`` / ``_pending`` keep
-        # insertion order and ``finish`` breaks ties with it.
-        visit = sorted(
-            range(len(starts)), key=[rows[at] for at in starts].__getitem__
-        )
 
         timestamps = cols.timestamps
         flag_col = cols.flags
@@ -457,14 +625,22 @@ class ColumnarStreamDemuxer:
             identifying: tuple[int, int] | None = None
             if waiting:
                 store = pending.get(key)
-                if store is None:
-                    store = _FlowStore(lo[group], hi[group])
-                    stats.flows_started += 1
-                    if not flag_col[first] & FLAG_SYN:
-                        stats.flows_reopened += 1
-                    stats.active_flows += 1
                 if predicate is not None:
                     identifying = first, predicate(cols.record(first))
+            if store is None:
+                store = _FlowStore(
+                    lo[group], hi[group],
+                    [column[start:end] for column in slab],
+                    None if records is None else records[start:end],
+                )
+                base = -start
+                stats.flows_started += 1
+                if not flag_col[first] & FLAG_SYN:
+                    stats.flows_reopened += 1
+                stats.active_flows += 1
+            else:
+                base = len(store) - start
+                store.extend(slab, start, end, records)
             for row in flagged[flagged_at[group]:flagged_at[group + 1]]:
                 bits = flag_col[row]
                 if bits & FLAG_SYN and waiting and identifying is None:
@@ -489,16 +665,10 @@ class ColumnarStreamDemuxer:
             elif waiting:
                 pending[key] = store
 
-            base = len(store) - start
             for at in odd[odd_at[group]:odd_at[group + 1]]:
                 # By row, never through the mapping's own iteration: a
                 # lazy mapping does not list its undecoded SACK rows.
                 store.odd[base + at] = odd_options[rows[at]]
-            store.extend(slab, start, end)
-            if records is None:
-                store.records = None
-            elif store.records is not None:
-                store.records.extend(records[start:end])
             self._last_seen[key] = timestamps[rows[end - 1]]
 
         self._end_segment(count - done, identified)

@@ -30,6 +30,7 @@ to.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from ..config import AnalysisConfig, RunConfig
@@ -394,11 +395,13 @@ class Tapo:
         """
         self._reset()
         report = ServiceReport(service=service)
-        for packets in traces:
-            for analysis in self._analyze_flows(
-                _demux(packets, None), self.faults
-            ):
-                report.add(analysis)
+        # One error-budget run over every trace's flows, so a fractional
+        # budget sees the whole call's units, as in analyze_packets.
+        flows = chain.from_iterable(
+            _demux(packets, None) for packets in traces
+        )
+        for analysis in self._analyze_flows(flows, self.faults):
+            report.add(analysis)
         report.skipped.extend(self.faults.skipped)
         return report
 

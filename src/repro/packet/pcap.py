@@ -575,9 +575,14 @@ class PcapReader:
         verify_checksums: bool = False,
     ):
         self._file: BinaryIO = open(path, "rb")
-        raw = self._file.read(_GLOBAL_HEADER.size)
-        self._endian, self.linktype = parse_global_header(raw)
-        self.errors = ErrorBudget.parse(errors)
+        try:
+            raw = self._file.read(_GLOBAL_HEADER.size)
+            self._endian, self.linktype = parse_global_header(raw)
+            self.errors = ErrorBudget.parse(errors)
+        except BaseException:
+            # No reader comes back for the caller to close.
+            self._file.close()
+            raise
         #: Verify each decoded packet's TCP checksum.
         self.verify_checksums = verify_checksums
         self.skipped = 0

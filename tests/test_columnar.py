@@ -31,15 +31,18 @@ from __future__ import annotations
 
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.config import AnalysisConfig, RunConfig
 from repro.core import ServiceReport, Tapo
 from repro.core.cli import main as cli_main
+from repro.core import columnar_pipeline
 from repro.core.columnar_pipeline import (
     LazyFlowTrace,
     _replay,
@@ -50,6 +53,7 @@ from repro.core.columnar_pipeline import (
 from repro.core.flow_analyzer import FlowAnalyzer
 from repro.core.segments import SegmentTracker
 from repro.errors import ErrorBudget, FlowAnalysisError
+from repro.experiments.runner import run_flows
 from repro.packet.headers import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
 from repro.packet.options import TCPOptions
 from repro.packet.packet import PacketRecord
@@ -63,6 +67,8 @@ from repro.testing import (
     reference_analyze,
 )
 from repro.testing.traces import _FlowBuilder
+from repro.workload.generator import generate_flows
+from repro.workload.services import get_profile
 
 PARITY_SEEDS = range(10)
 
@@ -178,6 +184,51 @@ class TestParityProperty:
     def test_generator_is_deterministic(self):
         assert generate_trace(7) == generate_trace(7)
         assert generate_trace(7) != generate_trace(8)
+
+
+class TestSimulatedTraces:
+    """The per-connection traces the simulator hands over — web-search
+    flows under the five recovery policies, as the benchmark's
+    ``sim_policies`` workload analyzes them — analyzed one trace at a
+    time through ``api.analyze`` (with each grouping front-end of the
+    demux) and through ``Tapo.report`` match the record-level reference
+    byte for byte."""
+
+    POLICIES = (
+        ("native", {}),
+        ("tlp", {}),
+        ("srto", {"t1": 5, "t2": 5}),
+        ("tracks", {}),
+        ("mobile", {}),
+    )
+
+    @pytest.mark.parametrize(
+        "policy, kwargs", POLICIES, ids=[name for name, _ in POLICIES]
+    )
+    def test_per_trace_analysis(self, policy, kwargs):
+        scenarios = generate_flows(
+            get_profile("web_search"), 137, seed=20141222,
+            policy=policy, policy_kwargs=kwargs,
+        )
+        traces = run_flows(scenarios, workers=1).traces
+        assert max(map(len, traces)) < columnar_pipeline.SMALL_SLAB_ROWS
+        config = AnalysisConfig()
+        expected = ServiceReport(policy)
+        for trace in traces:
+            for analysis in reference_analyze(trace, config)[0]:
+                expected.add(analysis)
+        for crossover in (0, columnar_pipeline.SMALL_SLAB_ROWS):
+            analyzed = ServiceReport(policy)
+            with mock.patch.object(
+                columnar_pipeline, "SMALL_SLAB_ROWS", crossover
+            ):
+                for trace in traces:
+                    for analysis in api.analyze(trace, config=config):
+                        analyzed.add(analysis)
+            assert analyzed.to_json() == expected.to_json()
+        assert Tapo(config).report(traces, policy).to_json() == (
+            expected.to_json()
+        )
 
 
 class TestCorruptSlabs:

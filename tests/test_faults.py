@@ -272,6 +272,22 @@ class TestFlowQuarantine:
             with pytest.raises(ErrorBudgetExceeded):
                 tight.analyze_packets(packets)
 
+    def test_report_fractional_budget_counts_every_trace(self):
+        """``Tapo.report`` takes one trace per connection; a fractional
+        budget weighs a crash against the flows of all of them, exactly
+        as ``analyze_packets`` does over the same packets."""
+        packets = many_flows(20)
+        traces = [
+            [record for record, _ in flow.packets] for flow in demux(packets)
+        ]
+        crash_key = demux(packets)[14].key
+        config = AnalysisConfig(errors=ErrorBudget.parse("budget:10%"))
+        with inject_flow_crash(keys={crash_key}):
+            report = Tapo(config).report(traces)
+            analyses = Tapo(config).analyze_packets(packets)
+        assert len(report.flows) == len(analyses) == 19
+        assert [skip.key for skip in report.skipped] == [crash_key]
+
     def test_report_surfaces_skipped(self):
         packets = many_flows(5)
         tapo = Tapo(AnalysisConfig(errors=ErrorBudget.lenient()))

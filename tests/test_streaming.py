@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import AnalysisConfig, RunConfig
+from repro.core import columnar_pipeline
 from repro.core.columnar_pipeline import ColumnarStreamDemuxer
 from repro.core.report import ServiceReport
 from repro.core.tapo import Tapo
@@ -31,6 +33,7 @@ from repro.packet.flow import (
     demux_stream,
 )
 from repro.packet.headers import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN
+from repro.packet.options import TCPOptions
 from repro.packet.packet import PacketRecord
 from repro.packet.pcap import PcapReader, write_pcap
 
@@ -691,15 +694,111 @@ def _columnar_image(trace):
     )
 
 
+#: Row-count crossovers that send every slab through one grouping
+#: front-end of ``feed_columns``: 0 sorts every slab with numpy, the
+#: other groups every one-connection slab of these tests in Python.
+GROUPINGS = (0, 1 << 30)
+
+
+def _small_slab_cases():
+    """Packet lists of fewer rows than ``SMALL_SLAB_ROWS``, each with
+    the eviction clocks and server predicate it needs and a check, on
+    the stats and flows of one demux, that it holds what it names."""
+    c = client(0)
+    by_predicate = lambda record: record.src_ip == SERVER[0]  # noqa: E731
+    closed = tiny_flow(0, 0.0, close="none") + [
+        pkt(SERVER, c, flags=FLAG_FIN | FLAG_ACK, ts=0.08, seq=1301, ack=151),
+        pkt(c, SERVER, flags=FLAG_RST, ts=0.09, seq=151),
+        pkt(SERVER, c, ts=0.2, seq=1302, ack=151),  # after the linger
+    ]
+    tail = [
+        pkt(c, SERVER, payload=10, ts=2.0, seq=200, ack=400),
+        pkt(SERVER, c, payload=500, ts=2.1, seq=400, ack=210),
+    ]
+    mid_stream = [  # no handshake: the server is inferred
+        pkt(SERVER, c, payload=900, ts=0.0, seq=10, ack=5),
+        pkt(c, SERVER, ts=0.01, seq=5, ack=910),
+        pkt(c, SERVER, payload=30, ts=0.02, seq=5, ack=910),
+    ]
+    odd_ends = [
+        dataclasses.replace(
+            tiny_flow(0, 0.0)[0], options=TCPOptions(mss=1460, wscale=7)
+        ),
+        *tiny_flow(0, 0.0)[1:],
+        pkt(c, SERVER, ts=0.2, seq=152, ack=1302),
+    ]
+    odd_ends[-1] = dataclasses.replace(
+        odd_ends[-1],
+        options=TCPOptions(sack_blocks=[(1400, 1500)], ts_val=9, ts_ecr=8),
+    )
+    served = lambda stats, flows: all(  # noqa: E731
+        flow.server == SERVER for flow in flows
+    )
+    return {
+        "several_connections": (
+            interleave([tiny_flow(i, i * 0.004) for i in range(3)]),
+            (None, None), None, lambda stats, flows: len(flows) == 3,
+        ),
+        "one_connection_syn_fin_rst": (
+            closed, (60.0, 0.05), None,
+            lambda stats, flows: stats.flows_closed == 1,
+        ),
+        "reused_and_reopened_tuple": (
+            tiny_flow(0, 0.0) + tiny_flow(0, 1.0) + tail, (0.5, 0.05), None,
+            lambda stats, flows: (stats.flows_closed, stats.flows_reopened)
+            == (2, 1),
+        ),
+        "server_by_predicate": (
+            interleave([mid_stream, tiny_flow(1, 0.005)]),
+            (None, None), by_predicate, served,
+        ),
+        "server_by_volume": (
+            interleave([mid_stream, tiny_flow(1, 0.005)]),
+            (None, None), None, served,
+        ),
+        "odd_options_first_and_last_rows": (
+            odd_ends, (None, None), None,
+            lambda stats, flows: sorted(flows[0]._store.odd)
+            == [0, len(odd_ends) - 1],
+        ),
+        "odd_options_in_a_reopened_tuple": (
+            odd_ends + [
+                dataclasses.replace(packet, timestamp=packet.timestamp + 1)
+                for packet in odd_ends
+            ],
+            (0.5, 0.05), None,
+            lambda stats, flows: [sorted(flow._store.odd) for flow in flows]
+            == [[0, len(odd_ends) - 1]] * 2,
+        ),
+        "eviction_cuts": (
+            interleave(
+                [tiny_flow(i, i * 0.15, close="none") for i in range(5)]
+            ),
+            (0.3, 0.05), None,
+            lambda stats, flows: stats.flows_evicted_idle >= 2,
+        ),
+    }
+
+
 class TestSlabDemuxProperty:
     """``ColumnarStreamDemuxer.feed_columns`` works slab by slab; the
     record-level :class:`StreamDemuxer` works packet by packet.  For
     any trace cut into slabs anywhere they hand over the same flows in
     the same order with the same column bytes and the same
-    :class:`StreamStats` after every slab."""
+    :class:`StreamStats` after every slab — with every slab grouped by
+    the numpy sort and, again, with every one-connection slab grouped
+    in Python."""
+
+    @classmethod
+    def _compare(cls, slabs, records, predicate, idle, linger):
+        for crossover in GROUPINGS:
+            with mock.patch.object(
+                columnar_pipeline, "SMALL_SLAB_ROWS", crossover
+            ):
+                cls._compare_grouping(slabs, records, predicate, idle, linger)
 
     @staticmethod
-    def _compare(slabs, records, predicate, idle, linger):
+    def _compare_grouping(slabs, records, predicate, idle, linger):
         columnar = ColumnarStreamDemuxer(
             predicate, idle_timeout=idle, close_linger=linger
         )
@@ -803,6 +902,37 @@ class TestSlabDemuxProperty:
             for trace in demuxer.finish() for record, _ in trace.packets
         }
         assert out == {id(record) for record in packets}
+
+    @pytest.mark.parametrize("case", sorted(_small_slab_cases()))
+    def test_small_slab_cases(self, case):
+        """Each case in one slab and in two, through both groupings;
+        the default crossover sends a slab to numpy exactly when it
+        holds several connections."""
+        packets, eviction, predicate, holds = _small_slab_cases()[case]
+        assert len(packets) < columnar_pipeline.SMALL_SLAB_ROWS
+        half = len(packets) // 2
+        for edges in ((0, len(packets)), (0, half, len(packets))):
+            slabs = [
+                PacketColumns.from_records(packets[a:b])
+                for a, b in zip(edges, edges[1:])
+            ]
+            self._compare(slabs, packets, predicate, *eviction)
+        idle, linger = eviction
+        demuxer = ColumnarStreamDemuxer(
+            predicate, idle_timeout=idle, close_linger=linger
+        )
+        sorted_slabs = []
+        group_sorted = columnar_pipeline._group_sorted
+
+        def spy(*args):
+            sorted_slabs.append(args)
+            return group_sorted(*args)
+
+        with mock.patch.object(columnar_pipeline, "_group_sorted", spy):
+            demuxer.feed_columns(PacketColumns.from_records(packets))
+        connections = {FlowKey.from_packet(packet) for packet in packets}
+        assert bool(sorted_slabs) == (len(connections) > 1)
+        assert holds(demuxer.stats, demuxer.poll() + demuxer.finish())
 
     def test_one_slab_holds_the_hard_cases(self):
         """One pinned draw of the property above, so it cannot pass
