@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
-from .checksum import checksum, tcp_checksum
+from .checksum import checksum
 from .options import TCPOptions
 
 IPPROTO_TCP = 6
@@ -28,6 +28,59 @@ FLAG_URG = 0x20
 
 class HeaderDecodeError(ParseError):
     """Raised when a packet cannot be parsed."""
+
+
+#: An IPv4 header (IHL 5) followed by the fixed TCP header: the one
+#: wire layout every encoder in this package writes.
+_IPV4_TCP = struct.Struct("!BBHHHBBHIIHHIIBBHHH")
+_CHECKSUM = struct.Struct("!H")
+#: Bytes of :data:`_IPV4_TCP`; TCP options follow at this offset.
+IPV4_TCP_LEN = _IPV4_TCP.size
+
+
+def pack_ipv4_tcp(
+    buffer: bytearray,
+    at: int,
+    payload_len: int,
+    total_length: int,
+    src: int,
+    dst: int,
+    identification: int,
+    ttl: int,
+    protocol: int,
+    src_port: int,
+    dst_port: int,
+    seq: int,
+    ack: int,
+    flags: int,
+    window: int,
+    urgent: int,
+    options: bytes,
+) -> None:
+    """Lay out an IPv4 header, a TCP header and its padded ``options``
+    at ``buffer[at:]``, both checksums filled.
+
+    The TCP segment is everything in ``buffer`` from the TCP header on,
+    then ``payload_len`` zero bytes that are *not* in ``buffer``: zeros
+    add nothing to a one's-complement sum, so they only count in the
+    pseudo-header's length and are never built in order to be summed.
+    """
+    header_len = IPV4_TCP_LEN + len(options)
+    tcp_length = len(buffer) - at - 20 + payload_len
+    # The TCP checksum field is seeded with the pseudo-header words the
+    # IP header does not already hold (zero + protocol, TCP length), as
+    # checksum offload seeds it: buffer[at + 12:] — source, destination,
+    # then the segment — then sums as pseudo-header plus segment.
+    _IPV4_TCP.pack_into(
+        buffer, at,
+        0x45, 0, total_length, identification, 0, ttl, protocol, 0,
+        src, dst,
+        src_port, dst_port, seq, ack, (header_len - 20) << 2, flags,
+        window, IPPROTO_TCP + tcp_length, urgent,
+    )
+    buffer[at + IPV4_TCP_LEN : at + header_len] = options
+    _CHECKSUM.pack_into(buffer, at + 10, checksum(buffer[at : at + 20]))
+    _CHECKSUM.pack_into(buffer, at + 36, checksum(buffer[at + 12 :]))
 
 
 def ip_from_str(text: str) -> int:
@@ -63,21 +116,15 @@ class IPv4Header:
     HEADER_LEN = 20
 
     def encode(self) -> bytes:
-        header = struct.pack(
-            "!BBHHHBBHII",
-            (4 << 4) | 5,
-            0,
-            self.total_length,
-            self.identification,
-            0,
-            self.ttl,
-            self.protocol,
-            0,
-            self.src,
-            self.dst,
+        """Serialize with a valid header checksum: the first 20 bytes of
+        :func:`pack_ipv4_tcp`'s layout."""
+        buffer = bytearray(IPV4_TCP_LEN)
+        pack_ipv4_tcp(
+            buffer, 0, 0, self.total_length, self.src, self.dst,
+            self.identification, self.ttl, self.protocol,
+            0, 0, 0, 0, 0, 0, 0, b"",
         )
-        csum = checksum(header)
-        return header[:10] + struct.pack("!H", csum) + header[12:]
+        return bytes(buffer[: self.HEADER_LEN])
 
     @classmethod
     def decode(cls, data: bytes) -> tuple["IPv4Header", int]:
@@ -153,23 +200,15 @@ class TCPHeader:
 
     def encode(self, payload: bytes, src_ip: int, dst_ip: int) -> bytes:
         """Serialize header + payload with a valid checksum."""
-        opt_bytes = self.options.encode()
-        data_offset = (self.BASE_LEN + len(opt_bytes)) // 4
-        header = struct.pack(
-            "!HHIIBBHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            data_offset << 4,
-            self.flags,
-            self.window,
-            0,
-            self.urgent,
+        options = self.options.encode()
+        buffer = bytearray(IPV4_TCP_LEN + len(options))
+        buffer += payload
+        pack_ipv4_tcp(
+            buffer, 0, 0, len(buffer), src_ip, dst_ip, 0, 64, IPPROTO_TCP,
+            self.src_port, self.dst_port, self.seq, self.ack, self.flags,
+            self.window, self.urgent, options,
         )
-        segment = header + opt_bytes + payload
-        csum = tcp_checksum(src_ip, dst_ip, segment)
-        return segment[:16] + struct.pack("!H", csum) + segment[18:]
+        return bytes(buffer[IPv4Header.HEADER_LEN :])
 
     @classmethod
     def decode(

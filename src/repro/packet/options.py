@@ -29,6 +29,18 @@ KIND_SACK_PERMITTED = 4
 KIND_SACK = 5
 KIND_TIMESTAMP = 8
 
+#: Bytes a TCP header has for options (data offset 15 words, minus the
+#: 20-byte fixed header).
+MAX_OPTION_BYTES = 40
+
+_MSS = struct.Struct("!BBH")
+_WSCALE = struct.Struct("!BBB")
+_SACK_PERMITTED = bytes([KIND_SACK_PERMITTED, 2])
+_TIMESTAMP = struct.Struct("!BBII")
+#: NOP padding that brings an option area of length ``n`` to a 4-byte
+#: boundary, indexed by ``n % 4``.
+_PADDING = tuple(bytes([KIND_NOP]) * (-n % 4) for n in range(4))
+
 #: A SACK block: (left edge, right edge), right edge exclusive.
 SackBlock = tuple[int, int]
 
@@ -55,26 +67,33 @@ class TCPOptions:
     truncated_options: bool = False
 
     def encode(self) -> bytes:
-        """Serialize to wire format, padded to a 4-byte boundary."""
-        out = bytearray()
+        """Serialize to wire format, padded to a 4-byte boundary.
+
+        SACK blocks come last and are capped to what the 40-byte option
+        space leaves (RFC 2018 §3: four blocks alone, three beside
+        timestamps); the first blocks, the most recent, are kept.
+        """
+        out = b""
         if self.mss is not None:
-            out += struct.pack("!BBH", KIND_MSS, 4, self.mss)
+            out += _MSS.pack(KIND_MSS, 4, self.mss)
         if self.wscale is not None:
-            out += struct.pack("!BBB", KIND_WSCALE, 3, self.wscale)
+            out += _WSCALE.pack(KIND_WSCALE, 3, self.wscale)
         if self.sack_permitted:
-            out += struct.pack("!BB", KIND_SACK_PERMITTED, 2)
+            out += _SACK_PERMITTED
         if self.ts_val is not None:
-            out += struct.pack(
-                "!BBII", KIND_TIMESTAMP, 10, self.ts_val, self.ts_ecr or 0
+            out += _TIMESTAMP.pack(
+                KIND_TIMESTAMP, 10, self.ts_val, self.ts_ecr or 0
             )
-        if self.sack_blocks:
-            blocks = self.sack_blocks[:4]
-            out += struct.pack("!BB", KIND_SACK, 2 + 8 * len(blocks))
-            for left, right in blocks:
-                out += struct.pack("!II", left, right)
-        while len(out) % 4:
-            out += bytes([KIND_NOP])
-        return bytes(out)
+        blocks = self.sack_blocks
+        if blocks:
+            blocks = blocks[: (MAX_OPTION_BYTES - 2 - len(out)) // 8]
+            out += struct.pack(
+                "!BB%dI" % (2 * len(blocks)),
+                KIND_SACK,
+                2 + 8 * len(blocks),
+                *[edge for block in blocks for edge in block],
+            )
+        return out + _PADDING[len(out) % 4]
 
     @classmethod
     def decode(cls, data: bytes, lenient: bool = False) -> "TCPOptions":

@@ -17,9 +17,12 @@ from .headers import (
     FLAG_PSH,
     FLAG_RST,
     FLAG_SYN,
+    IPPROTO_TCP,
+    IPV4_TCP_LEN,
     HeaderDecodeError,
     IPv4Header,
     TCPHeader,
+    pack_ipv4_tcp,
 )
 from .options import SackBlock, TCPOptions
 from .seqnum import seq_add
@@ -103,23 +106,26 @@ class PacketRecord:
     # -- wire codec ---------------------------------------------------
     def encode(self) -> bytes:
         """Serialize as a raw IPv4 packet (payload is zero bytes)."""
-        tcp = TCPHeader(
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            seq=self.seq,
-            ack=self.ack,
-            flags=self.flags,
-            window=self.window,
-            options=self.options,
+        return bytes(self.encode_headers()) + bytes(self.payload_len)
+
+    def encode_headers(self, lead: int = 0) -> bytearray:
+        """Return ``lead`` spare bytes, then this packet's IPv4 and TCP
+        headers with both checksums filled.
+
+        The payload — ``payload_len`` zero bytes — follows the headers
+        on the wire but is not in the buffer: a writer takes it from a
+        shared zero buffer, and the checksum never has to sum it.
+        """
+        options = self.options.encode()
+        buffer = bytearray(lead + IPV4_TCP_LEN + len(options))
+        payload_len = self.payload_len
+        pack_ipv4_tcp(
+            buffer, lead, payload_len, len(buffer) - lead + payload_len,
+            self.src_ip, self.dst_ip, 0, 64, IPPROTO_TCP,
+            self.src_port, self.dst_port, self.seq, self.ack, self.flags,
+            self.window, 0, options,
         )
-        payload = bytes(self.payload_len)
-        segment = tcp.encode(payload, self.src_ip, self.dst_ip)
-        ip = IPv4Header(
-            src=self.src_ip,
-            dst=self.dst_ip,
-            total_length=IPv4Header.HEADER_LEN + len(segment),
-        )
-        return ip.encode() + segment
+        return buffer
 
     @classmethod
     def decode(

@@ -48,8 +48,20 @@ LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW = 101
 
 _GLOBAL_HEADER = struct.Struct("IHHiIII")
-_RECORD_HEADER = struct.Struct("IIII")
+#: Record header as :class:`PcapWriter` writes it (little-endian).
+_RECORD_HEADER = struct.Struct("<IIII")
 ETHERTYPE_IPV4 = 0x0800
+
+#: What :class:`PcapWriter` puts between a record header and the IP
+#: packet, per link type: nothing, or an Ethernet header with zeroed
+#: MAC addresses and the IPv4 ethertype.
+_LINK_HEADERS = {
+    LINKTYPE_RAW: b"",
+    LINKTYPE_ETHERNET: bytes(12) + struct.pack("!H", ETHERTYPE_IPV4),
+}
+#: Zero bytes every written payload is a slice of (an IPv4 packet is at
+#: most 65,535 bytes long).
+_ZERO_PAYLOAD = memoryview(bytes(1 << 16))
 
 #: Lenient-mode framing sanity bound: no sane capture carries a record
 #: this large (the classic snaplen cap is 65535), so a bigger
@@ -76,8 +88,17 @@ class PcapWriter:
     """
 
     def __init__(self, path: str | Path, linktype: int = LINKTYPE_RAW):
+        # Only the link types the reader accepts: a file it would
+        # refuse is never written.
+        if linktype not in _LINK_HEADERS:
+            raise ValueError(
+                "unsupported linktype %d (PcapWriter writes %d or %d)"
+                % (linktype, LINKTYPE_RAW, LINKTYPE_ETHERNET)
+            )
         self._file: BinaryIO = open(path, "wb")
         self.linktype = linktype
+        self._link_header = _LINK_HEADERS[linktype]
+        self._lead = _RECORD_HEADER.size + len(self._link_header)
         header = struct.pack(
             "<IHHiIII",
             PCAP_MAGIC,
@@ -92,19 +113,28 @@ class PcapWriter:
         self.packets_written = 0
 
     def write(self, record: PacketRecord) -> None:
-        """Append one packet record."""
-        data = record.encode()
-        if self.linktype == LINKTYPE_ETHERNET:
-            data = b"\x00" * 12 + struct.pack("!H", ETHERTYPE_IPV4) + data
-        ts_sec = int(record.timestamp)
-        ts_usec = int(round((record.timestamp - ts_sec) * 1_000_000))
+        """Append one packet record.
+
+        One file write holds the record header, the link header and the
+        IP/TCP headers; the zero payload is written from a shared
+        buffer.
+        """
+        lead = self._lead
+        data = record.encode_headers(lead)
+        payload_len = record.payload_len
+        length = len(data) - _RECORD_HEADER.size + payload_len
+        timestamp = record.timestamp
+        ts_sec = int(timestamp)
+        ts_usec = round((timestamp - ts_sec) * 1_000_000)
         if ts_usec >= 1_000_000:
             ts_sec += 1
             ts_usec -= 1_000_000
-        self._file.write(
-            struct.pack("<IIII", ts_sec, ts_usec, len(data), len(data))
-        )
+        _RECORD_HEADER.pack_into(data, 0, ts_sec, ts_usec, length, length)
+        if self._link_header:
+            data[_RECORD_HEADER.size : lead] = self._link_header
         self._file.write(data)
+        if payload_len:
+            self._file.write(_ZERO_PAYLOAD[:payload_len])
         self.packets_written += 1
 
     def write_all(self, records: Iterable[PacketRecord]) -> int:
@@ -160,6 +190,24 @@ def parse_global_header(raw: bytes) -> tuple[str, int]:
     if linktype not in (LINKTYPE_RAW, LINKTYPE_ETHERNET):
         raise PcapFormatError("unsupported linktype %d" % linktype)
     return endian, linktype
+
+
+def _checksum_ok(packet: bytes, src_ip: int, dst_ip: int) -> bool:
+    """Verify the TCP checksum of one decoded IPv4 packet.
+
+    The segment runs from the end of the IP header to ``total_length``,
+    or to the end of the captured bytes when those are fewer or
+    ``total_length`` is 0.  The one rule both the record and the
+    columnar path apply.
+    """
+    ip_len = (packet[0] & 0x0F) * 4
+    total_length = (packet[2] << 8) | packet[3]
+    end = (
+        min(len(packet), max(total_length, ip_len))
+        if total_length
+        else len(packet)
+    )
+    return verify_tcp_checksum(src_ip, dst_ip, packet[ip_len:end])
 
 
 class PcapScanner:
@@ -382,18 +430,10 @@ class PcapScanner:
                 continue
             if record.options.truncated_options:
                 counters.option_errors += 1
-            if verify:
-                ip_len = (data[0] & 0x0F) * 4
-                total_length = (data[2] << 8) | data[3]
-                end = (
-                    min(len(data), max(total_length, ip_len))
-                    if total_length
-                    else len(data)
-                )
-                if not verify_tcp_checksum(
-                    record.src_ip, record.dst_ip, data[ip_len:end]
-                ):
-                    counters.checksum_errors += 1
+            if verify and not _checksum_ok(
+                data, record.src_ip, record.dst_ip
+            ):
+                counters.checksum_errors += 1
             yield record
 
     # -- columnar extraction ---------------------------------------------
@@ -522,23 +562,16 @@ class PcapScanner:
         kept: list[int],
     ) -> None:
         """Verify the TCP checksum of every decoded row (``kept[row]``
-        is its span), with the segment bounds :meth:`drain` uses.
-        Records the decoder skipped have no row and are not counted."""
+        is its span) by the rule :meth:`drain` applies.  Records the
+        decoder skipped have no row and are not counted."""
         buffer = self._buffer
         lead = 14 if self._ethernet else 0
         src_ips, dst_ips = columns.src_ip, columns.dst_ip
         for row, span in enumerate(kept):
             start = starts[span]
-            data = buffer[start + lead : start + incls[span]]
-            ip_len = (data[0] & 0x0F) * 4
-            total_length = (data[2] << 8) | data[3]
-            end = (
-                min(len(data), max(total_length, ip_len))
-                if total_length
-                else len(data)
-            )
-            if not verify_tcp_checksum(
-                src_ips[row], dst_ips[row], data[ip_len:end]
+            if not _checksum_ok(
+                buffer[start + lead : start + incls[span]],
+                src_ips[row], dst_ips[row],
             ):
                 self._counters.checksum_errors += 1
 

@@ -1,5 +1,7 @@
 """Internet checksum tests."""
 
+import struct
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +11,54 @@ from repro.packet.checksum import (
     tcp_checksum,
     verify_tcp_checksum,
 )
+
+
+def rfc1071_sum(data: bytes) -> int:
+    """RFC 1071's word loop: add 16-bit big-endian words (odd input
+    padded with a zero byte), then fold the carries back in.  The
+    reference the big-integer fold is checked against."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for (word,) in struct.iter_unpack("!H", data):
+        total += word
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+@st.composite
+def sum_is_zero_mod_ffff(draw) -> bytes:
+    """Nonzero data whose word sum is a multiple of 0xFFFF: the fold
+    must answer 0xFFFF there, never 0."""
+    words = draw(st.lists(st.integers(0, 0xFFFF), max_size=40))
+    words.append(-sum(words) % 0xFFFF or 0xFFFF)
+    words = draw(st.permutations(words))
+    return struct.pack("!%dH" % len(words), *words)
+
+
+class TestMatchesWordLoop:
+    @given(st.binary(max_size=300))
+    def test_arbitrary_bytes(self, data):
+        assert ones_complement_sum(data) == rfc1071_sum(data)
+
+    @given(st.binary(min_size=1, max_size=301).filter(lambda d: len(d) % 2))
+    def test_odd_lengths(self, data):
+        assert ones_complement_sum(data) == rfc1071_sum(data)
+
+    @given(st.integers(0, 1601), st.sampled_from([b"\x00", b"\xff"]))
+    def test_constant_runs(self, length, byte):
+        data = byte * length
+        assert ones_complement_sum(data) == rfc1071_sum(data)
+
+    def test_segment_sizes(self):
+        for length in (1448, 1468, 1500, 65535):
+            for data in (bytes(length), b"\xff" * length):
+                assert ones_complement_sum(data) == rfc1071_sum(data)
+
+    @given(sum_is_zero_mod_ffff())
+    def test_nonzero_sum_multiple_of_ffff(self, data):
+        assert ones_complement_sum(data) == rfc1071_sum(data) == 0xFFFF
 
 
 class TestOnesComplement:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import struct
 from unittest import mock
 
 import numpy as np
@@ -254,7 +255,6 @@ class TestCorruptSlabs:
         """verify_checksums is honoured wherever columns are decoded —
         batch, worker fan-out, cluster shards, live sources — and
         counts what the record-level ``drain`` counts."""
-        import struct
 
         from repro.cluster import run_cluster
         from repro.live.sources import PcapTailSource, SourceCounters
@@ -298,6 +298,53 @@ class TestCorruptSlabs:
         default = Tapo(config=AnalysisConfig())
         default.analyze_pcap(path)
         assert default.faults.checksum_errors == 0
+
+        # Captures that stress the segment bounds, each counted the same
+        # by the record reference and the columnar path: Ethernet
+        # framing, odd payloads (the last byte is a padded word's high
+        # byte) and frames longer than their IP total_length (trailer
+        # bytes are not segment bytes).
+        packets = generate_trace(2, flows=2)
+        data = [i for i, p in enumerate(packets) if p.payload_len]
+        window = 20 + 14  # offset of the TCP window field's low byte
+
+        def capture(name, bodies, linktype=101):
+            out = tmp_path / name
+            raw = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535,
+                              linktype)
+            for packet, body in zip(packets, bodies, strict=True):
+                usec = round(packet.timestamp * 1e6)
+                raw += struct.pack("<IIII", usec // 10**6, usec % 10**6,
+                                   len(body), len(body)) + body
+            out.write_bytes(raw)
+            return out
+
+        def flipped(body, offset):
+            body = bytearray(body)
+            body[offset] ^= 0x01
+            return bytes(body)
+
+        bodies = [p.encode() for p in packets]
+        ethernet = [bytes(12) + b"\x08\x00" + b for b in bodies]
+        ethernet[0] = flipped(ethernet[0], 14 + window)
+        odd = [
+            p.copy(payload_len=p.payload_len | 1).encode() for p in packets
+        ]
+        for i in data[:2]:
+            odd[i] = flipped(odd[i], -1)
+        trailer = [b + b"\xaa\xbb\xcc" for b in bodies]
+        trailer[data[0]] = flipped(trailer[data[0]], window)
+        for name, bodies, linktype, expected in (
+            ("ethernet.pcap", ethernet, 1, 1),
+            ("odd.pcap", odd, 101, 2),
+            ("trailer.pcap", trailer, 101, 1),
+        ):
+            path = capture(name, bodies, linktype)
+            _, reference_faults = _reference(path, config)
+            tapo = Tapo(config=config)
+            tapo.analyze_pcap(path)
+            assert reference_faults.checksum_errors == expected, name
+            assert tapo.faults.checksum_errors == expected, name
 
 
 def test_one_decoder_numpy_at_import():
@@ -882,13 +929,21 @@ class TestFlattenedLoop:
     def test_lazy_sack_rows_equal_decode(self, rows):
         """TS+SACK rows built from the two big-endian columns equal
         what ``TCPOptions.decode`` makes of the same bytes: 1-4 blocks
-        (the pattern's range; the wire fits three beside timestamps),
+        (the pattern's range; the wire fits three beside timestamps, so
+        the encoder writes no more and the areas are packed here),
         edges at both ends of the sequence space."""
         expected = [
             TCPOptions(sack_blocks=blocks, ts_val=ts_val, ts_ecr=ts_ecr)
             for blocks, ts_val, ts_ecr in rows
         ]
-        areas = [options.encode() for options in expected]
+        areas = [
+            struct.pack(
+                "!BBIIBB%dI" % (2 * len(blocks)), 8, 10, ts_val, ts_ecr,
+                5, 2 + 8 * len(blocks),
+                *[edge for block in blocks for edge in block],
+            )
+            for blocks, ts_val, ts_ecr in rows
+        ]
         raw = np.zeros((len(rows), 44), dtype=np.uint8)
         for at, area in enumerate(areas):
             raw[at, : len(area)] = list(area)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.packet.checksum import checksum, verify_tcp_checksum
 from repro.packet.headers import (
     FLAG_ACK,
     FLAG_FIN,
@@ -57,6 +58,23 @@ class TestIPv4Header:
     def test_truncated(self):
         with pytest.raises(HeaderDecodeError):
             IPv4Header.decode(b"\x45\x00\x00")
+
+    @given(
+        src=st.integers(0, 0xFFFFFFFF),
+        total_length=st.integers(0, 65535),
+        ttl=st.integers(0, 255),
+        protocol=st.integers(0, 255),
+    )
+    def test_header_checksum_verifies(self, src, total_length, ttl, protocol):
+        header = IPv4Header(
+            src=src, dst=7, total_length=total_length, ttl=ttl,
+            protocol=protocol,
+        )
+        wire = header.encode()
+        assert len(wire) == 20
+        assert checksum(wire) == 0
+        decoded, _ = IPv4Header.decode(wire)
+        assert (decoded.ttl, decoded.protocol) == (ttl, protocol)
 
     def test_wrong_version(self):
         data = bytearray(IPv4Header(src=1, dst=2).encode())
@@ -133,6 +151,10 @@ class TestTCPHeader:
         header = TCPHeader(
             src_port=src, dst_port=dst, seq=seq, ack=ack, window=window
         )
-        decoded, hlen = TCPHeader.decode(header.encode(payload, 7, 8))
+        wire = header.encode(payload, 7, 8)
+        decoded, hlen = TCPHeader.decode(wire)
         assert (decoded.src_port, decoded.dst_port) == (src, dst)
         assert (decoded.seq, decoded.ack, decoded.window) == (seq, ack, window)
+        # The checksum covers the payload, odd lengths included.
+        assert wire[hlen:] == payload
+        assert verify_tcp_checksum(7, 8, wire)
