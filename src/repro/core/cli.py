@@ -185,9 +185,26 @@ def _emit_json(report: ServiceReport, analyses, faults) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    tapo = Tapo(config=cli_options.analysis_config(args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
     cluster = args.shards > 1
+    if cluster:
+        # Only the in-process run reads these; refuse rather than drop them.
+        ignored = [
+            flag
+            for flag, dest in (
+                ("--stream", "stream"),
+                ("--workers", "workers"),
+                ("--idle-timeout", "idle_timeout"),
+            )
+            if getattr(args, dest) != parser.get_default(dest)
+        ]
+        if ignored:
+            parser.error(
+                f"{', '.join(ignored)}: not supported with --shards "
+                f"{args.shards}"
+            )
+    tapo = Tapo(config=cli_options.analysis_config(args))
     analysis_started = time.monotonic()
     try:
         if cluster:

@@ -30,6 +30,9 @@ TABLE3_ROWS = (
     ("net.", StallCause.RETRANSMISSION, "retrans."),
 )
 
+#: Upper edges (MSS) of Table 4's initial-receive-window bins.
+TABLE4_BINS = [2, 11, 45, 182, 648, 1297, 4096]
+
 #: Row order of Table 5.
 TABLE5_ROWS = (
     (RetxCause.DOUBLE, "Double retr."),
@@ -150,14 +153,14 @@ def format_fig6_table4(reports: Mapping[str, ServiceReport]) -> str:
     lines.append(
         "Table 4: % of flows suffering zero rwnd by initial rwnd (MSS)."
     )
-    bins = [2, 11, 45, 182, 648, 1297, 4096]
-    header = f"{'init rwnd <=':<14}" + "".join(f"{b:>8}" for b in bins)
-    lines.append(header)
+    lines.append(
+        f"{'init rwnd <=':<14}" + "".join(f"{b:>8}" for b in TABLE4_BINS)
+    )
     for name, report in reports.items():
         label = SERVICE_LABELS.get(name, name)
-        probs = report.zero_rwnd_prob_by_init(bins)
+        probs = report.zero_rwnd_prob_by_init(TABLE4_BINS)
         cells = []
-        for b in bins:
+        for b in TABLE4_BINS:
             prob, n = probs[b]
             cells.append(f"{prob * 100:>7.1f}%" if n else f"{'-':>8}")
         lines.append(f"{label:<14}" + "".join(cells))

@@ -710,6 +710,22 @@ class TestClusterCli:
         sharded = capsys.readouterr().out
         assert sharded == batch
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--stream"], ["--workers", "2"], ["--idle-timeout", "1"]],
+    )
+    def test_tapo_shards_rejects_in_process_flags(
+        self, trace_pcap, capsys, flags
+    ):
+        from repro.core.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([trace_pcap, "--shards", "2", *flags])
+        assert exc.value.code == 2
+        assert f"{flags[0]}: not supported with --shards 2" in (
+            capsys.readouterr().err
+        )
+
 
 class TestLossyMultiSlab:
     """A loss-heavy capture spanning many decode slabs: SACK-bearing
