@@ -10,11 +10,17 @@ Four sweeps, each isolating one design choice:
    conservative;
 4. TAPO's stall-threshold multiplier tau (the paper picks 2).
 
+Each sweep runs at its function's defaults in
+``repro.experiments.ablation`` — the service, flow count and seed the
+paper scorecard checks; a ``flows`` argument overrides the flow count
+of all four.
+
 Usage::
 
     python examples/ablations.py [flows]
 """
 
+import inspect
 import sys
 import time
 
@@ -24,17 +30,18 @@ from repro.experiments.ablation import (
     sweep_srto_parameters,
     tau_sensitivity,
 )
-from repro.experiments.mitigation import make_short_flow_profile
-from repro.workload import get_profile
 
 
 def main() -> None:
-    flows = int(sys.argv[1]) if len(sys.argv) > 1 else 120
+    params = {"flows": int(sys.argv[1])} if len(sys.argv) > 1 else {}
     started = time.time()
 
+    flows = params.get(
+        "flows",
+        inspect.signature(sweep_srto_parameters).parameters["flows"].default,
+    )
     print(f"1) S-RTO T1 sweep ({flows} cloud-storage short flows/point)")
-    short = make_short_flow_profile(get_profile("cloud_storage"))
-    points = sweep_srto_parameters(short, flows=flows, seed=5)
+    points = sweep_srto_parameters(**params)
     print(f"   {'T1':>4} {'p90':>8} {'p95':>8} {'mean':>8} {'retx':>6}")
     for p in points:
         label = "nat" if p.t1 == 0 else str(p.t1)
@@ -44,8 +51,7 @@ def main() -> None:
         )
 
     print("\n2) pacing ablation (cloud storage)")
-    cloud = get_profile("cloud_storage")
-    pacing = pacing_ablation(cloud, flows=flows, seed=9)
+    pacing = pacing_ablation(**params)
     print(
         f"   continuous-loss stalls: {pacing.continuous_loss_unpaced} -> "
         f"{pacing.continuous_loss_paced} with pacing"
@@ -60,7 +66,7 @@ def main() -> None:
     )
 
     print("\n3) destination-cache ablation (cloud storage)")
-    cache = destination_cache_ablation(cloud, flows=flows, seed=13)
+    cache = destination_cache_ablation(**params)
     print(
         f"   spurious retransmissions: cached {cache.spurious_cached} vs "
         f"fresh {cache.spurious_fresh}"
@@ -71,9 +77,7 @@ def main() -> None:
     )
 
     print("\n4) TAPO tau sensitivity (software download)")
-    for point in tau_sensitivity(
-        get_profile("software_download"), flows=flows, seed=17
-    ):
+    for point in tau_sensitivity(**params):
         print(
             f"   tau={point.tau:3.1f}: {point.stalls:4d} stalls, "
             f"{point.stalled_time:6.1f}s stalled, "

@@ -6,50 +6,42 @@ prints the paper's Table 8 (latency reductions) and Table 9
 (retransmission ratios) for web search and for cloud-storage short
 flows (control-flow style requests).
 
+The services, their S-RTO T1 and the default flow count and seed are
+the Table 8/9 run that ``repro.experiments.mitigation`` defines once
+(``WORKLOADS`` and ``table89_sweep``); this script only overrides the
+flow count and seed when given.
+
 Usage::
 
     python examples/websearch_srto.py [flows] [seed]
 """
 
+import inspect
 import sys
 import time
 
-from repro.experiments.mitigation import (
-    compare_policies,
-    make_short_flow_profile,
-)
+from repro.experiments.mitigation import WORKLOADS, table89_sweep
 from repro.experiments.tables import format_table8, format_table9
-from repro.workload import get_profile
+
+LABELS = {
+    "web_search": "web-search flows",
+    "storage_short": "cloud-storage short flows",
+}
 
 
 def main() -> None:
-    flows = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+    params = dict(zip(("flows", "seed"), map(int, sys.argv[1:3])))
+    flows = params.get(
+        "flows", inspect.signature(table89_sweep).parameters["flows"].default
+    )
 
-    comparisons = []
     started = time.time()
-    print(f"running {flows} web-search flows x 3 policies (T1=5)...")
-    comparisons.append(
-        compare_policies(
-            get_profile("web_search"),
-            flows=flows,
-            seed=seed,
-            t1=5,  # the paper's T1 for web search
-            short_flow_max=None,
+    for workload in WORKLOADS.values():
+        print(
+            f"running {flows} {LABELS[workload.name]} x 3 policies "
+            f"(T1={workload.t1})..."
         )
-    )
-    print(
-        f"running {flows} cloud-storage short flows x 3 policies (T1=10)..."
-    )
-    comparisons.append(
-        compare_policies(
-            make_short_flow_profile(get_profile("cloud_storage")),
-            flows=flows,
-            seed=seed,
-            t1=10,  # the paper's T1 for cloud storage
-            short_flow_max=None,
-        )
-    )
+    comparisons = table89_sweep(**params)
     print(f"done in {time.time() - started:.1f}s\n")
 
     print(format_table8(comparisons))

@@ -206,8 +206,8 @@ def analyze_stream(
 
 
 def simulate(
-    flows_per_service: int = 150,
-    seed: int = 20141222,
+    flows_per_service: int | None = None,
+    seed: int | None = None,
     services: tuple[str, ...] | None = None,
     *,
     run: RunConfig | None = None,
@@ -215,15 +215,20 @@ def simulate(
     """Simulate the paper's service workloads and analyze them.
 
     Returns a :class:`repro.experiments.dataset.Dataset` with one
-    simulated+analyzed :class:`ServiceReport` per service.  ``run``
-    controls worker processes and cache usage.
+    simulated+analyzed :class:`ServiceReport` per service.  An argument
+    left ``None`` takes
+    :func:`~repro.experiments.dataset.build_dataset`'s default, the
+    paper's dataset.  ``run`` controls worker processes and cache usage.
     """
-    from .experiments.dataset import SERVICES, build_dataset
+    from .experiments.dataset import build_dataset
 
+    given = {
+        "flows_per_service": flows_per_service,
+        "seed": seed,
+        "services": services,
+    }
     return build_dataset(
-        flows_per_service=flows_per_service,
-        seed=seed,
-        services=services if services is not None else SERVICES,
+        **{name: value for name, value in given.items() if value is not None},
         run=run,
     )
 
@@ -240,8 +245,8 @@ def report(
 
     ``source`` may be anything :func:`analyze_stream` accepts, or an
     iterable of already-computed :class:`FlowAnalysis` objects.  Packet
-    sources stream through the bounded-memory pipeline; partial
-    reports merge associatively, so the result equals a batch pass.
+    sources stream through the bounded-memory pipeline, and the result
+    equals a batch pass.
     """
     if not isinstance(source, (str, Path)):
         source = iter(source)

@@ -360,24 +360,14 @@ class Tapo:
     ) -> ServiceReport:
         """Stream-analyze ``source`` into one :class:`ServiceReport`.
 
-        Partial reports are built per analysis chunk and combined with
-        :meth:`ServiceReport.merge`; merging is associative, so the
-        result equals a single-pass batch report over the same flows.
+        Each analysis is added as its flow completes, so the result
+        equals a single-pass batch report over the same flows.
         """
-        run = run or RunConfig()
-        part_size = run.chunk_flows or 32
-        parts: list[ServiceReport] = []
-        part = ServiceReport(service=service)
+        report = ServiceReport(service=service)
         for analysis in self.analyze_stream(
             source, server_side, run=run, stats=stats, registry=registry
         ):
-            part.add(analysis)
-            if len(part.flows) >= part_size:
-                parts.append(part)
-                part = ServiceReport(service=service)
-        if part.flows:
-            parts.append(part)
-        report = ServiceReport.merged(parts, service=service)
+            report.add(analysis)
         report.skipped.extend(self.faults.skipped)
         return report
 

@@ -31,6 +31,7 @@ from .mitigation import (
     make_large_flow_profile,
     make_short_flow_profile,
     run_policy,
+    table89_sweep,
 )
 from .runner import DatasetRun, FlowRunResult, run_flow, run_flows
 from .scenarios import GALLERY, run_gallery
@@ -105,6 +106,7 @@ __all__ = [
     "run_illustrative_flow",
     "run_policy",
     "sweep_srto_parameters",
+    "table89_sweep",
     "tau_sensitivity",
     "validate_inference",
 ]

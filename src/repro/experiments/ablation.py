@@ -10,23 +10,29 @@ fixed, returning comparable metrics:
 * :func:`destination_cache_ablation` — Linux's per-destination RTT
   metrics cache is what keeps short-flow RTOs conservative; measure
   RTO levels and spurious retransmissions without it.
+* :func:`frto_ablation` — F-RTO spurious-timeout detection; measure
+  its retransmission cost.
 * :func:`tau_sensitivity` — TAPO's stall threshold multiplier (the
   paper picks tau = 2); count how detection changes with it.
+
+Each function's defaults (service, flow count, seed) are the paper
+run's, the ones the scorecard checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from ..config import AnalysisConfig
 from ..core.report import percentile
 from ..core.stalls import RetxCause, StallCause
 from ..core.tapo import Tapo
 from ..workload.generator import generate_flows
-from ..workload.services import ServiceProfile
-from .mitigation import run_policy
-from .runner import run_flows
+from ..workload.services import ServiceProfile, get_profile
+from .mitigation import WORKLOADS, run_policy
+from .runner import DatasetRun, run_flows
 
 
 @dataclass
@@ -41,48 +47,76 @@ class SrtoSweepPoint:
 
 
 def sweep_srto_parameters(
-    profile: ServiceProfile,
-    flows: int = 150,
+    profile: ServiceProfile | None = None,
+    flows: int = 120,
     seed: int = 5,
     t1_values: tuple[int, ...] = (3, 5, 10, 20),
     t2_values: tuple[int, ...] = (5,),
     workers: int | None = 1,
 ) -> list[SrtoSweepPoint]:
     """Latency/cost of S-RTO across its T1/T2 design space, with the
-    native baseline reported as ``t1 = 0`` (probe never armed)."""
+    native baseline reported as ``t1 = 0`` (probe never armed).
+    ``profile`` defaults to the cloud-storage short flows of Table 8."""
+    profile = profile or WORKLOADS["storage_short"].profile()
+    runs = [(0, 0, "native")] + [
+        (t1, t2, "srto") for t1 in t1_values for t2 in t2_values
+    ]
     points = []
-    baseline = run_policy(
-        profile, "native", flows, seed, short_flow_max=None, workers=workers
-    )
-    points.append(
-        SrtoSweepPoint(
-            t1=0,
-            t2=0,
-            p90_latency=baseline.latency_quantile(90),
-            p95_latency=baseline.latency_quantile(95),
-            mean_latency=baseline.mean_latency,
-            retransmission_ratio=baseline.retransmission_ratio,
-            flows=baseline.flows,
+    for t1, t2, policy in runs:
+        outcome = run_policy(
+            profile, policy, flows, seed, t1=t1, t2=t2,
+            short_flow_max=None, workers=workers,
         )
-    )
-    for t1 in t1_values:
-        for t2 in t2_values:
-            outcome = run_policy(
-                profile, "srto", flows, seed, t1=t1, t2=t2,
-                short_flow_max=None, workers=workers,
+        points.append(
+            SrtoSweepPoint(
+                t1=t1,
+                t2=t2,
+                p90_latency=outcome.latency_quantile(90),
+                p95_latency=outcome.latency_quantile(95),
+                mean_latency=outcome.mean_latency,
+                retransmission_ratio=outcome.retransmission_ratio,
+                flows=outcome.flows,
             )
-            points.append(
-                SrtoSweepPoint(
-                    t1=t1,
-                    t2=t2,
-                    p90_latency=outcome.latency_quantile(90),
-                    p95_latency=outcome.latency_quantile(95),
-                    mean_latency=outcome.mean_latency,
-                    retransmission_ratio=outcome.retransmission_ratio,
-                    flows=outcome.flows,
-                )
-            )
+        )
     return points
+
+
+def _ab_test(
+    profile: ServiceProfile | None,
+    flows: int,
+    seed: int,
+    workers: int | None,
+    variants: dict[str, dict],
+    measure: Callable[[DatasetRun], dict],
+) -> dict:
+    """Rerun the seeded workload once per variant, in order, with the
+    variant's changes applied to every flow's server config.
+
+    ``variants`` maps a field suffix to the changes; the result maps
+    ``f"{metric}_{suffix}"`` to each metric ``measure`` reads off that
+    variant's run.  ``profile`` defaults to cloud storage.
+    """
+    profile = profile or get_profile("cloud_storage")
+    fields = {}
+    for suffix, changes in variants.items():
+        scenarios = [
+            dataclasses.replace(
+                scenario,
+                server_config=dataclasses.replace(
+                    scenario.server_config, **changes
+                ),
+            )
+            for scenario in generate_flows(profile, flows, seed=seed)
+        ]
+        run = run_flows(scenarios, workers=workers)
+        for metric, value in measure(run).items():
+            fields[f"{metric}_{suffix}"] = value
+    return fields
+
+
+def _mean_latency(run: DatasetRun) -> float:
+    latencies = [r.latency for r in run.results if r.latency is not None]
+    return sum(latencies) / max(1, len(latencies))
 
 
 @dataclass
@@ -99,51 +133,33 @@ class PacingAblation:
     mean_latency_paced: float = 0.0
 
 
+def _stall_makeup(run: DatasetRun) -> dict:
+    report = Tapo().report(run.traces, service="ablation")
+    stalls = [stall for flow in report.flows for stall in flow.stalls]
+    return {
+        "stalls": report.total_stalls(),
+        "continuous_loss": sum(
+            1 for s in stalls if s.retx_cause == RetxCause.CONTINUOUS_LOSS
+        ),
+        "retx_time": sum(
+            s.duration for s in stalls if s.cause == StallCause.RETRANSMISSION
+        ),
+        "mean_latency": _mean_latency(run),
+    }
+
+
 def pacing_ablation(
-    profile: ServiceProfile,
-    flows: int = 150,
+    profile: ServiceProfile | None = None,
+    flows: int = 120,
     seed: int = 9,
     workers: int | None = 1,
 ) -> PacingAblation:
     """Run the same workload with and without pacing."""
-    result = PacingAblation()
-    for paced in (False, True):
-        scenarios = []
-        for scenario in generate_flows(profile, flows, seed=seed):
-            server = dataclasses.replace(scenario.server_config, pacing=paced)
-            scenarios.append(
-                dataclasses.replace(scenario, server_config=server)
-            )
-        run = run_flows(scenarios, workers=workers)
-        report = Tapo().report(run.traces, service="ablation")
-        total = report.total_stalls()
-        continuous = sum(
-            1
-            for flow in report.flows
-            for stall in flow.stalls
-            if stall.retx_cause == RetxCause.CONTINUOUS_LOSS
-        )
-        retx_time = sum(
-            stall.duration
-            for flow in report.flows
-            for stall in flow.stalls
-            if stall.cause == StallCause.RETRANSMISSION
-        )
-        latencies = [
-            r.latency for r in run.results if r.latency is not None
-        ]
-        mean_latency = sum(latencies) / max(1, len(latencies))
-        if paced:
-            result.stalls_paced = total
-            result.continuous_loss_paced = continuous
-            result.retx_time_paced = retx_time
-            result.mean_latency_paced = mean_latency
-        else:
-            result.stalls_unpaced = total
-            result.continuous_loss_unpaced = continuous
-            result.retx_time_unpaced = retx_time
-            result.mean_latency_unpaced = mean_latency
-    return result
+    return PacingAblation(**_ab_test(
+        profile, flows, seed, workers,
+        {"unpaced": {"pacing": False}, "paced": {"pacing": True}},
+        _stall_makeup,
+    ))
 
 
 @dataclass
@@ -158,40 +174,28 @@ class CacheAblation:
     timeouts_fresh: int = 0
 
 
+def _rto_levels(run: DatasetRun) -> dict:
+    report = Tapo().report(run.traces, service="ablation")
+    rtos = [v for f in report.flows for v in f.rto_samples]
+    return {
+        "rto_p50": percentile(rtos, 50) if rtos else 0.0,
+        "spurious": sum(f.spurious_retransmissions for f in report.flows),
+        "timeouts": sum(f.timeouts for f in report.flows),
+    }
+
+
 def destination_cache_ablation(
-    profile: ServiceProfile,
-    flows: int = 150,
+    profile: ServiceProfile | None = None,
+    flows: int = 120,
     seed: int = 13,
     workers: int | None = 1,
 ) -> CacheAblation:
     """Same workload with and without cached SRTT/RTTVAR seeding."""
-    result = CacheAblation()
-    for cached in (True, False):
-        scenarios = []
-        for scenario in generate_flows(profile, flows, seed=seed):
-            server = scenario.server_config
-            if not cached:
-                server = dataclasses.replace(
-                    server, init_srtt=None, init_rttvar=None
-                )
-            scenarios.append(
-                dataclasses.replace(scenario, server_config=server)
-            )
-        run = run_flows(scenarios, workers=workers)
-        report = Tapo().report(run.traces, service="ablation")
-        rtos = [v for f in report.flows for v in f.rto_samples]
-        spurious = sum(f.spurious_retransmissions for f in report.flows)
-        timeouts = sum(f.timeouts for f in report.flows)
-        p50 = percentile(rtos, 50) if rtos else 0.0
-        if cached:
-            result.rto_p50_cached = p50
-            result.spurious_cached = spurious
-            result.timeouts_cached = timeouts
-        else:
-            result.rto_p50_fresh = p50
-            result.spurious_fresh = spurious
-            result.timeouts_fresh = timeouts
-    return result
+    return CacheAblation(**_ab_test(
+        profile, flows, seed, workers,
+        {"cached": {}, "fresh": {"init_srtt": None, "init_rttvar": None}},
+        _rto_levels,
+    ))
 
 
 @dataclass
@@ -207,39 +211,32 @@ class FrtoAblation:
     mean_latency_on: float = 0.0
 
 
+def _retx_cost(run: DatasetRun) -> dict:
+    stats = [r.server_stats for r in run.results]
+    return {
+        "retx_ratio": sum(s.retransmissions for s in stats)
+        / max(1, sum(s.data_segments_sent for s in stats)),
+        "timeouts": sum(s.rto_timeouts for s in stats),
+        "mean_latency": _mean_latency(run),
+        "spurious_detected": sum(s.frto_spurious_detected for s in stats),
+    }
+
+
 def frto_ablation(
-    profile: ServiceProfile,
-    flows: int = 150,
+    profile: ServiceProfile | None = None,
+    flows: int = 120,
     seed: int = 21,
     workers: int | None = 1,
 ) -> FrtoAblation:
     """Same workload with and without F-RTO on the server."""
-    result = FrtoAblation()
-    for enabled in (False, True):
-        scenarios = []
-        for scenario in generate_flows(profile, flows, seed=seed):
-            server = dataclasses.replace(scenario.server_config, frto=enabled)
-            scenarios.append(
-                dataclasses.replace(scenario, server_config=server)
-            )
-        run = run_flows(scenarios, workers=workers)
-        retx = sum(r.server_stats.retransmissions for r in run.results)
-        sent = sum(r.server_stats.data_segments_sent for r in run.results)
-        timeouts = sum(r.server_stats.rto_timeouts for r in run.results)
-        latencies = [r.latency for r in run.results if r.latency is not None]
-        mean_latency = sum(latencies) / max(1, len(latencies))
-        if enabled:
-            result.retx_ratio_on = retx / max(1, sent)
-            result.timeouts_on = timeouts
-            result.mean_latency_on = mean_latency
-            result.spurious_detected = sum(
-                r.server_stats.frto_spurious_detected for r in run.results
-            )
-        else:
-            result.retx_ratio_off = retx / max(1, sent)
-            result.timeouts_off = timeouts
-            result.mean_latency_off = mean_latency
-    return result
+    fields = _ab_test(
+        profile, flows, seed, workers,
+        {"off": {"frto": False}, "on": {"frto": True}},
+        _retx_cost,
+    )
+    del fields["spurious_detected_off"]  # nothing detects without F-RTO
+    fields["spurious_detected"] = fields.pop("spurious_detected_on")
+    return FrtoAblation(**fields)
 
 
 @dataclass
@@ -251,7 +248,7 @@ class TauPoint:
 
 
 def tau_sensitivity(
-    profile: ServiceProfile,
+    profile: ServiceProfile | None = None,
     flows: int = 100,
     seed: int = 17,
     taus: tuple[float, ...] = (1.5, 2.0, 3.0, 4.0),
@@ -260,7 +257,9 @@ def tau_sensitivity(
     """Detection sensitivity to TAPO's threshold multiplier.
 
     The traces are simulated once; only the analyzer's tau changes.
+    ``profile`` defaults to software download.
     """
+    profile = profile or get_profile("software_download")
     run = run_flows(generate_flows(profile, flows, seed=seed), workers=workers)
     points = []
     for tau in taus:

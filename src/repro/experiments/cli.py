@@ -5,21 +5,25 @@ TAPO, print every table/figure summary, run the mitigation A/B, and
 optionally export figure data files — so the paper's evaluation
 regenerates with::
 
-    repro-paper --flows 150 --mitigation-flows 300 --export-dir out/
+    repro-paper run --export-dir out/
+
+The flag defaults are the paper run's parameters, read from
+:func:`~repro.experiments.dataset.build_dataset` and
+:func:`~repro.experiments.mitigation.table89_sweep`.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
 from .. import cli_options
 from ..config import RunConfig
-from ..workload.services import get_profile
 from .dataset import build_dataset
 from .illustrative import run_illustrative_flow
-from .mitigation import compare_policies, make_short_flow_profile
+from .mitigation import POLICIES, WORKLOADS, table89_sweep
 from .tables import (
     format_fig1,
     format_fig3,
@@ -35,6 +39,10 @@ from .tables import (
     format_table9,
 )
 
+#: The paper run's parameters, as the exhibit functions' defaults.
+_DATASET = inspect.signature(build_dataset).parameters
+_SWEEP = inspect.signature(table89_sweep).parameters
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,26 +51,27 @@ def build_parser() -> argparse.ArgumentParser:
             "Regenerate the evaluation of 'Demystifying and Mitigating "
             "TCP Stalls at the Server Side' (CoNEXT'15)."
         ),
-        epilog=(
-            "Subcommand: 'repro-paper trace --flow N' re-simulates one "
-            "flow with the flight recorder on and dumps its "
-            "kernel-variable time-series (see 'repro-paper trace -h')."
-        ),
     )
     parser.add_argument(
         "--flows",
         type=int,
-        default=150,
-        help="flows per service for the measurement study (default 150)",
+        default=_DATASET["flows_per_service"].default,
+        help=(
+            "flows per service for the measurement study "
+            "(default %(default)s)"
+        ),
     )
     parser.add_argument(
         "--mitigation-flows",
         type=int,
-        default=300,
-        help="flows per policy for Tables 8/9 (default 300)",
+        default=_SWEEP["flows"].default,
+        help="flows per policy for Tables 8/9 (default %(default)s)",
     )
     parser.add_argument(
-        "--seed", type=int, default=20141222, help="dataset seed"
+        "--seed",
+        type=int,
+        default=_DATASET["seed"].default,
+        help="dataset seed",
     )
     parser.add_argument(
         "--skip-mitigation",
@@ -112,15 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        # ``repro-paper trace``: flight-recorder deep dive on one flow.
-        from ..obs.export import trace_main
-
-        return trace_main(argv[1:])
-
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.skip_mitigation and args.policies is not None:
+        missing = [
+            name for name, _label in POLICIES if name not in args.policies
+        ]
+        if missing:
+            parser.error(
+                f"--policies must include {', '.join(missing)} "
+                "(Tables 8/9 compare them)"
+            )
     started = time.time()
 
     print(
@@ -174,45 +185,17 @@ def main(argv: list[str] | None = None) -> int:
 
     comparisons = []
     if not args.skip_mitigation:
-        if args.policies is not None:
-            missing = [
-                name
-                for name in ("native", "tlp", "srto")
-                if name not in args.policies
-            ]
-            if missing:
-                print(
-                    "repro-paper run: --policies must include "
-                    f"{', '.join(missing)} (Tables 8/9 compare them)",
-                    file=sys.stderr,
-                )
-                return 2
-        n_policies = len(args.policies) if args.policies is not None else 3
+        n_policies = len(args.policies or POLICIES)
         print(
             f"running mitigation sweep ({args.mitigation_flows} flows x "
-            f"{n_policies} policies x 2 services)...",
+            f"{n_policies} policies x {len(WORKLOADS)} services)...",
             file=sys.stderr,
         )
-        comparisons = [
-            compare_policies(
-                get_profile("web_search"),
-                flows=args.mitigation_flows,
-                seed=5,
-                t1=5,
-                short_flow_max=None,
-                workers=args.workers,
-                policies=args.policies,
-            ),
-            compare_policies(
-                make_short_flow_profile(get_profile("cloud_storage")),
-                flows=args.mitigation_flows,
-                seed=5,
-                t1=10,
-                short_flow_max=None,
-                workers=args.workers,
-                policies=args.policies,
-            ),
-        ]
+        comparisons = table89_sweep(
+            flows=args.mitigation_flows,
+            policies=args.policies,
+            workers=args.workers,
+        )
         print(format_table8(comparisons))
         print()
         print(format_table9(comparisons))

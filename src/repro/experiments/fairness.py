@@ -55,9 +55,10 @@ def run_fairness(
     duration: float = 30.0,
     rate_bps: float = 8e6,
     loss_rate: float = 0.01,
-    seed: int = 1,
+    seed: int = 2,
 ) -> FairnessResult:
-    """Two greedy senders share one bottleneck for ``duration`` secs."""
+    """Two greedy senders share one bottleneck for ``duration`` secs;
+    the defaults are the paper run's (S-RTO at its own T1/T2)."""
     engine = EventLoop()
     rng = random.Random(seed)
     bottleneck = SharedBottleneck(

@@ -10,18 +10,25 @@ initiates a request until all response packets have been acknowledged"
 
 ``short_flow_max_bytes`` mirrors the paper's 200 KB short-flow
 threshold, scaled to this reproduction's flow sizes.
+
+This module is the one definition of the Table 8/9 run: the services in
+:data:`WORKLOADS` with the S-RTO ``T1`` the paper deployed for each, and
+:func:`table89_sweep`, whose defaults are the paper's flow count and
+seed.  ``repro-paper run``, the scorecard, the policy matrix and the
+examples all read them from here.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..config import RunConfig
 from ..core.report import percentile
 from ..workload.distributions import Constant, LogNormal
 from ..workload.generator import generate_flows
-from ..workload.services import ServiceProfile
+from ..workload.services import ServiceProfile, get_profile
 from .runner import run_flows
 
 #: The policies of Table 8/9, in the paper's order.
@@ -260,3 +267,58 @@ def compare_policies(
             workers=workers,
         )
     return MitigationComparison(service=profile.name, outcomes=outcomes)
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One Table 8/9 service.
+
+    ``t1`` is the S-RTO packets-in-flight threshold the paper deployed
+    for it (tuned per service: 5 for web search, 10 for cloud-storage
+    control flows).
+    """
+
+    name: str
+    t1: int
+    factory: Callable[[], ServiceProfile]
+
+    def profile(self) -> ServiceProfile:
+        return self.factory()
+
+
+def _web_search() -> ServiceProfile:
+    return get_profile("web_search")
+
+
+def _storage_short() -> ServiceProfile:
+    return make_short_flow_profile(get_profile("cloud_storage"))
+
+
+#: The Table 8/9 services, in table order.
+WORKLOADS: dict[str, Workload] = {
+    "web_search": Workload("web_search", t1=5, factory=_web_search),
+    "storage_short": Workload("storage_short", t1=10, factory=_storage_short),
+}
+
+
+def table89_sweep(
+    flows: int = 300,
+    seed: int = 5,
+    policies: "tuple[str, ...] | None" = None,
+    workers: int | None = 1,
+) -> list[MitigationComparison]:
+    """Tables 8/9: every service of :data:`WORKLOADS` under ``policies``
+    (default: the paper's trio), each at its own ``T1``, over the same
+    seeded workload.  The defaults are the paper run's parameters."""
+    return [
+        compare_policies(
+            workload.profile(),
+            flows=flows,
+            seed=seed,
+            t1=workload.t1,
+            short_flow_max=None,
+            workers=workers,
+            policies=policies,
+        )
+        for workload in WORKLOADS.values()
+    ]

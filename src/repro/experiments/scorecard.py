@@ -23,7 +23,6 @@ from typing import Any
 
 from ..core.report import ServiceReport, percentile
 from ..core.stalls import RetxCause, StallCause
-from ..workload.services import get_profile
 from .ablation import (
     destination_cache_ablation,
     frto_ablation,
@@ -34,7 +33,7 @@ from .ablation import (
 from .dataset import build_dataset
 from .fairness import run_fairness
 from .illustrative import run_illustrative_flow
-from .mitigation import compare_policies, make_short_flow_profile
+from .mitigation import table89_sweep
 from .tables import SERVICE_LABELS, TABLE4_BINS
 from .validation import validate_inference
 
@@ -42,46 +41,19 @@ from .validation import validate_inference
 MIN_SAMPLES = 3
 
 
-def _cloud() -> Any:
-    return get_profile("cloud_storage")
-
-
-def _policy_sweep() -> dict[str, Any]:
-    """Table 8/9: web search and cloud-storage short flows, per policy."""
-    web = compare_policies(
-        get_profile("web_search"), flows=300, seed=5, t1=5,
-        short_flow_max=None,
-    )
-    cloud_short = compare_policies(
-        make_short_flow_profile(_cloud()), flows=300, seed=5, t1=10,
-        short_flow_max=None,
-    )
-    return {c.service: c for c in (web, cloud_short)}
-
-
-#: Every input a claim reads, with the parameters it is built at.
+#: Every input a claim reads.  Each is its function's defaults: the
+#: paper run's parameters live with the exhibit, not here.
 INPUTS: dict[str, Callable[[], Any]] = {
-    "dataset": lambda: build_dataset(flows_per_service=150, seed=20141222),
-    "policy_sweep": _policy_sweep,
+    "dataset": build_dataset,
+    "policy_sweep": lambda: {c.service: c for c in table89_sweep()},
     "fig2": run_illustrative_flow,
-    "validation": lambda: validate_inference(_cloud(), flows=100, seed=3),
-    "fairness": lambda: run_fairness(
-        policy="srto", policy_kwargs={"t1": 10, "t2": 5}, duration=30.0,
-        seed=2,
-    ),
-    "tau_sweep": lambda: tau_sensitivity(
-        get_profile("software_download"), flows=100, seed=17,
-        taus=(1.5, 2.0, 3.0, 4.0),
-    ),
-    "srto_sweep": lambda: sweep_srto_parameters(
-        make_short_flow_profile(_cloud()), flows=120, seed=5,
-        t1_values=(3, 5, 10, 20),
-    ),
-    "dstcache": lambda: destination_cache_ablation(
-        _cloud(), flows=120, seed=13
-    ),
-    "frto": lambda: frto_ablation(_cloud(), flows=120, seed=21),
-    "pacing": lambda: pacing_ablation(_cloud(), flows=120, seed=9),
+    "validation": validate_inference,
+    "fairness": run_fairness,
+    "tau_sweep": tau_sensitivity,
+    "srto_sweep": sweep_srto_parameters,
+    "dstcache": destination_cache_ablation,
+    "frto": frto_ablation,
+    "pacing": pacing_ablation,
 }
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..core.tapo import Tapo
 from ..workload.generator import generate_flows
-from ..workload.services import ServiceProfile
+from ..workload.services import ServiceProfile, get_profile
 from .runner import run_flow
 
 
@@ -72,9 +72,11 @@ class ValidationResult:
 
 
 def validate_inference(
-    profile: ServiceProfile, flows: int = 100, seed: int = 3
+    profile: ServiceProfile | None = None, flows: int = 100, seed: int = 3
 ) -> ValidationResult:
-    """Run flows and compare TAPO's inferences with sender truth."""
+    """Run flows and compare TAPO's inferences with sender truth
+    (``profile`` defaults to cloud storage, the paper run's service)."""
+    profile = profile or get_profile("cloud_storage")
     tapo = Tapo()
     result = ValidationResult()
     for scenario in generate_flows(profile, flows, seed=seed):

@@ -60,20 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flows",
         type=int,
-        default=300,
-        help="flows per cell (default 300, the Table 8/9 count)",
+        default=MatrixConfig.flows,
+        help="flows per cell (default %(default)s, the Table 8/9 count)",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=5,
-        help="workload seed (default 5, the Table 8/9 seed)",
+        default=MatrixConfig.seed,
+        help="workload seed (default %(default)s, the Table 8/9 seed)",
     )
     parser.add_argument(
         "--t2",
         type=int,
-        default=5,
-        help="S-RTO T2 congestion-cut threshold (default 5)",
+        default=MatrixConfig.t2,
+        help="S-RTO T2 congestion-cut threshold (default %(default)s)",
     )
     cli_options.add_policies(parser)
     parser.add_argument(

@@ -31,6 +31,7 @@ Execution properties:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from ..experiments.cache import (
     default_cache_dir,
     disk_cache_enabled,
 )
-from ..experiments.mitigation import POLICY_LABELS, run_policy
+from ..experiments.mitigation import POLICY_LABELS, run_policy, table89_sweep
 from ..tcp.policies import REGISTRY
 from .scenarios import PATH_SCENARIOS, WORKLOADS, Workload, get_workload, scenario_profile
 
@@ -72,18 +73,22 @@ def default_policies() -> tuple[str, ...]:
     return tuple(ordered)
 
 
+_SWEEP = inspect.signature(table89_sweep).parameters
+
+
 @dataclass(frozen=True)
 class MatrixConfig:
     """One matrix sweep, fully specified.
 
-    ``None`` axis selections mean "everything registered".  ``seed=5``
-    and the per-workload ``t1`` defaults match the Table 8/9 sweep —
-    the WAN byte-identity anchor.
+    ``None`` axis selections mean "everything registered".  ``flows``
+    and ``seed`` default to :func:`table89_sweep`'s and ``t2`` to
+    :func:`run_policy`'s, so with each workload's own ``t1`` the WAN
+    cells are the Table 8/9 sweep — the byte-identity anchor.
     """
 
-    flows: int = 300
-    seed: int = 5
-    t2: int = 5
+    flows: int = _SWEEP["flows"].default
+    seed: int = _SWEEP["seed"].default
+    t2: int = inspect.signature(run_policy).parameters["t2"].default
     policies: tuple[str, ...] | None = None
     workloads: tuple[str, ...] | None = None
     paths: tuple[str, ...] | None = None

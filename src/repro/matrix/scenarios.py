@@ -2,12 +2,11 @@
 
 A matrix *cell* is (workload, path scenario, policy).  The axes:
 
-* **Workloads** — :data:`WORKLOADS`.  ``web_search`` and
-  ``storage_short`` are exactly the two services of the paper's
-  mitigation sweep (Tables 8/9), with the same per-workload S-RTO
-  ``T1`` thresholds (5 and 10) the paper deployed.  Keeping the
-  construction identical to ``repro-paper run``'s sweep is what makes
-  the matrix's WAN cells byte-identical to Table 8/9.
+* **Workloads** — :data:`WORKLOADS`, the Table 8/9 services as
+  :mod:`repro.experiments.mitigation` defines them (``web_search`` and
+  ``storage_short``, each with the S-RTO ``T1`` the paper deployed).
+  Reading the one definition ``repro-paper run``'s sweep reads is what
+  makes the matrix's WAN cells byte-identical to Table 8/9.
 * **Path scenarios** — :data:`PATH_SCENARIOS`, from
   :data:`repro.netsim.profiles.PATH_MODELS`.  ``wan`` is the sentinel
   "keep the workload's own path"; ``datacenter`` and ``cellular``
@@ -23,44 +22,11 @@ CLI, benchmarks, and dashboard all iterate these mappings.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
-from dataclasses import dataclass
 
-from ..experiments.mitigation import make_short_flow_profile
+from ..experiments.mitigation import WORKLOADS, Workload
 from ..netsim.profiles import PATH_MODELS, make_path_model
-from ..workload.services import ServiceProfile, get_profile
+from ..workload.services import ServiceProfile
 
-
-@dataclass(frozen=True)
-class Workload:
-    """One workload axis entry.
-
-    ``t1`` is the S-RTO packets-in-flight threshold used for this
-    workload (the paper tuned it per service: 5 for web search, 10
-    for cloud-storage control flows).
-    """
-
-    name: str
-    t1: int
-    factory: Callable[[], ServiceProfile]
-
-    def profile(self) -> ServiceProfile:
-        return self.factory()
-
-
-def _web_search() -> ServiceProfile:
-    return get_profile("web_search")
-
-
-def _storage_short() -> ServiceProfile:
-    return make_short_flow_profile(get_profile("cloud_storage"))
-
-
-#: The workload axis, in table order.
-WORKLOADS: dict[str, Workload] = {
-    "web_search": Workload("web_search", t1=5, factory=_web_search),
-    "storage_short": Workload("storage_short", t1=10, factory=_storage_short),
-}
 
 #: The path-scenario axis, in table order (wan first: the paper's own
 #: environment and the byte-identity anchor).

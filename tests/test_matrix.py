@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.mitigation import run_policy
+from repro.experiments.mitigation import table89_sweep
 from repro.matrix.cli import main as matrix_main
 from repro.matrix.runner import (
     MatrixCell,
@@ -78,23 +78,31 @@ class TestRunner:
             ("web_search", "datacenter", "srto"),
         ]
 
-    def test_wan_cells_byte_identical_to_table89_sweep(self):
-        """The matrix's WAN cells are the Table 8/9 run_policy calls."""
-        result = run_matrix(SMALL)
-        workload = get_workload("web_search")
-        direct = run_policy(
-            workload.profile(),
-            "native",
-            SMALL.flows,
-            SMALL.seed,
-            t1=workload.t1,
-            t2=SMALL.t2,
-            short_flow_max=None,
+    @pytest.mark.parametrize(
+        "name, t1", [("web_search", 5), ("storage_short", 10)]
+    )
+    def test_wan_cells_byte_identical_to_table89_sweep(self, name, t1):
+        """The matrix's WAN cells are the Table 8/9 sweep's outcomes."""
+        assert get_workload(name).t1 == t1
+        config = MatrixConfig(
+            flows=SMALL.flows,
+            policies=("native", "srto"),
+            workloads=(name,),
+            paths=("wan",),
+            use_cache=False,
         )
-        cell = result.cells[0]
-        assert cell.metrics["mean_latency"] == direct.mean_latency
-        assert cell.metrics["p95_latency"] == direct.latency_quantile(95)
-        assert cell.metrics["stall_rate"] == direct.stall_rate
+        comparisons = table89_sweep(
+            flows=config.flows, policies=config.policies
+        )
+        sweep = dict(zip(WORKLOADS, comparisons))[name]
+        for cell in run_matrix(config).cells:
+            direct = sweep.outcomes[cell.policy]
+            assert cell.metrics["mean_latency"] == direct.mean_latency
+            assert cell.metrics["p95_latency"] == direct.latency_quantile(95)
+            assert cell.metrics["stall_rate"] == direct.stall_rate
+            assert cell.metrics["retransmission_ratio"] == (
+                direct.retransmission_ratio
+            )
 
     def test_deterministic_across_runs_and_workers(self):
         first = run_matrix(SMALL)

@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.config import AnalysisConfig
-from repro.experiments.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.experiments.metrics import RunMetrics
 from repro.experiments.parallel import run_flows_parallel
 from repro.experiments.runner import run_flow, run_flows

@@ -1,5 +1,8 @@
 """repro-paper CLI tests (small scale)."""
 
+import pytest
+
+from repro.experiments import cli as repro_paper_cli
 from repro.experiments.cli import main as repro_paper_main
 from repro.experiments.dataset import clear_cache
 
@@ -34,3 +37,17 @@ class TestReproPaper:
         out = capsys.readouterr().out
         assert "Table 8" in out
         assert "Table 9" in out
+
+    def test_policies_without_the_paper_trio_rejected_before_simulating(
+        self, monkeypatch, capsys
+    ):
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("build_dataset called")
+
+        monkeypatch.setattr(repro_paper_cli, "build_dataset", no_dataset)
+        with pytest.raises(SystemExit) as excinfo:
+            repro_paper_main(["--flows", "4", "--policies", "tracks"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--policies must include native, tlp, srto" in captured.err
