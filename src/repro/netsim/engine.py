@@ -91,6 +91,17 @@ class EventLoop:
             self.observer.on_schedule(time, callback)
         return Timer(self, entry)
 
+    def _push(self, time: float, callback: Callable[[], None]) -> None:
+        """:meth:`schedule_at` for a callback nobody cancels: the same
+        event and observer call, without the :class:`Timer` handle."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time:.6f}, now is {self.now:.6f}"
+            )
+        heapq.heappush(self._heap, [time, next(self._tie), callback, False])
+        if self.observer is not None:
+            self.observer.on_schedule(time, callback)
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` after ``delay`` seconds."""
         if delay < 0:

@@ -96,34 +96,41 @@ class Link:
         """Inject a packet into the link."""
         engine = self.engine
         now = engine.now
-        self.stats.sent += 1
+        stats = self.stats
+        stats.sent += 1
         if self.loss.should_drop(self.rng, now, pkt):
-            self.stats.dropped_loss += 1
+            stats.dropped_loss += 1
             return
-        if self.rate_bps is None:
+        rate_bps = self.rate_bps
+        if rate_bps is None:
             depart = now
         else:
-            if self._queued >= self.queue_limit and self._busy_until > now:
-                self.stats.dropped_queue += 1
+            busy_until = self._busy_until
+            if self._queued >= self.queue_limit and busy_until > now:
+                stats.dropped_queue += 1
                 return
             wire_bytes = pkt.payload_len + self.HEADER_OVERHEAD
-            tx_time = wire_bytes * 8 / self.rate_bps
-            start = max(now, self._busy_until)
+            tx_time = wire_bytes * 8 / rate_bps
+            start = busy_until if busy_until > now else now
             depart = start + tx_time
             self._busy_until = depart
             self._queued += 1
             # The packet occupies the bottleneck queue only until it
             # finishes serializing; time on the wire afterwards must
-            # not count against the queue limit.
-            engine.schedule_at(depart, self._on_depart)
+            # not count against the queue limit.  Neither event is
+            # ever cancelled, so neither needs a Timer handle.
+            engine._push(depart, self._on_depart)
         arrival = depart + self.delay + self.jitter.extra_delay(self.rng, now)
         if not self.allow_reorder:
-            arrival = max(arrival, self._last_delivery)
+            last_delivery = self._last_delivery
+            if last_delivery > arrival:
+                arrival = last_delivery
             self._last_delivery = arrival
-        engine.schedule_at(arrival, partial(self._deliver, pkt))
+        engine._push(arrival, partial(self._deliver, pkt))
 
     def _on_depart(self) -> None:
-        self._queued = max(0, self._queued - 1)
+        queued = self._queued - 1
+        self._queued = queued if queued > 0 else 0
 
     def _deliver(self, pkt: PacketRecord) -> None:
         self.stats.delivered += 1
@@ -131,7 +138,9 @@ class Link:
         self.sink(pkt)
 
     def reset_models(self) -> None:
+        """Return the loss and jitter models to their initial state."""
         self.loss.reset()
+        self.jitter.reset()
 
 
 class DuplexPath:

@@ -306,6 +306,9 @@ class JitterModel:
     def extra_delay(self, rng: random.Random, now: float = 0.0) -> float:
         raise NotImplementedError
 
+    def reset(self) -> None:
+        """Forget any state carried between packets (stateless: no-op)."""
+
 
 @dataclass
 class NoJitter(JitterModel):
@@ -359,7 +362,10 @@ class RandomWalkJitter(JitterModel):
             )
             self._last_time = now
             return self._current
-        dt = max(0.0, min(now - self._last_time, 5.0))
+        # max(0.0, min(now - last, 5.0)), as conditional expressions.
+        dt = now - self._last_time
+        dt = 5.0 if 5.0 < dt else dt
+        dt = dt if dt > 0.0 else 0.0
         self._last_time = now
         if dt > 0:
             step = rng.gauss(0.0, self.volatility * math.sqrt(dt))
@@ -369,7 +375,11 @@ class RandomWalkJitter(JitterModel):
                 value = 2 * self.max_delay - value
             if value < self.floor:
                 value = 2 * self.floor - value
-            self._current = min(self.max_delay, max(self.floor, value))
+            # min(max_delay, max(floor, value))
+            value = value if value > self.floor else self.floor
+            self._current = (
+                value if value < self.max_delay else self.max_delay
+            )
         return self._current
 
     def reset(self) -> None:
@@ -390,6 +400,10 @@ class CompositeJitter(JitterModel):
             total += model.extra_delay(rng, now)
         return total
 
+    def reset(self) -> None:
+        for model in self.models:
+            model.reset()
+
 
 @dataclass
 class SpikeJitter(JitterModel):
@@ -409,9 +423,13 @@ class SpikeJitter(JitterModel):
     spike_high: float = 0.6
 
     def extra_delay(self, rng: random.Random, now: float = 0.0) -> float:
+        # ``rng.uniform(a, b)`` is ``a + (b - a) * rng.random()``, and
+        # ``b * rng.random()`` for ``a = 0.0``: spelled out, the draws
+        # and the floats are the same without the method call.
         if rng.random() < self.spike_prob:
-            return rng.uniform(self.spike_low, self.spike_high)
-        return rng.uniform(0.0, self.base_jitter)
+            low = self.spike_low
+            return low + (self.spike_high - low) * rng.random()
+        return self.base_jitter * rng.random()
 
 
 class RadioWakeJitter(JitterModel):

@@ -303,8 +303,8 @@ class TcpEndpoint:
 
     def _window_field(self) -> int:
         assert self.receiver is not None
-        advertised = self.receiver.advertised_window()
-        return min(advertised >> self.config.wscale, 65535)
+        window = self.receiver.advertised_window() >> self.config.wscale
+        return window if window < 65535 else 65535
 
     def _ack_options(self) -> TCPOptions:
         assert self.receiver is not None

@@ -22,7 +22,16 @@ from collections.abc import Callable
 
 from ..packet.options import SackBlock
 from ..packet.packet import PacketRecord
-from ..packet.seqnum import seq_add, seq_after, seq_before, seq_geq, seq_leq, seq_max
+from ..packet.seqnum import (
+    SEQ_HALF,
+    SEQ_MASK,
+    seq_add,
+    seq_after,
+    seq_before,
+    seq_geq,
+    seq_leq,
+    seq_max,
+)
 from ..netsim.engine import EventLoop, Timer
 from .constants import DELACK_MAX, MAX_SACK_BLOCKS
 
@@ -202,17 +211,21 @@ class ReceiverHalf:
 
     def window_free(self) -> int:
         """Bytes of free buffer space."""
-        return max(0, self.rcv_buf - self.buffered)
+        free = self.rcv_buf - self.buffered
+        return free if free > 0 else 0
 
     def advertised_window(self) -> int:
         """Window to put on the wire, relative to rcv_nxt.
 
         The right edge is monotonic: once advertised, never retracted.
         """
-        edge = seq_add(self.rcv_nxt, self.window_free())
-        self._right_edge = seq_max(self._right_edge, edge)
-        diff = (self._right_edge - self.rcv_nxt) % (1 << 32)
-        return diff
+        rcv_nxt = self.rcv_nxt
+        edge = (rcv_nxt + self.window_free()) & SEQ_MASK
+        right_edge = self._right_edge
+        # seq_max(right_edge, edge)
+        if not 0 < (right_edge - edge) & SEQ_MASK < SEQ_HALF:
+            self._right_edge = right_edge = edge
+        return (right_edge - rcv_nxt) & SEQ_MASK
 
     def sack_blocks(self) -> list[SackBlock]:
         """SACK blocks for the next outgoing ACK (DSACK first)."""

@@ -17,6 +17,14 @@ assigns those three flags.  Two facts keep the bookkeeping small: a
 segment is never un-SACKed, and SACKing clears ``lost`` — so a segment
 is never both.
 
+SACK processing costs what each ACK adds, not the window.  The queue
+is sorted and disjoint (:meth:`Scoreboard.add` refuses anything else),
+so the segments one block covers are a single run, found by a binary
+search on offsets from the queue head.  A memo of applied blocks (left
+edge -> furthest right edge applied) lets a repeated block be skipped
+and a grown one resume where it stopped: receivers repeat every block
+on every ACK until the cumulative ACK passes it.
+
 The scoreboard also implements the loss-marking rule that creates the
 paper's *f-double* stalls: a segment that has already been fast-
 retransmitted is never eligible for another fast retransmit — if the
@@ -28,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..packet.options import SackBlock
-from ..packet.seqnum import seq_after, seq_before, seq_geq, seq_leq
+from ..packet.seqnum import SEQ_HALF, SEQ_MASK, seq_before
 
 
 @dataclass
@@ -68,6 +76,11 @@ class SackResult:
     newly_sacked_segments: list["Segment"] = field(default_factory=list)
 
 
+#: The result of every ACK without SACK blocks: one shared instance
+#: that nothing may write to.
+_NO_SACK = SackResult()
+
+
 class Scoreboard:
     """Ordered collection of outstanding segments."""
 
@@ -78,25 +91,38 @@ class Scoreboard:
         self._lost_out = 0
         # Counts ``retrans_outstanding and not sacked``.
         self._retrans_out = 0
+        # Left edge -> furthest right edge applied, capped at the queue
+        # tail of the time: every segment in the queue that starts at or
+        # past the left edge and ends at or before that right edge is
+        # SACKed.  A segment is never un-SACKed and new ones start past
+        # the tail, so an entry stays true until its segments leave.
+        self._applied: dict[int, int] = {}
 
     # -- queue management ---------------------------------------------
     def add(self, segment: Segment) -> None:
         """Append a newly transmitted segment (must be in seq order)."""
-        if self._segments and seq_before(
-            segment.seq, self._segments[-1].end_seq
+        segments = self._segments
+        # seq_before(segment.seq, tail.end_seq)
+        if segments and (
+            (segment.seq - segments[-1].end_seq) & SEQ_MASK >= SEQ_HALF
         ):
             raise ValueError(
                 f"segment {segment.seq} not after queue tail "
-                f"{self._segments[-1].end_seq}"
+                f"{segments[-1].end_seq}"
             )
-        self._segments.append(segment)
+        if segment.end_seq == segment.seq:
+            # An empty segment at the old tail lies inside a block that
+            # reached the tail: the memo no longer vouches for it.
+            self._applied.clear()
+        segments.append(segment)
 
     def ack_through(self, ack: int) -> list[Segment]:
         """Remove and return all segments fully covered by ``ack``."""
         segments = self._segments
         count = 0
         for seg in segments:
-            if not seq_leq(seg.end_seq, ack):
+            # seq_after(seg.end_seq, ack)
+            if 0 < (seg.end_seq - ack) & SEQ_MASK < SEQ_HALF:
                 break
             count += 1
         acked = segments[:count]
@@ -114,6 +140,7 @@ class Scoreboard:
         self._segments.clear()
         self.highest_sacked = None
         self._sacked_out = self._lost_out = self._retrans_out = 0
+        self._applied.clear()
 
     # -- SACK processing -----------------------------------------------
     def apply_sack(
@@ -125,37 +152,107 @@ class Scoreboard:
         """Mark segments covered by SACK blocks; detect DSACK.
 
         A block is a DSACK when it lies at or below ``snd_una`` or is
-        contained in a later block of the same ACK (RFC 2883).
+        contained in a later block of the same ACK (RFC 2883).  A block
+        covers the segments that start at or past its left edge and end
+        at or before its right edge; they are marked block by block, in
+        queue order.  Without blocks the result is a shared instance
+        that the caller must not modify.
         """
+        if not blocks:
+            return _NO_SACK
         result = SackResult()
+        segments = self._segments
+        count = len(segments)
+        applied = self._applied
+        if not self._sacked_out:
+            applied.clear()  # no SACKed segment left for it to vouch for
         for index, (left, right) in enumerate(blocks):
-            if seq_leq(right, snd_una):
+            # seq_leq(right, snd_una)
+            if not 0 < (right - snd_una) & SEQ_MASK < SEQ_HALF:
                 result.dsack_seen = True
                 result.dsack_ranges.append((left, right))
                 continue
             if index == 0 and len(blocks) > 1:
                 outer_left, outer_right = blocks[1]
-                if seq_geq(left, outer_left) and seq_leq(right, outer_right):
+                # seq_geq(left, outer_left) and seq_leq(right, outer_right)
+                if (left - outer_left) & SEQ_MASK < SEQ_HALF and not (
+                    0 < (right - outer_right) & SEQ_MASK < SEQ_HALF
+                ):
                     result.dsack_seen = True
                     result.dsack_ranges.append((left, right))
                     continue
-            for seg in self._segments:
+            if not count:
+                continue
+            done = applied.get(left)
+            # seq_leq(right, done): a repeated block marks nothing.
+            if done is not None and not (
+                0 < (right - done) & SEQ_MASK < SEQ_HALF
+            ):
+                continue
+            base = segments[0].seq
+            # Signed offsets from the queue head: wraparound-safe.
+            right_off = ((right - base + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
+            pos = self._run_start(left, done)
+            while pos < count:
+                seg = segments[pos]
+                if (seg.end_seq - base) & SEQ_MASK > right_off:
+                    break
+                pos += 1
                 if seg.sacked:
                     continue
-                if seq_geq(seg.seq, left) and seq_leq(seg.end_seq, right):
-                    seg.sacked = True
-                    seg.sacked_time = now
-                    self._sacked_out += 1
-                    self._lost_out -= seg.lost
-                    seg.lost = False
-                    self._retrans_out -= seg.retrans_outstanding
-                    result.newly_sacked += 1
-                    result.newly_sacked_segments.append(seg)
-                    if self.highest_sacked is None or seq_after(
-                        seg.end_seq, self.highest_sacked
-                    ):
-                        self.highest_sacked = seg.end_seq
+                seg.sacked = True
+                seg.sacked_time = now
+                self._sacked_out += 1
+                self._lost_out -= seg.lost
+                seg.lost = False
+                self._retrans_out -= seg.retrans_outstanding
+                result.newly_sacked += 1
+                result.newly_sacked_segments.append(seg)
+                highest = self.highest_sacked
+                # seq_after(seg.end_seq, highest)
+                if highest is None or (
+                    0 < (seg.end_seq - highest) & SEQ_MASK < SEQ_HALF
+                ):
+                    self.highest_sacked = seg.end_seq
+            tail_end = segments[-1].end_seq
+            # seq_leq(right, tail_end): segments sent later start past
+            # the tail, so the memo may only vouch up to it.
+            applied[left] = (
+                right
+                if not 0 < (right - tail_end) & SEQ_MASK < SEQ_HALF
+                else tail_end
+            )
         return result
+
+    def _run_start(self, left: int, done: int | None = None) -> int:
+        """Index of the first segment that starts at or past ``left``
+        and, given ``done``, ends past it.
+
+        The queue is sorted and disjoint, so both tests hold on a
+        suffix of it: a binary search on signed offsets from the head.
+        """
+        segments = self._segments
+        if not segments:
+            return 0
+        base = segments[0].seq
+        left_off = ((left - base + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
+        done_off = (
+            -1
+            if done is None
+            else ((done - base + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
+        )
+        lo, hi = 0, len(segments)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            seg = segments[mid]
+            if (
+                (seg.seq - base) & SEQ_MASK < left_off
+                or (seg.end_seq - base) & SEQ_MASK <= done_off
+            ):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def mark_lost_by_sack(self, dup_thresh: int) -> int:
         """Apply the "dupthres SACKed segments above" loss rule.
@@ -286,9 +383,11 @@ class Scoreboard:
         return None
 
     def find(self, seq: int) -> Segment | None:
-        for seg in self._segments:
-            if seg.seq == seq:
-                return seg
+        """The first outstanding segment starting at ``seq``, if any."""
+        segments = self._segments
+        index = self._run_start(seq)
+        if index < len(segments) and segments[index].seq == seq:
+            return segments[index]
         return None
 
     def holes(self) -> int:

@@ -25,8 +25,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..netsim.engine import EventLoop, Timer
+from ..packet.headers import FLAG_SYN
 from ..packet.packet import PacketRecord
-from ..packet.seqnum import seq_add, seq_before, seq_geq, seq_leq, seq_sub
+from ..packet.seqnum import SEQ_HALF, SEQ_MASK, seq_add, seq_geq, seq_sub
 from .congestion import CongestionControl, NewReno
 from .constants import (
     DEFAULT_INIT_CWND,
@@ -245,27 +246,31 @@ class SenderHalf:
             return
         ack = pkt.ack
         # Window update (scaled except on SYN).
-        wscale = 0 if pkt.syn else self.peer_wscale
+        wscale = 0 if pkt.flags & FLAG_SYN else self.peer_wscale
         self.rwnd = pkt.window << wscale
         self._update_persist_state()
 
-        if seq_before(ack, self.snd_una):
+        snd_una = self.snd_una
+        # seq_before(ack, snd_una)
+        if (ack - snd_una) & SEQ_MASK >= SEQ_HALF:
             return  # stale ACK
-        if seq_before(self.snd_nxt, ack):
+        # seq_before(snd_nxt, ack)
+        if (self.snd_nxt - ack) & SEQ_MASK >= SEQ_HALF:
             return  # acks data never sent; ignore
 
         # RFC 2883: a block at or below the packet's own cumulative
         # ACK is a DSACK, so the comparison uses pkt.ack, not the
         # not-yet-advanced snd_una.
         sack_result = self.scoreboard.apply_sack(
-            pkt.sack_blocks, ack, now=self.engine.now
+            pkt.options.sack_blocks, ack, now=self.engine.now
         )
         if sack_result.dsack_seen:
             self.stats.dsacks_received += 1
             self._on_dsack(sack_result)
             self._maybe_undo(sack_result)
 
-        new_data_acked = seq_before(self.snd_una, ack)
+        # seq_before(snd_una, ack), given that ack is not stale.
+        new_data_acked = ack != snd_una
         acked_segments: list[Segment] = []
         if new_data_acked:
             acked_segments = self.scoreboard.ack_through(ack)
@@ -443,7 +448,9 @@ class SenderHalf:
         self, new_data_acked: bool, acked_count: int, newly_sacked: int
     ) -> None:
         now = self.engine.now
-        dup_signal = max(self.dup_acks, self.scoreboard.sacked_out)
+        dup_acks = self.dup_acks
+        sacked_out = self.scoreboard.sacked_out
+        dup_signal = sacked_out if sacked_out > dup_acks else dup_acks
 
         if self.ca_state in (self.OPEN, self.DISORDER):
             if dup_signal >= self._effective_dup_thresh():
@@ -672,8 +679,12 @@ class SenderHalf:
     # ------------------------------------------------------------------
     def _send_window_bytes(self) -> int:
         """How many more bytes the send window currently allows."""
-        window = min(self.cwnd * self.mss, self.rwnd)
-        return max(0, window - self.outstanding_bytes)
+        window = self.cwnd * self.mss
+        rwnd = self.rwnd
+        if rwnd < window:
+            window = rwnd
+        free = window - self.outstanding_bytes
+        return free if free > 0 else 0
 
     def try_send(self) -> None:
         """Transmit retransmissions then new data as windows allow."""
@@ -728,8 +739,10 @@ class SenderHalf:
 
     def _send_one_new(self) -> bool:
         """Transmit at most one new segment; True when one was sent."""
-        if self._app_bytes > 0:
-            length = min(self.mss, self._app_bytes)
+        app_bytes = self._app_bytes
+        if app_bytes > 0:
+            mss = self.mss
+            length = app_bytes if app_bytes < mss else mss
             if (
                 self.scoreboard.in_flight >= self.cwnd
                 or self._send_window_bytes() < length

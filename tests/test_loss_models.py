@@ -165,6 +165,21 @@ class TestJitter:
         assert all(d <= 0.6 for d in spikes)
         assert 0.1 < len(spikes) / 2000 < 0.3
 
+    def test_spike_jitter_draws_as_rng_uniform(self):
+        """The inlined draw takes the same numbers from the generator
+        and returns the same floats as ``rng.uniform``."""
+        model = SpikeJitter(
+            base_jitter=0.003, spike_prob=0.3, spike_low=0.2, spike_high=0.7
+        )
+        rng, expected_rng = random.Random(11), random.Random(11)
+        for _ in range(500):
+            if expected_rng.random() < model.spike_prob:
+                expected = expected_rng.uniform(0.2, 0.7)
+            else:
+                expected = expected_rng.uniform(0.0, 0.003)
+            assert model.extra_delay(rng) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
     def test_random_walk_bounded(self):
         rng = random.Random(1)
         model = RandomWalkJitter(max_delay=0.3, volatility=0.2)

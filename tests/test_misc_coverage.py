@@ -107,3 +107,32 @@ class TestLinkModelsReset:
         assert loss._bad
         link.reset_models()
         assert not loss._bad
+
+    def test_reset_models_resets_jitter(self):
+        """A reset link draws the delays of a new one: the random walk
+        and the radio state go back to their start, through
+        ``CompositeJitter``, and stateless models reset silently."""
+        from repro.netsim.link import Link
+        from repro.netsim.loss import (
+            CompositeJitter,
+            RadioWakeJitter,
+            RandomWalkJitter,
+            SpikeJitter,
+        )
+
+        def delays(link, rng):
+            return [link.jitter.extra_delay(rng, now=0.5 * i) for i in range(8)]
+
+        walk, radio = RandomWalkJitter(), RadioWakeJitter(idle_threshold=1.0)
+        jitter = CompositeJitter(walk, SpikeJitter(), radio)
+        link = Link(EventLoop(), lambda p: None, jitter=jitter)
+        first = delays(link, random.Random(5))
+        assert walk._current is not None
+        assert radio._last_activity is not None
+        link.reset_models()
+        assert walk._current is None
+        assert radio._last_activity is None
+        assert delays(link, random.Random(5)) == first
+
+        stateless = Link(EventLoop(), lambda p: None)
+        stateless.reset_models()

@@ -79,6 +79,23 @@ def test_engine_trace_never_logs_a_timer_as_fired_and_cancelled():
         assert count["schedule"] >= count["fire"] + count["cancel"]
 
 
+def test_engine_probe_sees_every_link_event():
+    """One seeded lossy flow (24 retransmissions, one RTO): the probe's
+    schedule / fire / cancel calls and the recorded engine events are
+    pinned, so a link event that stops going through the engine's
+    observer shows here."""
+    scenario = _scenarios(8, seed=3, service="cloud_storage")[7]
+    result = run_flow(scenario, trace="engine", trace_capacity=1 << 20)
+    assert result.trace_dropped == 0
+    assert result.server_stats.retransmissions == 24
+    assert result.server_stats.rto_timeouts == 1
+    engine = [e for e in result.trace_events if e.kind == "engine"]
+    count = Counter(e.detail for e in engine)
+    assert dict(count) == {"schedule": 343, "fire": 229, "cancel": 114}
+    assert len(engine) == 686
+    assert result.events == 229
+
+
 def test_trace_events_are_time_ordered_and_typed():
     scenario = _scenarios(1)[0]
     result = run_flow(scenario, trace=True)

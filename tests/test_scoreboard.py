@@ -90,6 +90,52 @@ class TestSack:
         assert not result.dsack_seen
 
 
+class CountingList(list):
+    """A segment queue that counts the segments read out of it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        self.reads += len(item) if isinstance(index, slice) else 1
+        return item
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+class TestSackCost:
+    def test_walk_is_bounded_by_what_it_marks(self):
+        """On a 2,000-segment window a block reads its own run plus a
+        binary search, wherever it lies, and a repeated block next to
+        nothing."""
+        board = filled_board(2000)
+        board._segments = queue = CountingList(board._segments)
+
+        def reads(blocks):
+            before = queue.reads
+            board.apply_sack(blocks, snd_una=0, now=1.0)
+            return queue.reads - before
+
+        assert reads([(10_000, 13_000)]) <= 30
+        assert board.sacked_out == 3
+        assert reads([(10_000, 13_000)]) <= 2
+        assert reads([(10_000, 15_000)]) <= 30  # grown: resumes at 13,000
+        assert board.sacked_out == 5
+        assert reads([(1_990_000, 2_000_000), (10_000, 15_000)]) <= 40
+        assert board.sacked_out == 15
+        assert reads([(1_990_000, 2_000_000), (10_000, 15_000)]) <= 2
+
+    def test_sackless_ack_shares_one_empty_result(self):
+        board = filled_board(3)
+        first = board.apply_sack([], snd_una=0)
+        assert first is board.apply_sack([], snd_una=0)
+        assert first.newly_sacked == 0 and not first.dsack_seen
+        assert first.dsack_ranges == [] and first.newly_sacked_segments == []
+
+
 class TestLossMarking:
     def test_mark_lost_by_sack_needs_dupthresh_above(self):
         board = filled_board(5)

@@ -1,9 +1,10 @@
 """Property tests: scoreboard invariants under random ACK/SACK storms."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.tcp.scoreboard import Scoreboard, Segment
+from repro.packet.seqnum import seq_after, seq_geq, seq_leq
+from repro.tcp.scoreboard import SackResult, Scoreboard, Segment
 
 MSS = 1000
 WINDOW = 20  # segments in the test window
@@ -170,3 +171,246 @@ class TestInvariants:
         head = board.head()
         if head is not None:
             assert head.end_seq > snd_una
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the run search and the applied-block memo against
+# the linear walk they replace.
+# ----------------------------------------------------------------------
+SPACE = 1 << 32
+
+
+class LinearScoreboard(Scoreboard):
+    """The scoreboard with the linear SACK walk and linear ``find``: for
+    every block, every outstanding segment is inspected."""
+
+    def apply_sack(self, blocks, snd_una, now=None):
+        result = SackResult()
+        for index, (left, right) in enumerate(blocks):
+            if seq_leq(right, snd_una):
+                result.dsack_seen = True
+                result.dsack_ranges.append((left, right))
+                continue
+            if index == 0 and len(blocks) > 1:
+                outer_left, outer_right = blocks[1]
+                if seq_geq(left, outer_left) and seq_leq(right, outer_right):
+                    result.dsack_seen = True
+                    result.dsack_ranges.append((left, right))
+                    continue
+            for seg in self._segments:
+                if seg.sacked:
+                    continue
+                if seq_geq(seg.seq, left) and seq_leq(seg.end_seq, right):
+                    seg.sacked = True
+                    seg.sacked_time = now
+                    self._sacked_out += 1
+                    self._lost_out -= seg.lost
+                    seg.lost = False
+                    self._retrans_out -= seg.retrans_outstanding
+                    result.newly_sacked += 1
+                    result.newly_sacked_segments.append(seg)
+                    if self.highest_sacked is None or seq_after(
+                        seg.end_seq, self.highest_sacked
+                    ):
+                        self.highest_sacked = seg.end_seq
+        return result
+
+    def find(self, seq):
+        for seg in self._segments:
+            if seg.seq == seq:
+                return seg
+        return None
+
+
+# An edge is a segment boundary (by index into the outstanding
+# segments' starts and ends) or a byte offset from snd_una, which puts
+# it inside segments, in gaps, below snd_una or past snd_nxt.
+edges = st.one_of(
+    st.tuples(st.just("boundary"), st.integers(0, 60)),
+    st.tuples(st.just("byte"), st.integers(-3 * MSS, 30 * MSS)),
+)
+blocks = st.tuples(edges, edges)
+oracle_events = st.lists(
+    st.one_of(
+        # New data: segment lengths (0 is an empty segment) and a gap
+        # before the first one.
+        st.tuples(
+            st.just("send"),
+            st.lists(st.integers(0, MSS), min_size=1, max_size=8),
+            st.sampled_from([0, 0, 0, 1, MSS // 2]),
+        ),
+        # A receiver-shaped ACK: cumulative ACK (bytes past snd_una,
+        # capped at snd_nxt), an optional DSACK first (below the ACK or
+        # inside the next block), then up to three blocks newest first.
+        st.tuples(
+            st.just("ack"),
+            st.integers(0, 12 * MSS),
+            st.sampled_from([None, "below", "inside"]),
+            st.lists(blocks, max_size=3),
+        ),
+        # The previous ACK's SACK blocks again (its DSACK is reported
+        # once), the first one grown by some bytes (0 repeats it).
+        st.tuples(st.just("repeat"), st.sampled_from([0, 0, 1, MSS, 3 * MSS])),
+        # The other writers; ``clear`` with an odd argument restarts
+        # the sequence space at the ISS, under blocks applied before.
+        st.tuples(
+            st.sampled_from(
+                ["mark_all_lost", "mark_lost", "mark_head_lost", "clear_lost",
+                 "clear", "retransmit"]
+            ),
+            st.integers(0, 40),
+        ),
+    ),
+    max_size=50,
+)
+isses = st.one_of(
+    st.integers(SPACE - (1 << 16), SPACE - 1),  # the queue wraps
+    st.integers(0, SPACE - 1),
+)
+
+
+def result_fields(result):
+    return (
+        result.newly_sacked,
+        result.dsack_seen,
+        result.dsack_ranges,
+        [(s.seq, s.end_seq) for s in result.newly_sacked_segments],
+    )
+
+
+def board_state(board):
+    return (
+        [vars(s) for s in board],
+        board.sacked_out,
+        board.lost_out,
+        board.retrans_out,
+        board.highest_sacked,
+    )
+
+
+class TestApplySackOracle:
+    """``apply_sack`` and ``find`` agree with the linear walk on every
+    result field (in order), every segment flag, the three counters and
+    ``highest_sacked``, through the other writers interleaved."""
+
+    @given(isses, oracle_events)
+    @settings(deadline=None)
+    # A block past the tail, new data under it, the block again.
+    @example(SPACE - 2500, [
+        ("send", [1000, 1000], 0),
+        ("ack", 0, None, [(("byte", 1000), ("byte", 5000))]),
+        ("send", [1000, 1000], 0),
+        ("repeat", 0),
+    ])
+    # A right edge inside a segment, then the block grown past it.
+    @example(SPACE - 2500, [
+        ("send", [1000] * 4, 0),
+        ("ack", 0, None, [(("byte", 1000), ("byte", 2500))]),
+        ("repeat", 1000),
+    ])
+    # An empty segment sent at the right edge of an applied block.
+    @example(7, [
+        ("send", [1000, 1000], 0),
+        ("ack", 0, None, [(("byte", 1000), ("byte", 2000))]),
+        ("send", [0], 0),
+        ("repeat", 0),
+    ])
+    # Blocks applied, the board cleared, the same sequence space reused.
+    @example(7, [
+        ("send", [1000] * 3, 0),
+        ("ack", 0, "inside", [(("byte", 1000), ("byte", 3000))]),
+        ("clear", 1),
+        ("send", [1000] * 3, 0),
+        ("ack", 0, None, [(("byte", 0), ("byte", 1000))]),
+        ("repeat", 0),
+    ])
+    def test_matches_linear_walk(self, iss, event_list):
+        real, reference = Scoreboard(), LinearScoreboard()
+        snd_una = snd_nxt = (iss + 1) % SPACE
+        last_blocks: list = []
+        now = 0.0
+
+        def offset(seq):
+            return (seq - snd_una) % SPACE
+
+        def edge_order(seq):  # from below every generated edge
+            return (seq - snd_una + 4 * MSS) % SPACE
+
+        def resolve(edge):
+            kind, value = edge
+            if kind == "byte":
+                return (snd_una + value) % SPACE
+            points = [snd_una, snd_nxt]
+            for seg in real:
+                points += [seg.seq, seg.end_seq]
+            return points[value % len(points)]
+
+        def both(method, *args):
+            got = getattr(real, method)(*args)
+            expected = getattr(reference, method)(*args)
+            return got, expected
+
+        for event in event_list:
+            now += 0.5
+            kind = event[0]
+            if kind == "send":
+                _, lengths, gap = event
+                seq = (snd_nxt + gap) % SPACE
+                for length in lengths:
+                    end = (seq + length) % SPACE
+                    for board in (real, reference):
+                        board.add(Segment(seq, end, now, now))
+                    seq = end
+                snd_nxt = seq
+            elif kind in ("ack", "repeat"):
+                if kind == "ack":
+                    _, advance, dsack, raw = event
+                    ack = (snd_una + min(advance, offset(snd_nxt))) % SPACE
+                    current = [
+                        tuple(sorted((resolve(a), resolve(b)), key=edge_order))
+                        for a, b in raw
+                    ]
+                    last_blocks = list(current)
+                    if dsack == "below" and offset(ack) > 0:
+                        low = (ack - min(offset(ack), MSS)) % SPACE
+                        current.insert(0, (low, ack))
+                    elif dsack == "inside" and current:
+                        left, right = current[0]
+                        width = (right - left) % SPACE
+                        current.insert(
+                            0, ((left + width // 3) % SPACE, right)
+                        )
+                else:
+                    ack = snd_una
+                    current = last_blocks
+                    if current:
+                        left, right = current[0]
+                        current[0] = (left, (right + event[1]) % SPACE)
+                got, expected = both("apply_sack", current, ack, now)
+                assert result_fields(got) == result_fields(expected)
+                for left, _right in got.dsack_ranges:
+                    found, want = both("find", left)
+                    assert (found and vars(found)) == (want and vars(want))
+                # seq_after(ack, snd_una): the sender acks through it.
+                if 0 < offset(ack) < SPACE // 2:
+                    both("ack_through", ack)
+                    snd_una = ack
+            elif kind == "clear":
+                both("clear")
+                if event[1] % 2:
+                    snd_nxt = (iss + 1) % SPACE
+                snd_una = snd_nxt
+            elif kind == "retransmit":
+                if real.packets_out:
+                    index = event[1] % real.packets_out
+                    real.mark_retransmitted(list(real)[index], now)
+                    reference.mark_retransmitted(list(reference)[index], now)
+            elif kind == "mark_lost":
+                both("mark_lost_by_sack", 1 + event[1] % 4)
+            else:
+                both(kind)
+            assert board_state(real) == board_state(reference)
+        for seg in list(reference) + [None]:
+            seq = snd_nxt if seg is None else seg.seq
+            found, want = both("find", seq)
+            assert (found and vars(found)) == (want and vars(want))
