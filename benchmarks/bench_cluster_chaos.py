@@ -45,7 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 import _emit  # noqa: E402
 
-from repro.cluster import Coordinator, NetConfig, run_cluster  # noqa: E402
+from repro.cluster import Coordinator, NetConfig  # noqa: E402
 from repro.config import RunConfig  # noqa: E402
 from repro.packet.pcap import write_pcap  # noqa: E402
 from repro.testing.faults import ChaosProxy, NetFaultPlan  # noqa: E402
@@ -181,9 +181,9 @@ def run_chaos(outdir: Path, flows: int, seed: int) -> dict:
     wall_time = time.monotonic() - started
 
     chaos_json = result.report.to_json()
-    single_json = run_cluster(
-        paths, shards=1, service="chaos"
-    ).report.to_json()
+    single_json = Coordinator(
+        paths, n_shards=1, service="chaos"
+    ).run().report.to_json()
 
     resumed = Coordinator(
         paths,

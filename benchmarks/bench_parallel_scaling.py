@@ -166,7 +166,7 @@ def measure_cluster_scaling(
     Byte-identity against the single-process report is asserted at
     every point — a scaling number for a wrong answer is worthless.
     """
-    from repro.cluster import run_cluster
+    from repro.cluster import Coordinator
     from repro.core.tapo import Tapo
     from repro.packet.pcap import write_pcap
     from repro.testing.traces import generate_trace
@@ -190,7 +190,7 @@ def measure_cluster_scaling(
         points = []
         for shards in shards_list:
             started = time.perf_counter()
-            result = run_cluster(pcap, shards=shards, service="bench")
+            result = Coordinator(pcap, n_shards=shards, service="bench").run()
             wall = time.perf_counter() - started
             identical = result.report.to_json() == reference_json
             if not identical:

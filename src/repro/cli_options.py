@@ -19,9 +19,8 @@ tweak rarely-needed attributes without re-declaring the flag.
 The second half of the module is what the commands do with the parsed
 flags when they do the same thing: build the
 :class:`~repro.config.AnalysisConfig` and the server predicate, write
-the ``--metrics-out`` pair, print the ``--stats`` shard rows, the
-stall-cause table and the error line a :class:`~repro.errors.ReproError`
-exits with.
+the ``--metrics-out`` pair, print the stall-cause table and the error
+line a :class:`~repro.errors.ReproError` exits with.
 """
 
 from __future__ import annotations
@@ -240,10 +239,24 @@ def add_tau(parser: argparse.ArgumentParser):
     )
 
 
+def ipv4(text: str) -> int:
+    """Argparse ``type=`` adapter for a dotted-quad IPv4 address
+    (:func:`~repro.packet.headers.ip_from_str`), so a malformed one is
+    a usage error before any input is opened."""
+    from .packet.headers import ip_from_str
+
+    try:
+        return ip_from_str(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def add_server_endpoint(parser: argparse.ArgumentParser) -> None:
     """``--server-ip`` / ``--server-port`` endpoint pin pair."""
     parser.add_argument(
         "--server-ip",
+        type=ipv4,
+        metavar="A.B.C.D",
         help="IP address of the server endpoint (otherwise inferred)",
     )
     parser.add_argument(
@@ -253,19 +266,17 @@ def add_server_endpoint(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def add_cluster_options(
-    parser: argparse.ArgumentParser, default_shards: int = 4
-) -> None:
+def add_cluster_options(parser: argparse.ArgumentParser) -> None:
     """``--shards`` — the sharded-cluster worker count."""
     parser.add_argument(
         "--shards",
         type=int,
-        default=default_shards,
+        default=4,
         metavar="N",
         help=(
             "flow-hash shards, one worker process each (1 = run "
-            f"in-process; merged output is byte-identical for every "
-            f"value; default {default_shards})"
+            "in-process; merged output is byte-identical for every "
+            "value; default 4)"
         ),
     )
 
@@ -333,10 +344,8 @@ def analysis_config(args: argparse.Namespace):
 def server_pin(args: argparse.Namespace) -> tuple[int | None, int | None]:
     """``(ip, port)`` pinned by ``--server-ip`` / ``--server-port``;
     at most one is set, and the IP wins when both flags are given."""
-    from .packet.headers import ip_from_str
-
-    if args.server_ip:
-        return ip_from_str(args.server_ip), None
+    if args.server_ip is not None:
+        return args.server_ip, None
     return None, args.server_port or None
 
 
@@ -374,18 +383,6 @@ def write_metrics(registry, prefix: str) -> None:
 
     json_path, prom_path = write_registry(registry, prefix)
     print(f"wrote metrics to {json_path} and {prom_path}", file=sys.stderr)
-
-
-def print_shard_rows(shards: list[dict]) -> None:
-    """The per-shard ``--stats`` rows of a cluster run."""
-    for shard in shards:
-        print(
-            f"shard {shard['shard']}: {shard['flows']} flows "
-            f"({shard['skipped']} quarantined), "
-            f"{shard['packets_kept']}/{shard['packets_decoded']} "
-            "packets kept",
-            file=sys.stderr,
-        )
 
 
 def print_breakdown(title: str, breakdown: dict) -> None:

@@ -22,9 +22,9 @@ byte-identical through every failure mode.
 Entry points:
 
 - :func:`analyze_cluster` — the facade verb (merged report only)
-- :func:`run_cluster` / :class:`Coordinator` — full fleet control
-  (registry, per-shard detail, checkpoints, HTTP serving, listener
-  mode)
+- :class:`Coordinator` — full fleet control (registry, per-shard
+  detail, checkpoints, listener mode); :class:`ClusterProvider` serves
+  its :class:`ClusterResult` over the live HTTP stack
 - :func:`run_worker` — the dial-in worker loop (cross-host fleets)
 - :class:`ShardSpec` / :func:`run_shard` — one shard, callable
   in-process
@@ -38,8 +38,6 @@ from .coordinator import (
     Coordinator,
     analyze_cluster,
     merge_shard_results,
-    run_cluster,
-    serve_cluster,
 )
 from .net import (
     NetConfig,
@@ -89,9 +87,7 @@ __all__ = [
     "client_handshake",
     "heartbeat_pump",
     "merge_shard_results",
-    "run_cluster",
     "run_shard",
     "run_worker",
-    "serve_cluster",
     "server_handshake",
 ]

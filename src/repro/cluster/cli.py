@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--http",
+        type=cli_options.endpoint,
         metavar="[HOST:]PORT",
         help=(
             "after the run, serve the merged /report.json, /metrics, "
@@ -166,7 +167,14 @@ def main(argv: list[str] | None = None) -> int:
 
     report = result.report
     if args.stats:
-        cli_options.print_shard_rows(result.shards)
+        for shard in result.shards:
+            print(
+                f"shard {shard['shard']}: {shard['flows']} flows "
+                f"({shard['skipped']} quarantined), "
+                f"{shard['packets_kept']}/{shard['packets_decoded']} "
+                "packets kept",
+                file=sys.stderr,
+            )
         print(
             f"cluster: {result.n_shards} shards over "
             f"{result.transport}, {len(report.flows)} flows, "
@@ -217,10 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.http:
         from ..live.http import LiveHTTPServer
 
-        host, port = cli_options.endpoint(args.http)
-        server = LiveHTTPServer(
-            ClusterProvider(result), host, port
-        ).start()
+        server = LiveHTTPServer(ClusterProvider(result), *args.http).start()
         print(f"cluster: serving {server.url}", file=sys.stderr)
         try:
             import threading

@@ -407,18 +407,6 @@ class ClusterProvider:
         return self._result.workers
 
 
-def serve_cluster(result: ClusterResult, host: str = "127.0.0.1",
-                  port: int = 0):
-    """Serve a finished cluster run over the live HTTP stack.
-
-    Returns a started :class:`~repro.live.http.LiveHTTPServer`; the
-    caller stops it (or uses it as a context manager).
-    """
-    from ..live.http import LiveHTTPServer
-
-    return LiveHTTPServer(ClusterProvider(result), host, port).start()
-
-
 def analyze_cluster(
     source,
     shards: int = 4,
@@ -443,36 +431,6 @@ def analyze_cluster(
     execution strategy, never a semantic one.  For the full fleet
     result (registry, per-shard detail), build a :class:`Coordinator`.
     """
-    return run_cluster(
-        source,
-        shards=shards,
-        service=service,
-        config=config,
-        run=run,
-        server_ip=server_ip,
-        server_port=server_port,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_deadline=heartbeat_deadline,
-        jitter_seed=jitter_seed,
-        net=net,
-    ).report
-
-
-def run_cluster(source, shards: int = 4, *, service: str = "cluster",
-                config: AnalysisConfig | None = None,
-                run: RunConfig | None = None,
-                server_ip: int | None = None,
-                server_port: int | None = None,
-                checkpoint_dir: "str | Path | None" = None,
-                resume: bool = False,
-                heartbeat_interval: float | None = 5.0,
-                heartbeat_deadline: float | None = 30.0,
-                jitter_seed: int | None = None,
-                net: NetConfig | None = None) -> ClusterResult:
-    """Like :func:`analyze_cluster`, returning the full
-    :class:`ClusterResult`."""
     return Coordinator(
         source,
         n_shards=shards,
@@ -487,7 +445,7 @@ def run_cluster(source, shards: int = 4, *, service: str = "cluster",
         heartbeat_deadline=heartbeat_deadline,
         jitter_seed=jitter_seed,
         net=net,
-    ).run()
+    ).run().report
 
 
 # -- internals --------------------------------------------------------

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from .. import errors as errors_module
 from ..errors import ReproError, WorkerError
 from .protocol import (
-    FEATURES,
     AuthError,
     MessageKind,
     ProtocolError,
@@ -154,7 +153,6 @@ class _Session:
             "shards_done": 0,
             "heartbeats": 0,
             "heartbeat_misses": 0,
-            "features": info.get("negotiated", []),
         }
 
 
@@ -310,7 +308,6 @@ def run_sessions(coord, todo: list[int], results: dict) -> None:
                 transport,
                 net.secret,
                 deadline=net.handshake_deadline,
-                heartbeat_interval=coord.heartbeat_interval,
             )
         except (ProtocolError, OSError) as exc:
             coord.auth_failures += 1
@@ -444,7 +441,6 @@ def run_worker(
     address: tuple[str, int],
     secret,
     *,
-    features=FEATURES,
     handshake_deadline: float = 5.0,
     connect_timeout: float = 10.0,
     idle_timeout: float | None = None,
@@ -487,7 +483,6 @@ def run_worker(
             client_handshake(
                 transport, secret,
                 deadline=handshake_deadline,
-                features=features,
                 info=info,
             )
             failures = 0

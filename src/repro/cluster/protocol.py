@@ -31,10 +31,10 @@ signal-interrupted syscalls cannot tear a frame.
 Cross-host channels are authenticated: :func:`server_handshake` /
 :func:`client_handshake` run a mutual HMAC-SHA256 challenge–response
 over a shared secret on top of the framing (constant-time compares,
-per-connection nonces, version/feature negotiation), raising a typed
-:class:`AuthError` on any mismatch.  :meth:`SocketTransport
-.set_deadline` bounds the whole exchange, so a slowloris peer
-dribbling one header byte at a time cannot pin a listener.
+per-connection nonces), raising a typed :class:`AuthError` on any
+mismatch.  :meth:`SocketTransport.set_deadline` bounds the whole
+exchange, so a slowloris peer dribbling one header byte at a time
+cannot pin a listener.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ MAGIC = b"RPCL"
 #: v2: JSON control payloads, HEARTBEAT/CHALLENGE/AUTH/WELCOME/ASSIGN
 #: kinds, authenticated cross-host handshake.
 PROTOCOL_VERSION = 2
-
-#: Optional capabilities negotiated during the handshake (the
-#: intersection of both ends' lists is what the connection uses).
-FEATURES = ("heartbeat", "reassign")
 
 #: Upper bound on a single frame payload; anything larger is treated
 #: as a framing error rather than an allocation request.
@@ -88,9 +84,9 @@ class MessageKind(enum.IntEnum):
     ERROR = 4      #: worker -> coordinator: typed failure before RESULT
     SHUTDOWN = 5   #: coordinator -> worker: stop after the current slab
     HEARTBEAT = 6  #: worker -> coordinator: liveness beacon
-    CHALLENGE = 7  #: coordinator -> worker: auth nonce + versions
+    CHALLENGE = 7  #: coordinator -> worker: auth nonce
     AUTH = 8       #: worker -> coordinator: HMAC response + identity
-    WELCOME = 9    #: coordinator -> worker: mutual proof + parameters
+    WELCOME = 9    #: coordinator -> worker: mutual proof
     ASSIGN = 10    #: coordinator -> worker: a shard spec to execute
 
 
@@ -320,13 +316,16 @@ def server_handshake(
     secret,
     *,
     deadline: float | None = 5.0,
-    features=FEATURES,
-    heartbeat_interval: float | None = None,
 ) -> dict:
     """Authenticate a dialing worker; returns its AUTH payload.
 
-    CHALLENGE (nonce) -> AUTH (HMAC over both nonces + identity) ->
-    WELCOME (coordinator's mutual HMAC + negotiated parameters).
+    CHALLENGE ``{nonce}`` -> AUTH ``{nonce, digest, host, pid}`` (HMAC
+    over both nonces, plus the worker's identity) -> WELCOME
+    ``{digest}`` (the coordinator's mutual HMAC).  The frame header
+    carries the protocol version check and ASSIGN the heartbeat
+    interval, so the handshake carries nothing else; keys a peer does
+    not read are ignored.
+
     Verification uses :func:`hmac.compare_digest` (constant time); any
     failure raises :class:`AuthError` after best-effort sending a typed
     ERROR frame so the peer learns why.  ``deadline`` bounds the whole
@@ -337,14 +336,7 @@ def server_handshake(
     transport.set_deadline(deadline)
     try:
         nonce = os.urandom(16).hex()
-        transport.send(
-            MessageKind.CHALLENGE,
-            {
-                "nonce": nonce,
-                "version": PROTOCOL_VERSION,
-                "features": list(features),
-            },
-        )
+        transport.send(MessageKind.CHALLENGE, {"nonce": nonce})
         message = transport.recv(allowed=(MessageKind.AUTH,))
         if message is None:
             raise AuthError("peer closed during handshake")
@@ -358,20 +350,10 @@ def server_handshake(
         if not hmac.compare_digest(expected, str(peer_digest)):
             _refuse(transport, "worker failed authentication "
                                "(wrong cluster secret?)")
-        negotiated = sorted(
-            set(features) & set(payload.get("features") or [])
-        )
         transport.send(
             MessageKind.WELCOME,
-            {
-                "digest": auth_digest(
-                    secret, "coordinator", peer_nonce, nonce
-                ),
-                "features": negotiated,
-                "heartbeat_interval": heartbeat_interval,
-            },
+            {"digest": auth_digest(secret, "coordinator", peer_nonce, nonce)},
         )
-        payload["negotiated"] = negotiated
         return payload
     finally:
         transport.set_deadline(None)
@@ -382,7 +364,6 @@ def client_handshake(
     secret,
     *,
     deadline: float | None = 5.0,
-    features=FEATURES,
     info: dict | None = None,
 ) -> dict:
     """Answer a coordinator's challenge; returns the WELCOME payload.
@@ -410,8 +391,6 @@ def client_handshake(
         payload = dict(info or {})
         payload.update(
             nonce=nonce,
-            version=PROTOCOL_VERSION,
-            features=list(features),
             digest=(
                 auth_digest(secret, "worker", coord_nonce, nonce)
                 if secret

@@ -73,11 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
             "default 1)"
         ),
     )
-    cli_options.add_cluster_options(parser, default_shards=1)
     parser.add_argument(
         "--idle-timeout",
         type=float,
-        default=60.0,
         help=(
             "with --stream, evict flows idle for this many trace-seconds "
             "(default 60)"
@@ -187,82 +185,41 @@ def _emit_json(report: ServiceReport, analyses, faults) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cluster = args.shards > 1
-    if cluster:
-        # Only the in-process run reads these; refuse rather than drop them.
-        ignored = [
-            flag
-            for flag, dest in (
-                ("--stream", "stream"),
-                ("--workers", "workers"),
-                ("--idle-timeout", "idle_timeout"),
-            )
-            if getattr(args, dest) != parser.get_default(dest)
-        ]
-        if ignored:
-            parser.error(
-                f"{', '.join(ignored)}: not supported with --shards "
-                f"{args.shards}"
-            )
+    if args.idle_timeout is not None and not args.stream:
+        # Only --stream reads it; refuse rather than drop it.
+        parser.error("--idle-timeout: only supported with --stream")
     tapo = Tapo(config=cli_options.analysis_config(args))
     analysis_started = time.monotonic()
+    run = RunConfig(workers=args.workers)
+    if not args.stream:
+        # What is printed afterwards never changes what is found:
+        # only --stream turns the eviction clocks on.
+        run = run.replace(idle_timeout=None, close_linger=None)
+    elif args.idle_timeout is not None:
+        run = run.replace(idle_timeout=args.idle_timeout)
+    registry = MetricsRegistry()
+    stats = StreamStats()
     try:
-        if cluster:
-            # Sharded execution: same analyses, N worker processes.
-            # The merged report is byte-identical to the in-process
-            # one, so every downstream emitter below works unchanged.
-            from ..cluster import run_cluster
-
-            server_ip, server_port = cli_options.server_pin(args)
-            cluster_result = run_cluster(
+        analyses = list(
+            tapo.analyze_stream(
                 args.pcap,
-                shards=args.shards,
-                service=args.pcap,
-                config=tapo.config,
-                server_ip=server_ip,
-                server_port=server_port,
+                cli_options.server_predicate(args),
+                run=run,
+                stats=stats,
+                registry=registry,
             )
-            analyses = list(cluster_result.report.flows)
-            faults = cluster_result.faults
-            registry = cluster_result.registry
-        else:
-            run = RunConfig(
-                workers=args.workers, idle_timeout=args.idle_timeout
-            )
-            if not args.stream:
-                # What is printed afterwards never changes what is
-                # found: only --stream turns the eviction clocks on.
-                run = run.replace(idle_timeout=None, close_linger=None)
-            registry = MetricsRegistry()
-            stats = StreamStats()
-            analyses = list(
-                tapo.analyze_stream(
-                    args.pcap,
-                    cli_options.server_predicate(args),
-                    run=run,
-                    stats=stats,
-                    registry=registry,
-                )
-            )
-            # Presentation order is first packet time, not the order
-            # flows completed in.
-            analyses.sort(key=lambda a: a.flow.first_time)
-            faults = tapo.faults
+        )
     except ReproError as exc:
         return cli_options.report_error(f"tapo: {args.pcap}", exc, args)
     except OSError as exc:
         print(f"tapo: cannot read {args.pcap}: {exc}", file=sys.stderr)
         return 1
+    # Presentation order is first packet time, not the order flows
+    # completed in.
+    analyses.sort(key=lambda a: a.flow.first_time)
+    faults = tapo.faults
 
-    if args.stats and cluster:
-        cli_options.print_shard_rows(cluster_result.shards)
-        if cluster_result.workers_died:
-            print(
-                f"cluster: {cluster_result.workers_died} worker "
-                "deaths survived",
-                file=sys.stderr,
-            )
-    elif args.stats:
+    if args.stats:
         print(
             f"stream: {stats.packets} packets, "
             f"{stats.flows_total} flows "

@@ -26,12 +26,6 @@ def _alert_rule(spec: str) -> AlertRule:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-# The [HOST:]PORT parser moved to cli_options.endpoint so every CLI
-# (--http here, --listen/--connect on the cluster commands) shares it;
-# this alias keeps the old import path working.
-_endpoint = cli_options.endpoint
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-paper watch",
@@ -150,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--http",
-        type=_endpoint,
+        type=cli_options.endpoint,
         metavar="[HOST:]PORT",
         help=(
             "serve /healthz, /metrics, /report.json, /dashboard, "

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.cli import _COMMANDS
 from repro.config import AnalysisConfig, RunConfig
 from repro.core.flow_analyzer import FlowAnalysis, FlowAnalyzer
 from repro.core.report import ServiceReport
@@ -404,3 +405,30 @@ class TestUnifiedCli:
         assert main(["analyze", str(path), "--json", "--stream"]) == 0
         stream = capsys.readouterr().out
         assert stream == batch
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_every_subcommand_renders_help(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "-h"])
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["analyze", "cluster", "watch"])
+    def test_malformed_server_ip_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        # The capture does not exist: only a parse-time check exits 2
+        # without trying to open it.
+        missing = str(tmp_path / "missing.pcap")
+        argv = [command, missing, "--server-ip", "10.0.0"]
+        if command == "watch":
+            argv.append("--once")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --server-ip: not a dotted quad" in err

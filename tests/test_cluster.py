@@ -26,7 +26,6 @@ from repro.cluster import (
     SocketTransport,
     analyze_cluster,
     merge_shard_results,
-    run_cluster,
     run_shard,
     run_worker,
 )
@@ -405,7 +404,7 @@ class TestCoordinator:
     def test_four_shards_byte_identical(self, trace_pcap, mode):
         reference = batch_reference(trace_pcap)
         if mode == "local":
-            result = run_cluster(trace_pcap, shards=4)
+            result = Coordinator(trace_pcap, n_shards=4).run()
             assert result.transport == "socket"
         else:
             result = run_with_dial_in_workers(trace_pcap, 4)
@@ -420,7 +419,7 @@ class TestCoordinator:
         assert merged.to_json() == batch_reference(trace_pcap).to_json()
 
     def test_single_shard_runs_in_process(self, trace_pcap):
-        result = run_cluster(trace_pcap, shards=1)
+        result = Coordinator(trace_pcap, n_shards=1).run()
         assert result.report.to_json() == (
             batch_reference(trace_pcap).to_json()
         )
@@ -430,7 +429,7 @@ class TestCoordinator:
                                    monkeypatch):
         monkeypatch.setenv(KILL_SHARD_ENV, "1")
         monkeypatch.setenv(KILL_DIR_ENV, str(tmp_path))
-        result = run_cluster(trace_pcap, shards=4)
+        result = Coordinator(trace_pcap, n_shards=4).run()
         assert result.workers_died == 1
         assert (tmp_path / "cluster_kill_once.sentinel").exists()
         assert result.report.to_json() == (
@@ -443,14 +442,14 @@ class TestCoordinator:
         # no idle survivor can take it over: the dead worker's
         # replacement must be a fresh fork.
         spool = tmp_path / "spool"
-        run_cluster(trace_pcap, shards=2, checkpoint_dir=spool)
+        Coordinator(trace_pcap, n_shards=2, checkpoint_dir=spool).run()
         (spool / "shard-1.pkl").write_bytes(b"not a pickle")
         monkeypatch.setenv(KILL_SHARD_ENV, "1")
         monkeypatch.setenv(KILL_DIR_ENV, str(tmp_path))
-        result = run_cluster(
-            trace_pcap, shards=2, checkpoint_dir=spool, resume=True,
+        result = Coordinator(
+            trace_pcap, n_shards=2, checkpoint_dir=spool, resume=True,
             run=RunConfig(retry_backoff=0.05), jitter_seed=7,
-        )
+        ).run()
         assert (result.workers_died, result.reassignments) == (1, 1)
         # Seen as end-of-stream, not by the deadline: nobody else held
         # a copy of the dead worker's end of the socketpair.
@@ -486,11 +485,11 @@ class TestCoordinator:
             time.sleep(60)
 
         monkeypatch.setattr(cluster_net, "serve_assignments", wedge_once)
-        result = run_cluster(
-            trace_pcap, shards=2,
+        result = Coordinator(
+            trace_pcap, n_shards=2,
             heartbeat_interval=0.1, heartbeat_deadline=0.5,
             run=RunConfig(retry_backoff=0.05), jitter_seed=7,
-        )
+        ).run()
         return result, int(sentinel.read_text())
 
     def test_wedged_local_worker_is_killed_and_its_shard_rerun(
@@ -570,7 +569,7 @@ class TestCoordinator:
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            run_cluster(str(dirty), shards=3)
+            Coordinator(str(dirty), n_shards=3).run()
 
     def test_multiple_captures(self, tmp_path):
         p1, p2 = tmp_path / "a.pcap", tmp_path / "b.pcap"
@@ -590,28 +589,28 @@ class TestCoordinator:
 class TestCheckpointResume:
     def test_resume_loads_finished_shards(self, trace_pcap, tmp_path):
         spool = tmp_path / "spool"
-        first = run_cluster(
-            trace_pcap, shards=3, checkpoint_dir=spool
-        )
+        first = Coordinator(
+            trace_pcap, n_shards=3, checkpoint_dir=spool
+        ).run()
         state = json.loads((spool / "state.json").read_text())
         assert state["version"] == 1
         assert all(
             entry["status"] == "done"
             for entry in state["shards"].values()
         )
-        second = run_cluster(
-            trace_pcap, shards=3, checkpoint_dir=spool, resume=True
-        )
+        second = Coordinator(
+            trace_pcap, n_shards=3, checkpoint_dir=spool, resume=True
+        ).run()
         assert second.shards_resumed == 3
         assert second.report.to_json() == first.report.to_json()
 
     def test_signature_mismatch_restarts(self, trace_pcap, tmp_path):
         spool = tmp_path / "spool"
-        run_cluster(trace_pcap, shards=3, checkpoint_dir=spool)
+        Coordinator(trace_pcap, n_shards=3, checkpoint_dir=spool).run()
         # Different shard count: the spool must be ignored, not merged.
-        result = run_cluster(
-            trace_pcap, shards=2, checkpoint_dir=spool, resume=True
-        )
+        result = Coordinator(
+            trace_pcap, n_shards=2, checkpoint_dir=spool, resume=True
+        ).run()
         assert result.shards_resumed == 0
         assert result.report.to_json() == (
             batch_reference(trace_pcap).to_json()
@@ -620,11 +619,11 @@ class TestCheckpointResume:
     def test_damaged_spool_entry_reruns_shard(self, trace_pcap,
                                               tmp_path):
         spool = tmp_path / "spool"
-        run_cluster(trace_pcap, shards=2, checkpoint_dir=spool)
+        Coordinator(trace_pcap, n_shards=2, checkpoint_dir=spool).run()
         (spool / "shard-1.pkl").write_bytes(b"not a pickle")
-        result = run_cluster(
-            trace_pcap, shards=2, checkpoint_dir=spool, resume=True
-        )
+        result = Coordinator(
+            trace_pcap, n_shards=2, checkpoint_dir=spool, resume=True
+        ).run()
         assert result.shards_resumed == 1
         assert result.report.to_json() == (
             batch_reference(trace_pcap).to_json()
@@ -635,7 +634,7 @@ class TestClusterProvider:
     def test_http_endpoints(self, trace_pcap):
         from repro.live.http import LiveHTTPServer
 
-        result = run_cluster(trace_pcap, shards=2)
+        result = Coordinator(trace_pcap, n_shards=2).run()
         with LiveHTTPServer(ClusterProvider(result)) as server:
             def fetch(route):
                 with urllib.request.urlopen(
@@ -701,30 +700,44 @@ class TestClusterCli:
         assert main(["cluster", trace_pcap, "--shards", "2"]) == 0
         assert "flows analyzed" in capsys.readouterr().out
 
-    def test_tapo_shards_flag_matches_batch(self, trace_pcap, capsys):
-        from repro.core.cli import main
-
-        assert main([trace_pcap, "--json"]) == 0
-        batch = capsys.readouterr().out
-        assert main([trace_pcap, "--json", "--shards", "4"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == batch
-
     @pytest.mark.parametrize(
-        "flags",
-        [["--stream"], ["--workers", "2"], ["--idle-timeout", "1"]],
+        "flags, says",
+        [
+            (["--shards", "2"], "unrecognized arguments: --shards 2"),
+            (
+                ["--idle-timeout", "1"],
+                "--idle-timeout: only supported with --stream",
+            ),
+        ],
+        ids=["shards", "idle-timeout"],
     )
-    def test_tapo_shards_rejects_in_process_flags(
-        self, trace_pcap, capsys, flags
+    def test_tapo_refuses_flags_it_would_not_read(
+        self, trace_pcap, capsys, flags, says
     ):
+        # Sharding belongs to 'repro-paper cluster'; the idle timeout
+        # only to --stream.  Neither is dropped silently.
         from repro.core.cli import main
 
         with pytest.raises(SystemExit) as exc:
-            main([trace_pcap, "--shards", "2", *flags])
+            main([trace_pcap, *flags])
         assert exc.value.code == 2
-        assert f"{flags[0]}: not supported with --shards 2" in (
-            capsys.readouterr().err
-        )
+        assert says in capsys.readouterr().err
+
+    def test_bad_http_endpoint_refused_before_the_run(
+        self, trace_pcap, capsys, monkeypatch
+    ):
+        from repro.cluster.cli import main
+
+        def no_run(self):
+            raise AssertionError("Coordinator.run reached")
+
+        monkeypatch.setattr(Coordinator, "run", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main([trace_pcap, "--shards", "1", "--http", "nope:xx"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --http: bad endpoint 'nope:xx'" in captured.err
 
 
 class TestLossyMultiSlab:
@@ -744,7 +757,7 @@ class TestLossyMultiSlab:
             ),
         )
         reports = {
-            n: run_cluster(lossy_pcap, shards=n).report.to_json()
+            n: Coordinator(lossy_pcap, n_shards=n).run().report.to_json()
             for n in (1, 2, 4)
         }
         reports["listen"] = run_with_dial_in_workers(

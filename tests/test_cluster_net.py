@@ -22,6 +22,7 @@ import pytest
 from repro.cli_options import endpoint
 from repro.cluster import (
     AuthError,
+    ClusterProvider,
     Coordinator,
     MessageKind,
     NetConfig,
@@ -29,15 +30,14 @@ from repro.cluster import (
     SocketTransport,
     backoff_delay,
     client_handshake,
-    run_cluster,
     run_worker,
     server_handshake,
-    serve_cluster,
 )
 from repro.cluster import protocol as proto
 from repro.cluster.worker import heartbeat_pump
 from repro.config import RunConfig
 from repro.errors import WorkerError
+from repro.live.http import LiveHTTPServer
 from repro.packet.pcap import write_pcap
 from repro.testing.faults import ChaosProxy, NetFaultPlan, _FaultGate
 from repro.testing.traces import generate_trace
@@ -55,7 +55,7 @@ def trace_pcap(tmp_path_factory):
 @pytest.fixture(scope="module")
 def reference_json(trace_pcap):
     """The single-process oracle all net-mode runs must match."""
-    return run_cluster(trace_pcap, shards=1).report.to_json()
+    return Coordinator(trace_pcap, n_shards=1).run().report.to_json()
 
 
 def transport_pair():
@@ -132,7 +132,8 @@ class TestShortTransfers:
 # -- the handshake matrix ----------------------------------------------
 
 
-def handshake_both(server_secret, client_secret, **server_kw):
+def handshake_both(server_secret, client_secret,
+                   info=None, **server_kw):
     """Run both handshake halves; returns (server_outcome, client_outcome)
     where each is the return value or the raised exception."""
     a, b = transport_pair()
@@ -150,7 +151,7 @@ def handshake_both(server_secret, client_secret, **server_kw):
     thread.start()
     try:
         outcome["client"] = client_handshake(
-            b, client_secret, info={"host": "t", "pid": 1}
+            b, client_secret, info=info or {"host": "t", "pid": 1}
         )
     except Exception as exc:
         outcome["client"] = exc
@@ -161,14 +162,53 @@ def handshake_both(server_secret, client_secret, **server_kw):
 
 
 class TestHandshake:
-    def test_mutual_success_negotiates_features(self):
+    def test_server_ignores_dropped_auth_keys(self):
+        # A worker that still sends the version/features keys the
+        # handshake used to carry is admitted; WELCOME is the proof only.
         server, client = handshake_both(
-            SECRET, SECRET, heartbeat_interval=2.5
+            SECRET, SECRET,
+            info={
+                "host": "t", "pid": 1, "version": proto.PROTOCOL_VERSION,
+                "features": ["heartbeat", "reassign"],
+            },
         )
-        assert server["host"] == "t"
-        assert server["negotiated"] == sorted(proto.FEATURES)
-        assert client["heartbeat_interval"] == 2.5
-        assert client["features"] == sorted(proto.FEATURES)
+        assert (server["host"], server["pid"]) == ("t", 1)
+        assert list(client) == ["digest"]
+
+    def test_client_ignores_dropped_welcome_keys(self):
+        # A coordinator that still sends version/features in CHALLENGE
+        # and features/heartbeat_interval in WELCOME is accepted.
+        a, b = transport_pair()
+        coord_nonce = "c" * 32
+
+        def serve():
+            a.send(
+                MessageKind.CHALLENGE,
+                {
+                    "nonce": coord_nonce,
+                    "version": proto.PROTOCOL_VERSION,
+                    "features": ["heartbeat", "reassign"],
+                },
+            )
+            auth = a.recv(allowed=(MessageKind.AUTH,)).payload
+            a.send(
+                MessageKind.WELCOME,
+                {
+                    "digest": proto.auth_digest(
+                        SECRET, "coordinator", auth["nonce"], coord_nonce
+                    ),
+                    "features": ["heartbeat", "reassign"],
+                    "heartbeat_interval": 2.5,
+                },
+            )
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        welcome = client_handshake(b, SECRET, info={"host": "t", "pid": 1})
+        thread.join(timeout=5)
+        a.close()
+        b.close()
+        assert welcome["heartbeat_interval"] == 2.5
 
     def test_wrong_secret_rejected_both_ends(self):
         server, client = handshake_both(SECRET, "not-the-secret")
@@ -731,8 +771,8 @@ class TestProvenanceAndHttp:
         assert cluster_records[0]["meta"]["transport"] == "socket"
 
     def test_shards_json_includes_worker_liveness(self, trace_pcap):
-        result = run_cluster(trace_pcap, shards=2)
-        server = serve_cluster(result)
+        result = Coordinator(trace_pcap, n_shards=2).run()
+        server = LiveHTTPServer(ClusterProvider(result)).start()
         try:
             with urllib.request.urlopen(
                 f"{server.url}/shards.json", timeout=10

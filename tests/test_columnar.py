@@ -256,7 +256,7 @@ class TestCorruptSlabs:
         batch, worker fan-out, cluster shards, live sources — and
         counts what the record-level ``drain`` counts."""
 
-        from repro.cluster import run_cluster
+        from repro.cluster import Coordinator
         from repro.live.sources import PcapTailSource, SourceCounters
 
         path = tmp_path / "trace.pcap"
@@ -283,7 +283,7 @@ class TestCorruptSlabs:
         assert tapo.faults.checksum_errors == 1
         list(tapo.analyze_stream(path, run=RunConfig(workers=2)))
         assert tapo.faults.checksum_errors == 1
-        cluster = run_cluster(str(path), shards=2, config=config)
+        cluster = Coordinator(str(path), n_shards=2, analysis=config).run()
         assert cluster.faults.checksum_errors == 1
         source = PcapTailSource(
             path, counters=SourceCounters(verify_checksums=True)
@@ -1129,11 +1129,11 @@ class TestFlowCounters:
         assert fast + replayed == len(flows)
 
     def test_cluster_shards_materialize_nothing(self, tmp_path):
-        from repro.cluster import run_cluster
+        from repro.cluster import Coordinator
 
         path = tmp_path / "trace.pcap"
         _write(path, generate_trace(3))
-        result = run_cluster(str(path), shards=2)
+        result = Coordinator(str(path), n_shards=2).run()
         fast, replayed, materialized = self._counts(result.registry)
         assert fast > 0 and replayed > 0 and materialized == 0
         assert not any(a.flow.materialized for a in result.report.flows)

@@ -1073,7 +1073,6 @@ class TestCliOneAnswerPerCapture:
             ["--metrics-out", str(tmp_path / "metrics")],
             ["--workers", "2"],
             ["--stats", "--workers", "2"],
-            ["--shards", "2"],
         ):
             out, _, _ = self._run(capsys, idle_gap_pcap, *flags)
             assert out == plain, flags
@@ -1087,4 +1086,15 @@ class TestCliOneAnswerPerCapture:
         assert summary["flows"] == 7
         assert "1 idle-evicted, 1 reopened" in err
         _, _, err = self._run(capsys, idle_gap_pcap, "--stats")
+        assert "0 idle-evicted, 0 reopened" in err
+
+    def test_stream_reads_idle_timeout(self, idle_gap_pcap, capsys):
+        # Both gaps (100 s, 70 s) are shorter than this timeout, so
+        # nothing is idle-evicted and the report is the batch one.
+        plain, _, _ = self._run(capsys, idle_gap_pcap)
+        out, _, err = self._run(
+            capsys, idle_gap_pcap, "--stream", "--idle-timeout", "200",
+            "--stats",
+        )
+        assert out == plain
         assert "0 idle-evicted, 0 reopened" in err
