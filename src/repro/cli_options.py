@@ -26,6 +26,7 @@ line a :class:`~repro.errors.ReproError` exits with.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -63,6 +64,25 @@ def endpoint(spec: str) -> tuple[str, int]:
         ) from None
 
 
+def _bounded(convert, accept, what: str):
+    """Argparse ``type=`` adapter: ``convert`` the text and refuse, as a
+    usage error, a value that would silently change the answer."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+positive_int = _bounded(int, lambda n: n > 0, "a positive integer")
+non_negative_int = _bounded(int, lambda n: n >= 0, "a non-negative integer")
+positive_float = _bounded(float, lambda x: 0 < x < math.inf, "a number > 0")
+
+
 _ERRORS_HELP = (
     "error budget for damaged input: 'strict' (fail on the first "
     "fault), 'lenient' (skip, count, keep going), 'budget:N' or "
@@ -95,7 +115,7 @@ def add_workers(
     """``--workers N`` (0 = one per core, 1 = serial)."""
     return parser.add_argument(
         "--workers",
-        type=int,
+        type=non_negative_int,
         default=default,
         help=help
         or (
@@ -233,7 +253,7 @@ def add_tau(parser: argparse.ArgumentParser):
     """``--tau`` — the stall threshold multiplier."""
     return parser.add_argument(
         "--tau",
-        type=float,
+        type=positive_float,
         default=2.0,
         help="stall threshold multiplier on SRTT (default 2)",
     )
@@ -270,7 +290,7 @@ def add_cluster_options(parser: argparse.ArgumentParser) -> None:
     """``--shards`` — the sharded-cluster worker count."""
     parser.add_argument(
         "--shards",
-        type=int,
+        type=positive_int,
         default=4,
         metavar="N",
         help=(

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--idle-timeout",
-        type=float,
+        type=cli_options.positive_float,
         metavar="SECONDS",
         help=(
             "reconnect if no frame arrives for this long (catches a "

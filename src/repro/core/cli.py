@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--idle-timeout",
-        type=float,
+        type=cli_options.positive_float,
         help=(
             "with --stream, evict flows idle for this many trace-seconds "
             "(default 60)"

@@ -7,12 +7,14 @@ columns flow through :class:`ColumnarStreamDemuxer`, which mirrors
 server identification, eviction order, :class:`StreamStats`
 accounting — but keys flows by packed integers, buffers per-flow
 *columns* instead of per-packet objects, and works a slab at a time:
-rows are grouped by flow with one numpy sort (a small one-connection
-slab, without numpy, is its own group) and each flow's columns grow by
-one slice, so only SYN/FIN/RST and odd-option rows cost a Python step
-each (DESIGN.md 5.2).  Completed flows come out as
+rows are grouped by flow with one numpy sort and each flow's columns
+grow by one slice, so only SYN/FIN/RST and odd-option rows cost a
+Python step each (DESIGN.md 5.2).  Completed flows come out as
 :class:`LazyFlowTrace` objects: real :class:`FlowTrace`\\ s whose
 packet list materializes only if someone actually needs the objects.
+A record list that is already one connection — what the simulator
+hands over per flow — skips the batching and the demux:
+:func:`one_flow` builds its flow's columns in one pass.
 
 :func:`fast_replay_flow` is the first-pass screen.  It replays a
 flow's rows through the same arithmetic
@@ -35,9 +37,7 @@ module to (:func:`repro.testing.reference_analyze`).
 
 from __future__ import annotations
 
-import sys
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from copy import copy
 from operator import attrgetter
@@ -46,9 +46,11 @@ import numpy as np
 
 from ..config import AnalysisConfig
 from ..packet.columnar import (
+    _U32,
     OPT_ODD,
     OPT_TS,
     PacketColumns,
+    option_columns,
 )
 from ..packet.flow import (
     Direction,
@@ -73,26 +75,13 @@ from .flow_analyzer import FlowAnalysis
 _SEQ_SPACE = 1 << 32
 
 
-#: One-connection slabs with fewer rows than this are grouped in
-#: Python (:func:`_group_rows`), any other slab by a numpy sort and
-#: gather (:func:`_group_sorted`).  numpy's fixed cost per call is what
-#: a short trace pays, its per-row cost what a capture window pays;
-#: measured (DESIGN.md 5.2), the Python pass is the faster below
-#: 125–170 rows of one connection — every trace the simulator hands
-#: over.
-SMALL_SLAB_ROWS = 128
-
 #: The flag bits whose rows the per-group loop visits: a SYN names the
 #: server; a FIN or RST starts a close linger, so only with one.
 _SERVER_FLAGS = FLAG_SYN
 _CLOSE_FLAGS = FLAG_SYN | FLAG_FIN | FLAG_RST
 
-#: Where the ip and the port bytes sit in a native int64
-#: ``(ip << 16) | port``.
-_IP_AT, _PORT_AT = (2, 0) if sys.byteorder == "little" else (2, 6)
-
-# Both grouping front-ends hand :meth:`ColumnarStreamDemuxer.feed_columns`
-# the same tuple:
+# :func:`_group_sorted` hands :meth:`ColumnarStreamDemuxer.feed_columns`
+# this tuple:
 #
 # ``slab``     the ten :attr:`_FlowStore.COLUMNS`, rows in group order;
 # ``records``  the source records in that order, or ``None``;
@@ -123,102 +112,6 @@ def _marked(mask, starts: list[int]) -> tuple[list[int], list[int]]:
     return positions.tolist(), offsets
 
 
-def _offsets(positions: list[int], starts: list[int]) -> list[int]:
-    """:func:`_marked`'s offsets for positions already found."""
-    return [bisect_left(positions, start) for start in starts] + [
-        len(positions)
-    ]
-
-
-#: ``bytes.translate`` tables, by mask: a byte to 1 if it has a bit of
-#: the mask set, else to 0.
-_MARK_TABLES = {
-    mask: bytes(int(bool(b & mask)) for b in range(256))
-    for mask in (_SERVER_FLAGS, _CLOSE_FLAGS, OPT_ODD)
-}
-
-
-def _marked_rows(column: array, mask: int) -> list[int]:
-    """The rows of a byte column with a bit of ``mask`` set, found by
-    ``bytes.find`` — a Python step per marked row, none per other."""
-    marks = column.tobytes().translate(_MARK_TABLES[mask])
-    rows = []
-    row = marks.find(1)
-    while row >= 0:
-        rows.append(row)
-        row = marks.find(1, row + 1)
-    return rows
-
-
-def _slab(cols: PacketColumns, src) -> list:
-    """The slab's columns in :attr:`_FlowStore.COLUMNS` order, ``src``
-    being its packed source endpoints."""
-    return [
-        cols.timestamps, src, cols.seq, cols.ack, cols.flags,
-        cols.window, cols.payload_len, cols.ts_val, cols.ts_ecr,
-        cols.optbits,
-    ]
-
-
-def _packed(ips: array, ports: array) -> array:
-    """``(ip << 16) | port`` per row as an int64 column, written by
-    strided byte copies: what numpy's widen, shift and or do, at a
-    fixed cost instead of a Python step per row."""
-    out = bytearray(8 * len(ips))
-    ip_bytes, port_bytes = ips.tobytes(), ports.tobytes()
-    for k in range(4):
-        out[_IP_AT + k::8] = ip_bytes[k::4]
-    for k in range(2):
-        out[_PORT_AT + k::8] = port_bytes[k::2]
-    packed = array("q")
-    packed.frombytes(out)
-    return packed
-
-
-def _xor_is(a: array, b: array, value: int) -> bool:
-    """Whether ``a[i] ^ b[i] == value`` on every row, the columns XORed
-    whole as big integers."""
-    same = array(a.typecode, [value]) * len(a)
-    return int.from_bytes(a.tobytes(), "little") ^ int.from_bytes(
-        b.tobytes(), "little"
-    ) == int.from_bytes(same.tobytes(), "little")
-
-
-def _one_connection(cols: PacketColumns, src: array) -> bool:
-    """Whether every row runs between the first row's two endpoints X
-    and Y: each source is X or Y and each row's endpoints XOR to
-    ``X ^ Y`` — which makes its destination the other one (or X again,
-    when X is Y).  The XOR is checked on the ip and the port columns."""
-    first = (cols.dst_ip[0] << 16) | cols.dst_port[0]
-    return (
-        set(src) <= {src[0], first}
-        and _xor_is(cols.src_ip, cols.dst_ip, cols.src_ip[0] ^ cols.dst_ip[0])
-        and _xor_is(
-            cols.src_port, cols.dst_port, cols.src_port[0] ^ cols.dst_port[0]
-        )
-    )
-
-
-def _group_rows(
-    cols: PacketColumns, src: array, cuts: list[int], flags: int
-) -> tuple:
-    """Group a small one-connection slab without numpy: the slab is its
-    own grouped copy and its sweep segments are the groups.  ``src`` is
-    its packed source endpoints; marked rows are found by
-    ``bytes.find``."""
-    count = len(cols)
-    ends = src[0], (cols.dst_ip[0] << 16) | cols.dst_port[0]
-    starts = [0, *(cut + 1 for cut in cuts if cut + 1 < count)]
-    flagged = _marked_rows(cols.flags, flags)
-    odd = _marked_rows(cols.optbits, OPT_ODD)
-    return (
-        _slab(cols, src), cols.source_records, range(count), starts,
-        [min(ends)] * len(starts), [max(ends)] * len(starts),
-        flagged, _offsets(flagged, starts), odd, _offsets(odd, starts),
-        range(len(starts)),
-    )
-
-
 def _owned(typecode: str, values) -> array:
     """A copy of the contiguous numpy array ``values`` as an ``array``."""
     out = array(typecode)
@@ -230,8 +123,7 @@ def _group_sorted(
     cols: PacketColumns, cuts: list[int], flags: int
 ) -> tuple:
     """Group a slab by flow with one stable sort of its packed keys and
-    one gather per column (numpy; what a capture window and any slab
-    of several connections take)."""
+    one gather per column."""
     count = len(cols)
     src = np.asarray(cols.src_ip).astype(np.int64)
     src <<= 16
@@ -241,7 +133,11 @@ def _group_sorted(
     dst |= np.asarray(cols.dst_port)
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    slab = _slab(cols, _owned("q", src))
+    slab = [
+        cols.timestamps, _owned("q", src), cols.seq, cols.ack, cols.flags,
+        cols.window, cols.payload_len, cols.ts_val, cols.ts_ecr,
+        cols.optbits,
+    ]
     records = cols.source_records
     if (lo != lo[0]).any() or (hi != hi[0]).any():
         order = np.lexsort((hi, lo))
@@ -524,6 +420,85 @@ class LazyFlowTrace(FlowTrace):
         return self.last_time - self.first_time
 
 
+def _trace(store: _FlowStore) -> LazyFlowTrace:
+    """The flow of a store whose server is known."""
+    key = FlowKey(
+        store.pk_a >> 16, store.pk_a & 0xFFFF,
+        store.pk_b >> 16, store.pk_b & 0xFFFF,
+    )
+    server = _endpoint(store.server_pk)
+    other = store.pk_b if store.server_pk == store.pk_a else store.pk_a
+    return LazyFlowTrace(key, server, _endpoint(other), store)
+
+
+#: A slab's typecode for each of :attr:`_FlowStore.COLUMNS`.
+_TYPECODES = ("d", "q", _U32, _U32, "B", "H", _U32, _U32, _U32, "B")
+_ENDPOINTS = attrgetter("src_ip", "src_port", "dst_ip", "dst_port")
+
+
+def one_flow(
+    records: list[PacketRecord], server_side: ServerPredicate | None = None
+) -> LazyFlowTrace | None:
+    """The flow of a list of records of one connection, exactly as the
+    batch demux would hand it over, built in one pass (the flow keeps
+    the records, so materializing returns the originals); ``None`` for
+    anything else — not a list, empty, or holding something other
+    than records of one connection.  The server is inferred by the
+    demux's rules in its order: ``server_side`` on the first row, the
+    first SYN row, then data volume."""
+    if not isinstance(records, list) or not records:
+        return None
+    first = records[0]
+    if type(first) is not PacketRecord:
+        return None
+    ends = _ENDPOINTS(first)
+    src_a = (ends[0] << 16) | ends[1]
+    src_b = (ends[2] << 16) | ends[3]
+    # Each direction's endpoints to its packed source: a second
+    # connection misses.
+    source_of = {ends: src_a, (ends[2], ends[3], ends[0], ends[1]): src_b}.get
+    columns = [array(typecode) for typecode in _TYPECODES]
+    store = _FlowStore(
+        min(src_a, src_b), max(src_a, src_b), columns, list(records)
+    )
+    (
+        times, src_pk, seq, ack, flag_col, window, payload, ts_val,
+        ts_ecr, optbits,
+    ) = [column.append for column in columns]
+    odd = store.odd
+    server = None
+    for row, record in enumerate(records):
+        if type(record) is not PacketRecord:
+            return None
+        src = source_of(_ENDPOINTS(record))
+        if src is None:
+            return None
+        flags = record.flags & 0xFF
+        if flags & FLAG_SYN and server is None:
+            # SYN+ACK comes from the server, a bare SYN points at it.
+            server = src if flags & FLAG_ACK else src_a + src_b - src
+        times(record.timestamp)
+        src_pk(src)
+        seq(record.seq)
+        ack(record.ack)
+        flag_col(flags)
+        window(record.window)
+        payload(record.payload_len)
+        options = record.options
+        val, ecr, bits = option_columns(options)
+        ts_val(val)
+        ts_ecr(ecr)
+        optbits(bits)
+        if bits & OPT_ODD:
+            odd[row] = options
+    if server_side is not None:
+        server = src_a if server_side(first) else src_b
+    store.server_pk = server
+    if server is None:
+        store.resolve_server_by_volume()
+    return _trace(store)
+
+
 class ColumnarStreamDemuxer:
     """Streaming flow demux over :class:`PacketColumns` batches.
 
@@ -569,30 +544,23 @@ class ColumnarStreamDemuxer:
     def feed_columns(self, cols: PacketColumns) -> None:
         """Demultiplex one batch of decoded columns.
 
-        Rows are grouped by flow key — a one-connection slab below
-        :data:`SMALL_SLAB_ROWS` rows is its own group, any other slab is
-        grouped by one stable sort — and every flow's buffers grow by
-        one slice of the grouped columns; only SYN rows, FIN/RST rows
-        when a close linger is on, and odd-option rows are visited one
-        at a time.  With eviction on the slab is cut after each row at
-        which a sweep falls due, and a connection's rows on either
-        side of a cut are separate groups, so eviction order and
-        re-opened tuples come out as they would row by row.
+        Rows are grouped by flow key with one stable sort and every
+        flow's buffers grow by one slice of the grouped columns; only
+        SYN rows, FIN/RST rows when a close linger is on, and
+        odd-option rows are visited one at a time.  With eviction on
+        the slab is cut after each row at which a sweep falls due, and
+        a connection's rows on either side of a cut are separate
+        groups, so eviction order and re-opened tuples come out as
+        they would row by row.
         """
         count = len(cols)
         if not count:
             return
         cuts = self._sweep_rows(cols.timestamps)
-        small = count < SMALL_SLAB_ROWS
-        src = _packed(cols.src_ip, cols.src_port) if small else None
-        if small and _one_connection(cols, src):
-            grouped = _group_rows(cols, src, cuts, self._flags)
-        else:
-            grouped = _group_sorted(cols, cuts, self._flags)
         (
             slab, records, rows, starts, lo, hi,
             flagged, flagged_at, odd, odd_at, visit,
-        ) = grouped
+        ) = _group_sorted(cols, cuts, self._flags)
         ends = [*starts[1:], count]
 
         timestamps = cols.timestamps
@@ -754,16 +722,7 @@ class ColumnarStreamDemuxer:
             stats.flows_closed += 1
         else:
             stats.flows_evicted_idle += 1
-        self._ready.append(self._make_trace(store))
-
-    def _make_trace(self, store: _FlowStore) -> LazyFlowTrace:
-        key = FlowKey(
-            store.pk_a >> 16, store.pk_a & 0xFFFF,
-            store.pk_b >> 16, store.pk_b & 0xFFFF,
-        )
-        server = _endpoint(store.server_pk)
-        other = store.pk_b if store.server_pk == store.pk_a else store.pk_a
-        return LazyFlowTrace(key, server, _endpoint(other), store)
+        self._ready.append(_trace(store))
 
     # -- hand-off -----------------------------------------------------
     def poll(self) -> list[LazyFlowTrace]:
@@ -778,7 +737,7 @@ class ColumnarStreamDemuxer:
             store.resolve_server_by_volume()
             self._flows[key] = store
         self._pending.clear()
-        traces = [self._make_trace(store) for store in self._flows.values()]
+        traces = [_trace(store) for store in self._flows.values()]
         traces.sort(key=lambda trace: trace.first_time)
         self._flows.clear()
         self._fins.clear()

@@ -21,10 +21,11 @@ analyzer workers with bounded in-flight chunks
 by open-flow state, never by trace length.  The batch entry points
 (:meth:`Tapo.analyze_packets`, :meth:`Tapo.analyze_pcap`,
 :meth:`Tapo.report`) are thin wrappers over the same core with
-eviction disabled.  The record-level object demux
-(:func:`repro.packet.flow.demux_stream`) is not used here; it is the
-reference :func:`repro.testing.reference_analyze` holds this pipeline
-to.
+eviction disabled; there a record list of one connection, what the
+simulator hands over per flow, is its one flow without the demux.  The
+record-level object demux (:func:`repro.packet.flow.demux_stream`) is
+not used here; it is the reference
+:func:`repro.testing.reference_analyze` holds this pipeline to.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .columnar_pipeline import (
     batch_records,
     demux_columns_stream,
     fast_replay_flow,
+    one_flow,
 )
 from .flow_analyzer import FlowAnalysis, FlowAnalyzer
 from .report import ServiceReport
@@ -81,10 +83,16 @@ def _demux(
 ) -> Iterator[LazyFlowTrace]:
     """The one ingest path: shape any accepted packet source into
     column batches and demultiplex those.  Eviction is off unless the
-    caller passes its clocks (batch semantics)."""
+    caller passes its clocks (batch semantics); then, with no
+    :class:`StreamStats` to book, a one-connection record list is its
+    one flow (:func:`one_flow`) and skips both."""
     if isinstance(source, PcapReader):
         batches = source.iter_columns()
     else:
+        batch = idle_timeout is None and close_linger is None and stats is None
+        flow = one_flow(source, server_side) if batch else None
+        if flow is not None:
+            return iter((flow,))
         batches = batch_records(source)
     return demux_columns_stream(
         batches,

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--idle-timeout",
-        type=float,
+        type=cli_options.positive_float,
         default=60.0,
         help=(
             "evict flows idle for this many trace-seconds (default 60)"

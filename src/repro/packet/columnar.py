@@ -57,6 +57,26 @@ OPT_TS = 0x01   #: pattern-matched timestamp option (ts_val/ts_ecr valid)
 OPT_ODD = 0x02  #: full decode kept in :attr:`PacketColumns.odd_options`
 
 
+def option_columns(opts: TCPOptions) -> tuple[int, int, int]:
+    """``(ts_val, ts_ecr, optbits)`` for a record's options: a lone
+    timestamp option fills the timestamp columns (:data:`OPT_TS`), any
+    other option makes the row odd (:data:`OPT_ODD`: the object is kept
+    beside the columns)."""
+    if (
+        opts.mss is None
+        and opts.wscale is None
+        and not opts.sack_permitted
+        and not opts.sack_blocks
+        and not opts.truncated_options
+    ):
+        if opts.ts_val is None:
+            return 0, 0, 0
+        return (
+            opts.ts_val & 0xFFFFFFFF, (opts.ts_ecr or 0) & 0xFFFFFFFF, OPT_TS
+        )
+    return 0, 0, OPT_ODD
+
+
 class PacketColumns:
     """One batch of decoded packets as parallel arrays.
 
@@ -131,25 +151,11 @@ class PacketColumns:
         self.window.append(record.window)
         self.payload_len.append(record.payload_len)
         opts = record.options
-        if (
-            opts.mss is None
-            and opts.wscale is None
-            and not opts.sack_permitted
-            and not opts.sack_blocks
-            and not opts.truncated_options
-        ):
-            if opts.ts_val is None:
-                self.ts_val.append(0)
-                self.ts_ecr.append(0)
-                self.optbits.append(0)
-            else:
-                self.ts_val.append(opts.ts_val & 0xFFFFFFFF)
-                self.ts_ecr.append((opts.ts_ecr or 0) & 0xFFFFFFFF)
-                self.optbits.append(OPT_TS)
-        else:
-            self.ts_val.append(0)
-            self.ts_ecr.append(0)
-            self.optbits.append(OPT_ODD)
+        ts_val, ts_ecr, bits = option_columns(opts)
+        self.ts_val.append(ts_val)
+        self.ts_ecr.append(ts_ecr)
+        self.optbits.append(bits)
+        if bits & OPT_ODD:
             self.odd_options[index] = opts
 
     # -- materialization ----------------------------------------------

@@ -432,3 +432,41 @@ class TestUnifiedCli:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "argument --server-ip: not a dotted quad" in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("analyze", "--tau", "0"),
+            ("analyze", "--tau", "-1"),
+            ("cluster", "--tau", "0"),
+            ("watch", "--tau", "-1"),
+            ("analyze", "--idle-timeout", "-5"),
+            ("watch", "--idle-timeout", "0"),
+            ("cluster-worker", "--idle-timeout", "-5"),
+            ("analyze", "--workers", "-3"),
+            ("watch", "--workers", "-3"),
+            ("run", "--workers", "-3"),
+            ("matrix", "--workers", "-1"),
+            ("cluster", "--shards", "0"),
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        """A number that would silently change the answer (a stall
+        threshold or idle timeout of zero or less, a negative worker
+        count, no shards) is refused while the flags are parsed."""
+        from repro.cli import main
+
+        argv = [command]
+        if command in ("analyze", "cluster", "watch"):
+            argv.append(str(tmp_path / "missing.pcap"))
+        argv.append(f"{flag}={value}")
+        if command == "analyze":
+            argv.append("--stream")
+        if command == "watch":
+            argv.append("--once")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: expected " in capsys.readouterr().err

@@ -32,7 +32,6 @@ from __future__ import annotations
 import pickle
 import random
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ from repro.experiments.runner import run_flows
 from repro.packet.headers import FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN
 from repro.packet.options import TCPOptions
 from repro.packet.packet import PacketRecord
-from repro.packet.columnar import _LazySackOptions
+from repro.packet.columnar import PacketColumns, _LazySackOptions
 from repro.packet.pcap import PcapReader, PcapWriter
 from repro.packet.seqnum import seq_after, seq_geq, seq_leq
 from repro.testing import (
@@ -190,10 +189,12 @@ class TestParityProperty:
 class TestSimulatedTraces:
     """The per-connection traces the simulator hands over — web-search
     flows under the five recovery policies, as the benchmark's
-    ``sim_policies`` workload analyzes them — analyzed one trace at a
-    time through ``api.analyze`` (with each grouping front-end of the
-    demux) and through ``Tapo.report`` match the record-level reference
-    byte for byte."""
+    ``sim_policies`` workload analyzes them — each enter the analyzer
+    as its one flow (:func:`columnar_pipeline.one_flow`), and analyzed
+    one trace at a time through ``api.analyze``, as the same records
+    fed as :class:`PacketColumns` (batched and demuxed) and through
+    ``Tapo.report`` they match the record-level reference byte for
+    byte."""
 
     POLICIES = (
         ("native", {}),
@@ -212,21 +213,21 @@ class TestSimulatedTraces:
             policy=policy, policy_kwargs=kwargs,
         )
         traces = run_flows(scenarios, workers=1).traces
-        assert max(map(len, traces)) < columnar_pipeline.SMALL_SLAB_ROWS
+        assert all(columnar_pipeline.one_flow(trace) for trace in traces)
         config = AnalysisConfig()
-        expected = ServiceReport(policy)
+        expected, analyzed, as_columns = (
+            ServiceReport(policy) for _ in range(3)
+        )
         for trace in traces:
             for analysis in reference_analyze(trace, config)[0]:
                 expected.add(analysis)
-        for crossover in (0, columnar_pipeline.SMALL_SLAB_ROWS):
-            analyzed = ServiceReport(policy)
-            with mock.patch.object(
-                columnar_pipeline, "SMALL_SLAB_ROWS", crossover
-            ):
-                for trace in traces:
-                    for analysis in api.analyze(trace, config=config):
-                        analyzed.add(analysis)
-            assert analyzed.to_json() == expected.to_json()
+            for analysis in api.analyze(trace, config=config):
+                analyzed.add(analysis)
+            columns = [PacketColumns.from_records(trace)]
+            for analysis in api.analyze(columns, config=config):
+                as_columns.add(analysis)
+        assert analyzed.to_json() == expected.to_json()
+        assert as_columns.to_json() == expected.to_json()
         assert Tapo(config).report(traces, policy).to_json() == (
             expected.to_json()
         )

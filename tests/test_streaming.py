@@ -22,6 +22,7 @@ from repro.config import AnalysisConfig, RunConfig
 from repro.core import columnar_pipeline
 from repro.core.columnar_pipeline import ColumnarStreamDemuxer
 from repro.core.report import ServiceReport
+from repro.core import tapo as tapo_module
 from repro.core.tapo import Tapo
 from repro.obs.metrics import MetricsRegistry
 from repro.packet.columnar import OPT_ODD, PacketColumns
@@ -36,6 +37,7 @@ from repro.packet.headers import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN
 from repro.packet.options import TCPOptions
 from repro.packet.packet import PacketRecord
 from repro.packet.pcap import PcapReader, write_pcap
+from repro.testing import reference_analyze
 
 SERVER = (0x0A000001, 80)
 
@@ -694,16 +696,10 @@ def _columnar_image(trace):
     )
 
 
-#: Row-count crossovers that send every slab through one grouping
-#: front-end of ``feed_columns``: 0 sorts every slab with numpy, the
-#: other groups every one-connection slab of these tests in Python.
-GROUPINGS = (0, 1 << 30)
-
-
 def _small_slab_cases():
-    """Packet lists of fewer rows than ``SMALL_SLAB_ROWS``, each with
-    the eviction clocks and server predicate it needs and a check, on
-    the stats and flows of one demux, that it holds what it names."""
+    """Short packet lists, each with the eviction clocks and server
+    predicate it needs and a check, on the stats and flows of one
+    demux, that it holds what it names."""
     c = client(0)
     by_predicate = lambda record: record.src_ip == SERVER[0]  # noqa: E731
     closed = tiny_flow(0, 0.0, close="none") + [
@@ -785,20 +781,10 @@ class TestSlabDemuxProperty:
     record-level :class:`StreamDemuxer` works packet by packet.  For
     any trace cut into slabs anywhere they hand over the same flows in
     the same order with the same column bytes and the same
-    :class:`StreamStats` after every slab — with every slab grouped by
-    the numpy sort and, again, with every one-connection slab grouped
-    in Python."""
-
-    @classmethod
-    def _compare(cls, slabs, records, predicate, idle, linger):
-        for crossover in GROUPINGS:
-            with mock.patch.object(
-                columnar_pipeline, "SMALL_SLAB_ROWS", crossover
-            ):
-                cls._compare_grouping(slabs, records, predicate, idle, linger)
+    :class:`StreamStats` after every slab."""
 
     @staticmethod
-    def _compare_grouping(slabs, records, predicate, idle, linger):
+    def _compare(slabs, records, predicate, idle, linger):
         columnar = ColumnarStreamDemuxer(
             predicate, idle_timeout=idle, close_linger=linger
         )
@@ -905,11 +891,9 @@ class TestSlabDemuxProperty:
 
     @pytest.mark.parametrize("case", sorted(_small_slab_cases()))
     def test_small_slab_cases(self, case):
-        """Each case in one slab and in two, through both groupings;
-        the default crossover sends a slab to numpy exactly when it
-        holds several connections."""
+        """Each case in one slab and in two; every slab, one
+        connection or several, is grouped by the one numpy sort."""
         packets, eviction, predicate, holds = _small_slab_cases()[case]
-        assert len(packets) < columnar_pipeline.SMALL_SLAB_ROWS
         half = len(packets) // 2
         for edges in ((0, len(packets)), (0, half, len(packets))):
             slabs = [
@@ -930,8 +914,7 @@ class TestSlabDemuxProperty:
 
         with mock.patch.object(columnar_pipeline, "_group_sorted", spy):
             demuxer.feed_columns(PacketColumns.from_records(packets))
-        connections = {FlowKey.from_packet(packet) for packet in packets}
-        assert bool(sorted_slabs) == (len(connections) > 1)
+        assert len(sorted_slabs) == 1
         assert holds(demuxer.stats, demuxer.poll() + demuxer.finish())
 
     def test_one_slab_holds_the_hard_cases(self):
@@ -1024,6 +1007,148 @@ class TestSlabDemuxProperty:
         ]
         assert blind
         self._compare(slabs, records, None, None, None)
+
+
+def _batch_cases():
+    """Record lists for the batch ingest, each with its server
+    predicate: every case of :func:`_small_slab_cases`, plus one
+    connection whose server the predicate names against the data
+    volume, one without a SYN whose heavier sender speaks second, one
+    whose SYN+ACK comes first, one with a later SYN that points the
+    other way, and the empty list."""
+    cases = {
+        name: (packets, predicate)
+        for name, (packets, _eviction, predicate, _holds)
+        in _small_slab_cases().items()
+    }
+    c = client(0)
+    mid_stream = [  # no handshake; the client speaks first
+        pkt(c, SERVER, payload=30, ts=0.0, seq=5, ack=10),
+        pkt(SERVER, c, payload=900, ts=0.01, seq=10, ack=35),
+        pkt(c, SERVER, ts=0.02, seq=35, ack=910),
+    ]
+    cases.update(
+        predicate_over_volume=(
+            mid_stream, lambda record: record.src_port == c[1]
+        ),
+        volume_not_first_row=(mid_stream, None),
+        syn_ack_first=(tiny_flow(0, 0.0)[1:], None),
+        first_syn_decides=(
+            tiny_flow(0, 0.0) + [pkt(SERVER, c, flags=FLAG_SYN, ts=0.5)],
+            None,
+        ),
+        empty=([], None),
+    )
+    return cases
+
+
+class TestOneFlowIngest:
+    """A record list of one connection becomes its one flow in one
+    pass (:func:`columnar_pipeline.one_flow`), exactly as the
+    record-level batch demux hands it over; batch mode takes that path
+    and nothing else does."""
+
+    @pytest.mark.parametrize("case", sorted(_batch_cases()))
+    def test_matches_the_batch_demux(self, case):
+        self._check(*_batch_cases()[case])
+
+    def test_sack_rows_match_the_batch_demux(self):
+        """A simulated connection whose client SACKs."""
+        from repro.experiments.runner import run_flows
+        from repro.workload.generator import generate_flows
+        from repro.workload.services import get_profile
+
+        traces = run_flows(
+            list(generate_flows(get_profile("web_search"), 7, seed=7)),
+            workers=1,
+        ).traces
+        self._check(
+            next(
+                trace for trace in traces
+                if any(packet.options.sack_blocks for packet in trace)
+            ),
+            None,
+        )
+
+    @staticmethod
+    def _check(packets, predicate):
+        reference = StreamDemuxer(
+            predicate, idle_timeout=None, close_linger=None
+        )
+        for record in packets:
+            reference.feed(record)
+        expected = [_reference_image(flow) for flow in reference.finish()]
+        flow = columnar_pipeline.one_flow(packets, predicate)
+        if len({FlowKey.from_packet(packet) for packet in packets}) != 1:
+            assert flow is None
+        else:
+            assert [_columnar_image(flow)] == expected
+        analyzed, expected_report = ServiceReport("a"), ServiceReport("a")
+        for analysis in Tapo().analyze_packets(packets, predicate):
+            analyzed.add(analysis)
+        for analysis in reference_analyze(packets, None, predicate)[0]:
+            expected_report.add(analysis)
+        assert analyzed.to_json() == expected_report.to_json()
+
+    def test_materializes_the_records_that_went_in(self):
+        packets = tiny_flow(0, 0.0)
+        flow = columnar_pipeline.one_flow(packets)
+        assert [id(out) for out, _ in flow.packets] == list(map(id, packets))
+
+    def test_rejects_what_is_not_a_list_of_records(self):
+        packets = tiny_flow(0, 0.0)
+        one_flow = columnar_pipeline.one_flow
+        columns = PacketColumns.from_records(packets)
+        assert one_flow([columns]) is None
+        assert one_flow([packets]) is None
+        assert one_flow([*packets, columns]) is None
+        assert one_flow(tuple(packets)) is None
+        assert one_flow([*packets, *tiny_flow(1, 0.5)]) is None
+        assert one_flow([*packets, pkt(SERVER, (9, 9))]) is None
+
+    @staticmethod
+    def _forbidden(*args, **kwargs):
+        raise AssertionError("a one-connection list was re-batched")
+
+    def test_single_connection_lists_skip_batching_and_the_demux(self):
+        from repro import api
+
+        packets = tiny_flow(0, 0.0)
+        with mock.patch.object(
+            PacketColumns, "from_records", self._forbidden
+        ), mock.patch.object(
+            tapo_module, "demux_columns_stream", self._forbidden
+        ):
+            assert len(api.analyze(packets)) == 1
+            assert len(Tapo().analyze_packets(packets)) == 1
+            report = Tapo().report([packets, tiny_flow(1, 0.5)])
+            assert len(report.flows) == 2
+
+    def test_everything_else_is_demuxed(self):
+        demux = tapo_module.demux_columns_stream
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return demux(*args, **kwargs)
+
+        packets = tiny_flow(0, 0.0)
+        two = interleave([packets, tiny_flow(1, 0.005)])
+        with mock.patch.object(tapo_module, "demux_columns_stream", spy):
+            assert len(Tapo().analyze_packets(two)) == 2
+            assert len(Tapo().analyze_packets(iter(packets))) == 1
+            assert len(
+                Tapo().analyze_packets([PacketColumns.from_records(packets)])
+            ) == 1
+            batch = RunConfig(idle_timeout=None, close_linger=None)
+            stats = StreamStats()
+            assert len(
+                list(Tapo().analyze_stream(packets, run=batch, stats=stats))
+            ) == 1
+            assert (stats.packets, stats.flows_started) == (len(packets), 1)
+            assert len(list(Tapo().analyze_stream(packets))) == 1
+        assert len(calls) == 5
+        assert calls[-1]["idle_timeout"] == RunConfig().idle_timeout
 
 
 class TestCliOneAnswerPerCapture:
