@@ -19,6 +19,7 @@ removed in 2.0.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -90,6 +91,16 @@ class AnalysisConfig:
     verify_checksums: bool = False
     errors: ErrorBudget = field(default_factory=ErrorBudget.strict)
 
+    def __post_init__(self) -> None:
+        # The bounds of the CLI's ``--tau``: a zero, negative or NaN tau
+        # would silently change which gaps are stalls.
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be a number > 0, got {self.tau!r}")
+        if not self.init_cwnd >= 1:
+            raise ValueError(
+                f"init_cwnd must be at least 1, got {self.init_cwnd!r}"
+            )
+
     def replace(self, **changes) -> "AnalysisConfig":
         """Return a copy with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
@@ -141,6 +152,15 @@ class RunConfig:
     close_linger: float | None = 5.0
     max_retries: int = 2
     retry_backoff: float = 0.1
+
+    def __post_init__(self) -> None:
+        # The bounds of the CLI's ``--idle-timeout``.
+        for name in ("idle_timeout", "close_linger"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be None or a number > 0, got {value!r}"
+                )
 
     def replace(self, **changes) -> "RunConfig":
         """Return a copy with ``changes`` applied."""

@@ -225,4 +225,5 @@ class StallClassifier:
 
 def classify_flow(analysis: FlowAnalysis, tracker: SegmentTracker) -> None:
     """Classify every stall of one analyzed flow in place."""
-    StallClassifier(analysis, tracker).classify_all()
+    if analysis.stalls:
+        StallClassifier(analysis, tracker).classify_all()

@@ -1,4 +1,4 @@
-"""Columnar flow demux and the clean-flow fast replay.
+"""Columnar flow demux and the one-flow ingest.
 
 This is the analysis half of the zero-copy columnar path
 (:mod:`repro.packet.columnar` is the decode half).  Batches of decoded
@@ -11,28 +11,15 @@ rows are grouped by flow with one numpy sort and each flow's columns
 grow by one slice, so only SYN/FIN/RST and odd-option rows cost a
 Python step each (DESIGN.md 5.2).  Completed flows come out as
 :class:`LazyFlowTrace` objects: real :class:`FlowTrace`\\ s whose
-packet list materializes only if someone actually needs the objects.
-A record list that is already one connection — what the simulator
-hands over per flow — skips the batching and the demux:
-:func:`one_flow` builds its flow's columns in one pass.
-
-:func:`fast_replay_flow` is the first-pass screen.  It replays a
-flow's rows through the same arithmetic
-:class:`~repro.core.flow_analyzer.FlowAnalyzer` performs — including a
-real :class:`~repro.tcp.rto.RTOEstimator` — for as long as the flow
-stays *clean*: no stall (``gap > min(tau*SRTT, RTO)``), no SACK
-blocks (those are known from the flow's odd-option rows before the
-first row is read), no duplicate ACKs, no retransmitted or
-out-of-order data.  A clean flow never leaves the ``Open`` congestion
-state and its :class:`~repro.core.flow_analyzer.FlowAnalysis` is
-reproduced exactly.
-The moment any of those conditions trips, the replay *bails*: it
-returns ``None`` and the caller hands the flow to the full analyzer,
-which reads the same rows (:meth:`LazyFlowTrace.rows`) off the same
-columns.  Neither replay builds a packet object, and a flow pickles as
-its columns, so worker processes and cluster shards replay the same
-way.  The object demux is the reference the parity tests hold this
-module to (:func:`repro.testing.reference_analyze`).
+packet list materializes only if someone actually needs the objects,
+and which :class:`~repro.core.flow_analyzer.FlowAnalyzer` replays on
+their columns; a flow pickles as its columns, so worker processes and
+cluster shards replay the same way.  A record list that is already one
+connection — what the simulator hands over per flow — skips the
+batching and the demux: :func:`one_flow` makes it the object
+:class:`FlowTrace` of its records.  The object demux is the reference
+the parity tests hold this module to
+(:func:`repro.testing.reference_analyze`).
 """
 
 from __future__ import annotations
@@ -45,13 +32,7 @@ from operator import attrgetter
 import numpy as np
 
 from ..config import AnalysisConfig
-from ..packet.columnar import (
-    _U32,
-    OPT_ODD,
-    OPT_TS,
-    PacketColumns,
-    option_columns,
-)
+from ..packet.columnar import OPT_ODD, OPT_TS, PacketColumns
 from ..packet.flow import (
     Direction,
     FlowKey,
@@ -63,17 +44,8 @@ from ..packet.flow import (
 from ..packet.headers import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN
 from ..packet.options import TCPOptions
 from ..packet.packet import PacketRecord
-from ..packet.seqnum import seq_after, seq_before, seq_leq
-from ..tcp.constants import ts_to_time
-from ..tcp.rto import RTOEstimator
-from .flow_analyzer import FlowAnalysis
-
-#: One full 32-bit sequence space.  A flow that consumes this much is
-#: about to collide new sequence numbers with recorded segment starts,
-#: where the segment tracker reuses segment state; such flows go to the
-#: full analyzer.
-_SEQ_SPACE = 1 << 32
-
+from .classifier import classify_flow
+from .flow_analyzer import FlowAnalysis, FlowAnalyzer
 
 #: The flag bits whose rows the per-group loop visits: a SYN names the
 #: server; a FIN or RST starts a close linger, so only with one.
@@ -431,72 +403,54 @@ def _trace(store: _FlowStore) -> LazyFlowTrace:
     return LazyFlowTrace(key, server, _endpoint(other), store)
 
 
-#: A slab's typecode for each of :attr:`_FlowStore.COLUMNS`.
-_TYPECODES = ("d", "q", _U32, _U32, "B", "H", _U32, _U32, _U32, "B")
 _ENDPOINTS = attrgetter("src_ip", "src_port", "dst_ip", "dst_port")
 
 
 def one_flow(
     records: list[PacketRecord], server_side: ServerPredicate | None = None
-) -> LazyFlowTrace | None:
+) -> FlowTrace | None:
     """The flow of a list of records of one connection, exactly as the
-    batch demux would hand it over, built in one pass (the flow keeps
-    the records, so materializing returns the originals); ``None`` for
-    anything else — not a list, empty, or holding something other
-    than records of one connection.  The server is inferred by the
-    demux's rules in its order: ``server_side`` on the first row, the
-    first SYN row, then data volume."""
-    if not isinstance(records, list) or not records:
+    record-level batch demux would hand it over: a :class:`FlowTrace`
+    of the records themselves.  ``None`` for anything else — not a
+    list, empty, or holding something other than records of one
+    connection.  The server is inferred by the demux's rules in its
+    order: ``server_side`` on the first row, the first SYN row, then
+    data volume."""
+    if (
+        not isinstance(records, list) or not records
+        or set(map(type, records)) != {PacketRecord}
+    ):
         return None
     first = records[0]
-    if type(first) is not PacketRecord:
-        return None
-    ends = _ENDPOINTS(first)
-    src_a = (ends[0] << 16) | ends[1]
-    src_b = (ends[2] << 16) | ends[3]
-    # Each direction's endpoints to its packed source: a second
-    # connection misses.
-    source_of = {ends: src_a, (ends[2], ends[3], ends[0], ends[1]): src_b}.get
-    columns = [array(typecode) for typecode in _TYPECODES]
-    store = _FlowStore(
-        min(src_a, src_b), max(src_a, src_b), columns, list(records)
-    )
-    (
-        times, src_pk, seq, ack, flag_col, window, payload, ts_val,
-        ts_ecr, optbits,
-    ) = [column.append for column in columns]
-    odd = store.odd
-    server = None
-    for row, record in enumerate(records):
-        if type(record) is not PacketRecord:
-            return None
-        src = source_of(_ENDPOINTS(record))
-        if src is None:
-            return None
-        flags = record.flags & 0xFF
-        if flags & FLAG_SYN and server is None:
-            # SYN+ACK comes from the server, a bare SYN points at it.
-            server = src if flags & FLAG_ACK else src_a + src_b - src
-        times(record.timestamp)
-        src_pk(src)
-        seq(record.seq)
-        ack(record.ack)
-        flag_col(flags)
-        window(record.window)
-        payload(record.payload_len)
-        options = record.options
-        val, ecr, bits = option_columns(options)
-        ts_val(val)
-        ts_ecr(ecr)
-        optbits(bits)
-        if bits & OPT_ODD:
-            odd[row] = options
+    a, b = (first.src_ip, first.src_port), (first.dst_ip, first.dst_port)
+    syn = next((r for r in records if r.flags & FLAG_SYN), None)
     if server_side is not None:
-        server = src_a if server_side(first) else src_b
-    store.server_pk = server
-    if server is None:
-        store.resolve_server_by_volume()
-    return _trace(store)
+        server = a if server_side(first) else b
+    elif syn is not None:
+        # SYN+ACK comes from the server, a bare SYN points at it.
+        server = (
+            (syn.src_ip, syn.src_port) if syn.flags & FLAG_ACK
+            else (syn.dst_ip, syn.dst_port)
+        )
+    else:
+        # The heavier sender, ties to the first row's.
+        sent = sum(
+            r.payload_len if (r.src_ip, r.src_port) == b else -r.payload_len
+            for r in records
+        )
+        server = b if sent > 0 else a
+    client = b if server == a else a
+    # Each direction's endpoints to its tag: a second connection misses.
+    tags = {
+        (*client, *server): Direction.IN, (*server, *client): Direction.OUT
+    }
+    directions = list(map(tags.get, map(_ENDPOINTS, records)))
+    if None in directions:
+        return None
+    return FlowTrace(
+        FlowKey.from_packet(first), server, client,
+        list(zip(records, directions)),
+    )
 
 
 class ColumnarStreamDemuxer:
@@ -775,208 +729,27 @@ def demux_columns_stream(
     yield from demuxer.finish()
 
 
-# -- the clean-flow fast replay ----------------------------------------
+# -- the in-order branch alone ---------------------------------------
 
 
 def fast_replay_flow(
     flow: FlowTrace, config: AnalysisConfig
 ) -> FlowAnalysis | None:
-    """Replay a columnar flow on its columns if it is provably clean.
-
-    Returns the exact :class:`FlowAnalysis` the full analyzer would
-    produce, or ``None`` when the flow needs it — because it stalled,
-    carried SACK/duplicate-ACK loss signals, retransmitted, isn't
-    columnar at all, ``config.record_series`` asks for the per-ACK
-    kernel series (the replay tracks no congestion window to record),
-    or the replay itself failed (any internal error falls back rather
-    than propagating; the analyzer is always the authority).
-    """
-    if config.record_series or not isinstance(flow, LazyFlowTrace):
-        return None
-    store = flow._store
-    # The lane is decided before a row is read: the replay bails on any
-    # incoming non-SYN row that carries an options object, and those
-    # are all in ``store.odd``.
-    server = store.server_pk
-    for index in store.odd:
-        if store.src_pk[index] != server and not store.flags[index] & FLAG_SYN:
-            return None
+    """The classified analysis of a flow :class:`FlowAnalyzer` settles
+    on its in-order branch, or ``None`` when the flow has to be
+    promoted (or the replay failed): what ``Tapo.analyze_flow`` would
+    return, computed only as far as the first promoting row."""
+    analyzer = FlowAnalyzer(flow, config)
     try:
-        return _replay(flow, store, config)
+        if (
+            analyzer.tracker is not None
+            or analyzer._feed_in_order(iter(flow.rows())) is not None
+        ):
+            return None
+        analysis = analyzer.finish() if analyzer._fed else analyzer.analysis
+        classify_flow(analysis, None)
     except Exception:
         return None
-
-
-def _replay(
-    flow: LazyFlowTrace, store: _FlowStore, config: AnalysisConfig
-) -> FlowAnalysis | None:
-    analysis = FlowAnalysis(flow=flow)
-    count = len(store)
-    if not count:
-        return analysis  # FlowAnalyzer.run() returns untouched analysis
-
-    tau = config.tau
-    rto_est = RTOEstimator()
-    stall_threshold = rto_est.stall_threshold
-    observe = rto_est.observe
-    stall_floor = rto_est.stall_floor
-    floor = 0.0  # stall_floor(tau) as of the last RTT sample
-
-    # Mirrored FlowAnalyzer state (clean-flow subset: the congestion
-    # state machine stays in Open, so cwnd/state never need tracking).
-    mss = 1448
-    init_rwnd = 0
-    wscale = 0
-    rwnd = 0
-    established = False
-    synack_time: float | None = None
-    synack_count = 0
-    handshake_sampled = False
-    request_pending = False
-    response_started = False
-    zero_window_seen = False
-    request_count = 0
-    data_packets = 0
-    bytes_out = 0
-    prev_time: float | None = None
-
-    # Mirrored SegmentTracker state: in a clean flow cumulative ACKs
-    # advance a prefix pointer over in-order transmissions.
-    tx_end: list[int] = []
-    tx_time: list[float] = []
-    tx_len = 0
-    head = 0
-    snd_una = 0
-    snd_nxt = 0
-    consumed = 0  # sequence space used; >= 2**32 means seq reuse
-
-    rtt_samples: list[float] = []
-    in_flight: list[int] = []
-
-    for t, dir_in, seq, ack, flags, window, payload, ts_ecr, options in (
-        store.rows()
-    ):
-        syn = flags & FLAG_SYN
-        if prev_time is not None and established and not syn:
-            # The first-pass stall screen: the same threshold the
-            # analyzer applies.  Any stall -> full analyzer.
-            if t - prev_time > floor and t - prev_time > stall_threshold(tau):
-                return None
-        if dir_in:
-            # -- incoming (client -> server), as FlowAnalyzer.feed_rows
-            if syn:
-                wscale = 0
-                if options is not None:
-                    wscale = options.wscale or 0
-                    if options.mss:
-                        mss = min(mss, options.mss)
-                init_rwnd = window << wscale
-                rwnd = init_rwnd
-                prev_time = t
-                continue
-            if options is not None:
-                return None  # SACK blocks / unusual options possible
-            rwnd = window << wscale
-            if rwnd < mss and bytes_out > 0:
-                zero_window_seen = True
-            has_ack = flags & FLAG_ACK
-            if (
-                not handshake_sampled
-                and has_ack
-                and synack_time is not None
-            ):
-                handshake_sampled = True
-                if synack_count == 1:
-                    rtt = t - synack_time
-                    if rtt > 0:
-                        observe(rtt, now=t)
-                        rtt_samples.append(rtt)
-                        floor = stall_floor(tau)
-            if payload > 0:
-                if not request_pending:
-                    request_count += 1
-                request_pending = True
-                response_started = False
-            if not has_ack:
-                prev_time = t
-                continue
-            if seq_after(ack, snd_una):
-                # SegmentTracker.apply_ack: cumulative prefix walk.
-                first_acked = head
-                while head < tx_len and seq_leq(tx_end[head], ack):
-                    head += 1
-                snd_una = ack
-                rto_est.on_ack()
-                # FlowAnalyzer's RTT sampling for a new ACK (a clean
-                # flow never acks a retransmitted batch).
-                if ts_ecr:
-                    rtt = t - ts_to_time(ts_ecr)
-                    if rtt > 0:
-                        observe(rtt, now=t)
-                        rtt_samples.append(rtt)
-                        floor = stall_floor(tau)
-                else:
-                    for j in range(first_acked, head):
-                        rtt = t - tx_time[j]
-                        if rtt > 0:
-                            observe(rtt, now=t)
-                            rtt_samples.append(rtt)
-                            floor = stall_floor(tau)
-            elif ack == snd_una and head < tx_len:
-                # Duplicate ACK: loss signals start here.  Any packet
-                # repeating snd_una counts, payload- or FIN-bearing
-                # too, as in the analyzer (DESIGN.md 6).
-                return None
-            in_flight.append(tx_len - head)
-            prev_time = t
-            continue
-        # -- outgoing (server -> client), as FlowAnalyzer.feed_rows
-        if syn:
-            snd_una = (seq + 1) & 0xFFFFFFFF  # SegmentTracker.init_seq
-            snd_nxt = snd_una
-            established = True
-            synack_time = t
-            synack_count += 1
-            prev_time = t
-            continue
-        fin = flags & FLAG_FIN
-        if payload == 0 and not fin:
-            prev_time = t
-            continue
-        end_seq = (seq + payload + (1 if fin else 0)) & 0xFFFFFFFF
-        if (
-            payload == 1
-            and seq_before(seq, snd_una)
-            and seq_leq(end_seq, snd_una)
-        ):
-            prev_time = t  # zero-window probe: never recorded
-            continue
-        if not established or seq != snd_nxt or consumed >= _SEQ_SPACE:
-            return None  # retransmission / reorder / mid-capture flow
-        tx_end.append(end_seq)
-        tx_time.append(t)
-        tx_len += 1
-        consumed += payload + (1 if fin else 0)
-        snd_nxt = end_seq
-        data_packets += 1
-        bytes_out += payload
-        if request_pending:
-            request_pending = False
-        response_started = True
-        prev_time = t
-
-    analysis.mss = mss
-    analysis.init_rwnd = init_rwnd
-    analysis.wscale = wscale
-    analysis.rtt_samples = rtt_samples
-    analysis.in_flight_on_ack = in_flight
-    analysis.zero_window_seen = zero_window_seen
-    analysis.request_count = request_count
-    analysis.data_packets = data_packets
-    analysis.bytes_out = bytes_out
-    analysis.duration = flow.duration
-    analysis.final_srtt = rto_est.srtt
-    analysis.final_rto = rto_est.rto
     return analysis
 
 

@@ -20,8 +20,9 @@ Classification of the collected stalls is pass 2
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain, count, repeat
 
 from ..config import AnalysisConfig
 from ..packet.flow import Direction, FlowTrace, PacketRow, packet_row
@@ -32,7 +33,7 @@ from ..packet.seqnum import SEQ_HALF, SEQ_MASK, seq_before, seq_leq
 from ..tcp.constants import ts_to_time
 from ..tcp.rto import RTOEstimator
 from .segments import AnalyzedSegment, SegmentTracker
-from .state_machine import FAST, PROBE, RTO, CaStateTracker
+from .state_machine import FAST, PROBE, RTO, CaStateTracker, ShadowWindow
 from .stalls import CaState, Stall, StallContext
 
 
@@ -113,14 +114,22 @@ class FlowAnalysis:
 class FlowAnalyzer:
     """Replays one flow; produces a :class:`FlowAnalysis`.
 
-    The core is one row-level loop: :meth:`feed_rows` consumes the
-    primitive fields of :data:`~repro.packet.flow.PacketRow` tuples,
-    which :meth:`run` reads from ``flow.rows()`` — straight off the
-    columns for a column-backed trace, so a stalled flow is replayed
-    without one packet object.  Only the rare events (client SYN, stall
-    snapshot, sequence-based RTT sampling, retransmission
-    classification) are methods.  :meth:`feed` is the packet-object
-    adapter.
+    The core is one row-level state machine over the primitive fields
+    of :data:`~repro.packet.flow.PacketRow` tuples, which :meth:`run`
+    reads from ``flow.rows()`` — straight off the columns for a
+    column-backed trace, so a flow is replayed without one packet
+    object.  It has two loops.  Every flow starts on the *in-order
+    branch* (:meth:`_feed_in_order`): while the server sends only new
+    data at snd_nxt and the client's ACKs carry no SACK blocks and
+    repeat no outstanding snd_una, the retransmission queue is a run of
+    segments whose ends, send times and ack times fit in three lists,
+    and the congestion state machine stays in Open.  The first row the
+    branch cannot take *promotes* the flow (:meth:`promote`): the
+    segment tracker and the state machine are built from that state and
+    the general loop (:meth:`_feed_general`) carries on at the same
+    row.  Only the rare events (client SYN, stall snapshot,
+    sequence-based RTT sampling, retransmission classification) are
+    methods.  :meth:`feed` is the packet-object adapter.
     """
 
     def __init__(self, flow: FlowTrace,
@@ -130,8 +139,11 @@ class FlowAnalyzer:
         self.tau = config.tau
         self.record_series = config.record_series
         self.analysis = FlowAnalysis(flow=flow)
-        self.tracker = SegmentTracker()
-        self.ca = CaStateTracker(init_cwnd=config.init_cwnd)
+        #: The reconstructed retransmission queue and congestion state
+        #: machine: ``None`` while the flow is on the in-order branch.
+        self.tracker: SegmentTracker | None = None
+        self.ca: CaStateTracker | None = None
+        self._window = ShadowWindow(cwnd=config.init_cwnd)
         self.rto_est = RTOEstimator()
         self.rwnd = 0
         self.established = False
@@ -145,14 +157,27 @@ class FlowAnalyzer:
         self._counted_recovery_point: int | None = None
         self._prev_time: float | None = None
         self._fed = 0
+        # The in-order branch's queue, one run of segments under half
+        # the sequence space: segment j spans [tx_end[j - 1], tx_end[j])
+        # (the first starts at _tx_start), was sent at tx_time[j] and,
+        # if acked, was acked at acked_at[j]; _fins lists the FIN-bearing
+        # ones, _snd_una is the tracker's snd_una.
+        self._tx_start = 0
+        self._tx_end: list[int] = []
+        self._tx_time: list[float] = []
+        self._acked_at: list[float] = []
+        self._fins: list[int] = []
+        self._snd_una = 0
+        if self.record_series:
+            # The branch records no kernel series.
+            self.promote()
 
     # -- public API -------------------------------------------------------
     def run(self) -> FlowAnalysis:
-        """Replay the whole flow: feed every packet, then finish."""
-        if not self.flow.packets:
-            return self.analysis
+        """Replay the whole flow: feed every packet, then finish (a flow
+        without packets keeps its untouched analysis)."""
         self.feed_rows(self.flow.rows())
-        return self.finish()
+        return self.finish() if self._fed else self.analysis
 
     def feed(self, pkt: PacketRecord, direction: Direction) -> None:
         """Process one packet object incrementally.
@@ -167,7 +192,268 @@ class FlowAnalyzer:
         self.feed_rows((packet_row(pkt, direction),))
 
     def feed_rows(self, rows: Iterable[PacketRow]) -> None:
-        """Process :data:`~repro.packet.flow.PacketRow` tuples, in order.
+        """Process :data:`~repro.packet.flow.PacketRow` tuples, in order:
+        on the in-order branch until a row promotes the flow, then in
+        the general loop from that row on.  Resumable: feeding rows one
+        call at a time equals one call with all of them."""
+        if self.tracker is None:
+            rows = iter(rows)
+            row = self._feed_in_order(rows)
+            if row is None:
+                return
+            self.promote()
+            rows = chain((row,), rows)
+        self._feed_general(rows)
+
+    def promote(self) -> None:
+        """Leave the in-order branch: build the segment tracker and the
+        congestion state machine from its state — what the general
+        loop would have built from the same rows (each segment a
+        contiguous first transmission, acked in order).  Called before
+        row 0 it makes the whole replay the general loop's."""
+        if self.tracker is not None:
+            return
+        tracker = self.tracker = SegmentTracker()
+        ends = self._tx_end
+        starts = [self._tx_start, *ends[:-1]]
+        segments = tracker.segments
+        segments.extend(map(
+            AnalyzedSegment, starts, ends, repeat(False), count(),
+            [[sent] for sent in self._tx_time],
+        ))
+        for ordinal in self._fins:
+            segments[ordinal].is_fin = True
+        for segment, acked_at in zip(segments, self._acked_at):
+            segment.acked_at = acked_at
+        tracker._by_seq = dict(zip(starts, segments))
+        tracker._first_unacked = len(self._acked_at)
+        tracker._max_length = max(
+            [(end - seq) & SEQ_MASK for seq, end in zip(starts, ends)],
+            default=0,
+        )
+        tracker.snd_una = self._snd_una
+        tracker.transmitted_max = ends[-1] if ends else self._tx_start
+        self.ca = CaStateTracker()
+        self.ca.window = self._window
+
+    def finish(self) -> FlowAnalysis:
+        """Finalize after the last packet and return the analysis."""
+        analysis = self.analysis
+        analysis.duration = self.flow.duration
+        analysis.final_srtt = self.rto_est.srtt
+        analysis.final_rto = self.rto_est.rto
+        analysis.state_log = [] if self.ca is None else list(self.ca.state_log)
+        return analysis
+
+    # -- the in-order branch ---------------------------------------------
+    def _feed_in_order(self, rows: Iterator[PacketRow]) -> PacketRow | None:
+        """Feed ``rows`` while the flow stays on the in-order branch;
+        the first row it cannot take is returned unconsumed, ``None``
+        once ``rows`` is exhausted.
+
+        The rows that promote: an incoming row whose options carry SACK
+        blocks, a duplicate ACK (one that repeats snd_una with data
+        outstanding), outgoing data that is neither at snd_nxt nor a
+        zero-window probe, data that would take the run past half the
+        sequence space (where segment starts could repeat), a SYN+ACK
+        after data (it re-bases the sequence space), and, with
+        ``record_series``, row 0.  Every other row changes exactly what
+        the general loop would change, in locals written back in the
+        ``finally``.
+        """
+        analysis = self.analysis
+        stalls = analysis.stalls
+        est = self.rto_est
+        observe = est.observe
+        stall_floor = est.stall_floor
+        tau = self.tau
+        add_rtt = analysis.rtt_samples.append
+        add_in_flight = analysis.in_flight_on_ack.append
+        tx_end = self._tx_end
+        tx_time = self._tx_time
+        add_end = tx_end.append
+        add_time = tx_time.append
+        add_acked = self._acked_at.append
+        shadow = self._window
+        cwnd = shadow.cwnd
+        ssthresh = shadow.ssthresh
+        avoid = shadow._avoid_count
+        tx_start = self._tx_start
+        tx_len = len(tx_end)
+        head = len(self._acked_at)
+        snd_una = self._snd_una
+        snd_nxt = tx_end[-1] if tx_end else tx_start
+        rwnd = self.rwnd
+        established = self.established
+        handshake_sampled = self._handshake_sampled
+        request_pending = self._request_pending
+        response_started = self._response_started
+        last_new_ack = self._last_new_ack_time
+        last_in_packet = self._last_in_packet_time
+        prev_time = self._prev_time
+        fed = self._fed
+        request_count = analysis.request_count
+        data_packets = analysis.data_packets
+        bytes_out = analysis.bytes_out
+        zero_window_seen = analysis.zero_window_seen
+        wscale = analysis.wscale
+        mss = analysis.mss
+        floor = stall_floor(tau)
+        try:
+            # Unpacked in the ``for``: a row tuple no name holds is
+            # reused by ``zip`` for the next row.
+            for (
+                t, dir_in, seq, ack, flags, window, payload, ts_ecr, options
+            ) in rows:
+                syn = flags & FLAG_SYN
+                if established and not syn and t - prev_time > floor:
+                    threshold = est.stall_threshold(tau)
+                    if t - prev_time > threshold:
+                        # Recorded before the row is screened; a row
+                        # that promotes takes its stall back below.
+                        out = tx_len - head
+                        self._record_stall(
+                            t, dir_in, seq, flags, payload, prev_time,
+                            threshold, fed, snd_nxt,
+                            StallContext(
+                                ca_state=CaState.OPEN, packets_out=out,
+                                in_flight=out, unsacked_out=out,
+                                snd_una=snd_una, snd_nxt=snd_nxt,
+                                cwnd=cwnd, rwnd=rwnd,
+                                init_rwnd=analysis.init_rwnd, mss=mss,
+                                request_pending=request_pending,
+                                response_started=response_started,
+                                bytes_sent=bytes_out,
+                            ),
+                        )
+                if not dir_in:
+                    if syn:  # SYN+ACK: SegmentTracker.init_seq
+                        if tx_len:
+                            break
+                        snd_una = snd_nxt = tx_start = (seq + 1) & SEQ_MASK
+                        established = True
+                        self._synack_time = t
+                        self._synack_count += 1
+                    elif payload > 0 or flags & FLAG_FIN:
+                        fin = flags & FLAG_FIN
+                        length = payload + 1 if fin else payload
+                        end_seq = (seq + length) & SEQ_MASK
+                        if payload != 1 or not (
+                            seq_before(seq, snd_una)
+                            and seq_leq(end_seq, snd_una)
+                        ):  # not a zero-window probe, which is not recorded
+                            if (
+                                seq != snd_nxt or length >= SEQ_HALF
+                                or (end_seq - tx_start) & SEQ_MASK >= SEQ_HALF
+                            ):
+                                break
+                            if fin:
+                                self._fins.append(tx_len)
+                            add_end(end_seq)
+                            add_time(t)
+                            tx_len += 1
+                            snd_nxt = end_seq
+                            data_packets += 1
+                            bytes_out += payload
+                            request_pending = False
+                            response_started = True
+                elif syn:
+                    self._client_syn(window, options)
+                    rwnd = self.rwnd
+                    wscale = analysis.wscale
+                    mss = analysis.mss
+                else:
+                    if options is not None and options.sack_blocks:
+                        break
+                    has_ack = flags & FLAG_ACK
+                    ahead = (ack - snd_una) & SEQ_MASK
+                    if has_ack and not ahead and head < tx_len:
+                        break  # a duplicate ACK
+                    # Window update (scaled after the handshake).
+                    rwnd = window << wscale
+                    if rwnd < mss and bytes_out > 0:
+                        zero_window_seen = True
+                    if not handshake_sampled and has_ack and established:
+                        handshake_sampled = True
+                        self._sample_handshake(t)
+                        floor = stall_floor(tau)
+                    if payload > 0:  # client request data
+                        if not request_pending:
+                            request_count += 1
+                        request_pending = True
+                        response_started = False
+                    if has_ack:
+                        last_in_packet = t
+                        if 0 < ahead <= SEQ_HALF:  # a new ACK
+                            first = head
+                            if ahead < SEQ_HALF:  # SegmentTracker.apply_ack
+                                while head < tx_len and not (
+                                    0 < (tx_end[head] - ack) & SEQ_MASK
+                                    < SEQ_HALF
+                                ):
+                                    add_acked(t)
+                                    head += 1
+                                snd_una = ack
+                            last_new_ack = t
+                            est.on_ack()
+                            if ts_ecr:
+                                rtt = t - ts_to_time(ts_ecr)
+                                if rtt > 0:
+                                    observe(rtt, t)
+                                    add_rtt(rtt)
+                                    floor = stall_floor(tau)
+                            elif first < head:
+                                # Sequence-based: nothing on the branch
+                                # was retransmitted or SACKed.
+                                sampled = False
+                                for sent in tx_time[first:head]:
+                                    rtt = t - sent
+                                    if rtt > 0:
+                                        observe(rtt, t)
+                                        add_rtt(rtt)
+                                        sampled = True
+                                if sampled:
+                                    floor = stall_floor(tau)
+                            # ShadowWindow.on_new_ack(head - first, ...)
+                            # in Open.
+                            if cwnd < ssthresh:
+                                cwnd += head - first
+                            else:
+                                avoid += head - first
+                                if avoid >= cwnd:
+                                    avoid -= cwnd
+                                    cwnd += 1
+                        # Per-ACK in-flight sample (Fig. 11), Eq. (1).
+                        add_in_flight(tx_len - head)
+                prev_time = t
+                fed += 1
+            else:
+                return None
+            if stalls and stalls[-1].cur_pkt_index == fed:
+                stalls.pop()  # the general loop records it again
+            return t, dir_in, seq, ack, flags, window, payload, ts_ecr, options
+        finally:
+            shadow.cwnd = cwnd
+            shadow._avoid_count = avoid
+            self._tx_start = tx_start
+            self._snd_una = snd_una
+            self.rwnd = rwnd
+            self.established = established
+            self._handshake_sampled = handshake_sampled
+            self._request_pending = request_pending
+            self._response_started = response_started
+            self._last_new_ack_time = last_new_ack
+            self._last_in_packet_time = last_in_packet
+            self._prev_time = prev_time
+            self._fed = fed
+            analysis.request_count = request_count
+            analysis.data_packets = data_packets
+            analysis.bytes_out = bytes_out
+            analysis.zero_window_seen = zero_window_seen
+
+    # -- the general loop ------------------------------------------------
+    def _feed_general(self, rows: Iterable[PacketRow]) -> None:
+        """Feed rows to a promoted flow.
 
         The state every row touches lives in locals and is written back
         in the ``finally``, so a crash at row *k* leaves ``_fed == k``.
@@ -211,7 +497,8 @@ class FlowAnalyzer:
                     if t - prev_time > threshold:
                         self._record_stall(
                             t, dir_in, seq, flags, payload, prev_time,
-                            threshold, fed,
+                            threshold, fed, tracker.transmitted_max,
+                            self._snapshot_context(),
                         )
                 if not dir_in:
                     if syn:  # SYN+ACK from the server
@@ -264,14 +551,8 @@ class FlowAnalyzer:
                         analysis.zero_window_seen = True
                     has_ack = flags & FLAG_ACK
                     if not self._handshake_sampled and has_ack and established:
-                        # Handshake RTT sample (SYN+ACK -> first ACK),
-                        # Karn-guarded.
-                        self._handshake_sampled = True
-                        rtt = t - self._synack_time
-                        if self._synack_count == 1 and rtt > 0:
-                            observe(rtt, t)
-                            add_rtt(rtt)
-                            floor = stall_floor(tau)
+                        self._sample_handshake(t)
+                        floor = stall_floor(tau)
                     if payload > 0:  # client request data
                         if not self._request_pending:
                             analysis.request_count += 1
@@ -357,26 +638,14 @@ class FlowAnalyzer:
             self._fed = fed
             self.established = established
 
-    def finish(self) -> FlowAnalysis:
-        """Finalize after the last packet and return the analysis."""
-        analysis = self.analysis
-        analysis.duration = self.flow.duration
-        analysis.final_srtt = self.rto_est.srtt
-        analysis.final_rto = self.rto_est.rto
-        analysis.state_log = list(self.ca.state_log)
-        return analysis
-
     # -- stall snapshots -----------------------------------------------------
     def _record_stall(
         self, t: float, dir_in: bool, seq: int, flags: int, payload: int,
-        start_time: float, threshold: float, index: int,
+        start_time: float, threshold: float, index: int, snd_nxt: int,
+        context: StallContext,
     ) -> None:
         is_data = payload > 0 or bool(flags & FLAG_FIN)
-        is_retrans = (
-            not dir_in
-            and is_data
-            and seq_before(seq, self.tracker.transmitted_max)
-        )
+        is_retrans = not dir_in and is_data and seq_before(seq, snd_nxt)
         self.analysis.stalls.append(
             Stall(
                 start_time=start_time,
@@ -388,7 +657,7 @@ class FlowAnalyzer:
                 cur_pkt_is_retrans=is_retrans,
                 cur_pkt_seq=seq,
                 cur_pkt_payload=payload,
-                context=self._snapshot_context(),
+                context=context,
             )
         )
 
@@ -432,6 +701,14 @@ class FlowAnalyzer:
         return 0
 
     # -- the rare rows -------------------------------------------------------
+    def _sample_handshake(self, t: float) -> None:
+        """Handshake RTT sample (SYN+ACK -> first ACK), Karn-guarded."""
+        self._handshake_sampled = True
+        rtt = t - self._synack_time
+        if self._synack_count == 1 and rtt > 0:
+            self.rto_est.observe(rtt, t)
+            self.analysis.rtt_samples.append(rtt)
+
     def _client_syn(self, window: int, options: TCPOptions | None) -> None:
         """Client SYN: initial receive window and options."""
         analysis = self.analysis

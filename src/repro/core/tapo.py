@@ -46,13 +46,7 @@ from ..packet.flow import FlowTrace, ServerPredicate, StreamStats
 from ..packet.packet import PacketRecord
 from ..packet.pcap import PcapReader
 from .classifier import classify_flow
-from .columnar_pipeline import (
-    LazyFlowTrace,
-    batch_records,
-    demux_columns_stream,
-    fast_replay_flow,
-    one_flow,
-)
+from .columnar_pipeline import batch_records, demux_columns_stream, one_flow
 from .flow_analyzer import FlowAnalysis, FlowAnalyzer
 from .report import ServiceReport
 
@@ -80,7 +74,7 @@ def _demux(
     idle_timeout: float | None = None,
     close_linger: float | None = None,
     stats: StreamStats | None = None,
-) -> Iterator[LazyFlowTrace]:
+) -> Iterator[FlowTrace]:
     """The one ingest path: shape any accepted packet source into
     column batches and demultiplex those.  Eviction is off unless the
     caller passes its clocks (batch semantics); then, with no
@@ -127,10 +121,11 @@ class Tapo:
         #: call (reset per call); quarantined flows live in
         #: ``faults.skipped``.
         self.faults = FaultStats()
-        #: Flows settled by the clean-flow fast replay, flows replayed
-        #: by the full analyzer, and flows whose packet objects were
-        #: built at all, for the most recent multi-flow call on *this*
-        #: instance (worker processes count on their own instances).
+        #: Flows the analyzer settled on its in-order branch (the fast
+        #: replay), flows it promoted to its general loop, and flows
+        #: whose packet objects were built from columns, for the most
+        #: recent multi-flow call on *this* instance (worker processes
+        #: count on their own instances).
         #: Diagnostic only — results are identical either way.
         self.fast_flows = 0
         self.fallback_flows = 0
@@ -164,9 +159,9 @@ class Tapo:
         for name, help_text, value in zip(
             ("repro_flows_fast_total", "repro_flows_replayed_total",
              "repro_flows_materialized_total"),
-            ("Flows settled by the clean-flow fast replay",
-             "Flows replayed by the full analyzer",
-             "Flows whose packet objects were built"),
+            ("Flows settled on the analyzer's in-order branch",
+             "Flows promoted to the analyzer's general loop",
+             "Flows whose packet objects were built from columns"),
             self.flow_counts(),
         ):
             registry.counter(name, help_text).inc(value)
@@ -180,13 +175,10 @@ class Tapo:
     def analyze_flow(self, flow: FlowTrace) -> FlowAnalysis:
         """Analyze and classify one flow.
 
-        Columnar flows that are provably clean settle on the fast
-        replay (:func:`~repro.core.columnar_pipeline.fast_replay_flow`);
-        everything else — a plain object :class:`FlowTrace` included —
-        is replayed by :class:`FlowAnalyzer`, which reads a columnar
-        flow's rows off its columns.  Either way a columnar flow is
-        analyzed and classified without materializing packet objects,
-        and the resulting analysis is identical.
+        One :class:`FlowAnalyzer` replays the flow's rows — off its
+        columns for a columnar flow, so no packet object is built.  A
+        flow it settles on its in-order branch counts as fast, one it
+        had to promote as replayed (DESIGN.md 5.2).
 
         Any analyzer crash surfaces as a typed
         :class:`~repro.errors.FlowAnalysisError` carrying the flow key
@@ -198,14 +190,13 @@ class Tapo:
         try:
             if FLOW_HOOK is not None:
                 FLOW_HOOK(flow)
-            analysis = fast_replay_flow(flow, self.config)
-            if analysis is None:
-                analyzer = FlowAnalyzer(flow, config=self.config)
-                analysis = analyzer.run()
-                classify_flow(analysis, analyzer.tracker)
-                self.fallback_flows += 1
-            else:
+            analyzer = FlowAnalyzer(flow, config=self.config)
+            analysis = analyzer.run()
+            classify_flow(analysis, analyzer.tracker)
+            if analyzer.tracker is None:
                 self.fast_flows += 1
+            else:
+                self.fallback_flows += 1
             if flow.materialized:
                 self.materialized_flows += 1
         except ReproError:

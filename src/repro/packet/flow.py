@@ -13,7 +13,6 @@ import enum
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import starmap
 
 from .packet import PacketRecord
 
@@ -150,19 +149,29 @@ class FlowTrace:
         self.packets.append((pkt, self.direction_of(pkt)))
 
     def rows(self, start: int = 0) -> Iterator[PacketRow]:
-        """The packets from index ``start`` on as :data:`PacketRow`\\ s.
+        """The packets from index ``start`` on as :data:`PacketRow`\\ s
+        (:func:`packet_row` of each).
 
         What the analyzer and the classifier's lookahead read, so that
         a column-backed trace
         (:class:`~repro.core.columnar_pipeline.LazyFlowTrace`) can
         answer without building packet objects.
         """
-        return starmap(packet_row, self.packets[start:])
+        inbound = Direction.IN
+        return iter([
+            (
+                pkt.timestamp, direction is inbound, pkt.seq, pkt.ack,
+                pkt.flags, pkt.window, pkt.payload_len,
+                pkt.options.ts_ecr or 0, pkt.options,
+            )
+            for pkt, direction in self.packets[start:]
+        ])
 
     @property
     def materialized(self) -> bool:
-        """Whether the packets exist as objects (always, here)."""
-        return True
+        """Whether the pipeline built this flow's packet objects from
+        columns: never for a trace that was handed its packets."""
+        return False
 
     @property
     def first_time(self) -> float:

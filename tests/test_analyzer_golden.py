@@ -2,10 +2,9 @@
 
 One sha256 per (policy, service) over every :class:`FlowAnalysis` field
 of the same seeded flows, analyzed twice: through
-:meth:`Tapo.analyze_packets` (lane pick, replay, classification — what
+:meth:`Tapo.analyze_packets` (ingest, replay, classification — what
 production runs) and through a bare :meth:`FlowAnalyzer.run` on every
-flow (so the clean flows the fast replay takes go through the analyzer
-too).  The parity suites compare the column-driven analyzer with the
+flow (the replay alone, unclassified).  The parity suites compare the column-driven analyzer with the
 object-driven one and the perf benchmark's ``report_digest`` hashes the
 report; both sides of either share :class:`FlowAnalyzer`, so neither
 sees a change to its arithmetic that these constants do.  A speed-only

@@ -86,6 +86,25 @@ class TestConfigs:
         assert hash(AnalysisConfig()) == hash(AnalysisConfig())
         assert AnalysisConfig() != AnalysisConfig(tau=3.0)
 
+    @pytest.mark.parametrize("config, field, value", [
+        (AnalysisConfig, "tau", 0),
+        (AnalysisConfig, "tau", -1.0),
+        (AnalysisConfig, "tau", float("nan")),
+        (AnalysisConfig, "tau", float("inf")),
+        (AnalysisConfig, "init_cwnd", 0),
+        (RunConfig, "idle_timeout", -5),
+        (RunConfig, "idle_timeout", 0.0),
+        (RunConfig, "idle_timeout", float("nan")),
+        (RunConfig, "close_linger", 0),
+        (RunConfig, "close_linger", -1.0),
+    ])
+    def test_out_of_range_value_is_refused(self, config, field, value):
+        """The bounds the CLI adapters enforce hold for the Python API
+        too: ``tau=0`` would call every gap a stall, a NaN ``tau`` none
+        (``min(nan, min_rto)`` makes the stall floor NaN)."""
+        with pytest.raises(ValueError, match=field):
+            config(**{field: value})
+
 
 def _tiny_dataset(**kwargs):
     from repro.experiments.dataset import build_dataset

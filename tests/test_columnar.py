@@ -15,7 +15,7 @@ contract:
 * parity under 1 % record corruption, including fault-counter parity
   (resyncs, corrupt records, checksum errors) between the two framings;
 * sequence-number wraparound handled on the raw uint32 columns by the
-  fast replay (the flows must *stay* on the fast path);
+  analyzer's in-order branch (the flows must *stay* on it);
 * analyzer crashes quarantine the same flows as
   :class:`~repro.errors.SkippedFlow` on both paths;
 * a column-backed flow pickles as its columns, so worker processes and
@@ -24,14 +24,20 @@ contract:
   lossy flows (:func:`lossy_flow`) holds the column-driven analyzer to
   the reference byte for byte without building one packet object,
   and the SACK-walk shortcuts of
-  :class:`~repro.core.segments.SegmentTracker` to the plain walk.
+  :class:`~repro.core.segments.SegmentTracker` to the plain walk;
+* the in-order branch is held to the general loop it promotes to:
+  promoting at any earlier row moves no byte (:class:`TestInOrderBranch`).
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import pickle
 import random
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,11 +47,11 @@ from hypothesis import strategies as st
 from repro import api
 from repro.config import AnalysisConfig, RunConfig
 from repro.core import ServiceReport, Tapo
+from repro.core.classifier import classify_flow
 from repro.core.cli import main as cli_main
 from repro.core import columnar_pipeline
 from repro.core.columnar_pipeline import (
     LazyFlowTrace,
-    _replay,
     batch_records,
     demux_columns_stream,
     fast_replay_flow,
@@ -396,14 +402,15 @@ class TestSeqWraparound:
         assert analysis.bytes_out == 8 * analysis.mss
 
     def test_fast_replay_handles_wrap_directly(self):
+        """The in-order branch alone settles the flow, as the record
+        list's own flow and as the demux's column-backed one."""
         packets = self._clean_wrap_flow(21)
         tapo = Tapo(config=AnalysisConfig())
-        analyses = tapo.analyze_packets(packets)
-        flow = analyses[0].flow
-        assert isinstance(flow, LazyFlowTrace)
-        replayed = fast_replay_flow(flow, tapo.config)
-        assert replayed is not None
-        assert replayed.bytes_out == analyses[0].bytes_out
+        (analysis,) = tapo.analyze_packets(packets)
+        for flow in (analysis.flow, *_lazy_flows(packets)):
+            replayed = fast_replay_flow(flow, tapo.config)
+            assert replayed is not None
+            assert replayed.bytes_out == analysis.bytes_out
 
 
 class TestCrashQuarantine:
@@ -471,8 +478,8 @@ _CLIENT = (0xC0A8_0042, 40000)
 
 
 class _LossyFlow:
-    """One connection with everything that keeps a flow off the clean
-    fast replay: losses answered with SACK blocks (repeated from ACK to
+    """One connection with everything that promotes a flow off the
+    analyzer's in-order branch: losses answered with SACK blocks (repeated from ACK to
     ACK as receivers do), DSACKs for spurious retransmissions,
     reordered arrivals, retransmissions with new boundaries — also
     inside a SACKed range —, data captured out of sequence order,
@@ -714,6 +721,38 @@ def lossy_flow(rng) -> list[PacketRecord]:
     return _LossyFlow(rng).build()
 
 
+def clean_flow(rng) -> list[PacketRecord]:
+    """A loss-free connection: requests answered by in-order bursts,
+    acked cumulatively every one to three segments (a stretch ACK grows
+    the shadow window by more than one), zero-window episodes with
+    their probe, idle gaps long enough to be stalls, and a FIN."""
+    flow = _LossyFlow(rng)
+    flow.handshake()
+    for _ in range(rng.randrange(1, 4)):
+        flow.request()
+        for _ in range(rng.randrange(1, 6)):
+            if rng.random() < 0.3:
+                flow.t += rng.choice((0.3, 1.0, 2.5))  # stall
+            burst = []
+            for _ in range(rng.randrange(1, 9)):
+                burst.append((flow.snd_nxt, flow.snd_nxt + flow.mss))
+                flow.snd_nxt += flow.mss
+                flow._data(*burst[-1])
+            flow.t += flow.rtt / 2
+            every = rng.randrange(1, 4)
+            for index in range(every - 1, len(burst) + every - 1, every):
+                flow.rcv_nxt = burst[min(index, len(burst) - 1)][1]
+                flow._ack()
+            if rng.random() < 0.1:
+                flow.zero_window()
+    flow._data(flow.snd_nxt, flow.snd_nxt, fin=True)
+    flow.snd_nxt += 1
+    flow.t += flow.rtt / 2
+    flow.rcv_nxt = flow.snd_nxt
+    flow._ack()
+    return flow.packets
+
+
 def _lazy_flows(packets) -> list[LazyFlowTrace]:
     return list(
         demux_columns_stream(
@@ -723,7 +762,7 @@ def _lazy_flows(packets) -> list[LazyFlowTrace]:
 
 
 #: The short_flows flow (default seed, client port 20711) on which the
-#: fast replay and the analyzer disagreed: a retransmitted client
+#: old clean-flow lane and the analyzer disagreed: a retransmitted client
 #: request repeats ``snd_una`` while the response is outstanding, which
 #: the analyzer counts as a duplicate ACK (Open -> Disorder -> Open).
 #: Rows: (out, seconds, seq offset, ack offset, flags, payload).
@@ -799,7 +838,7 @@ class TestColumnDrivenReplay:
             analysis = Tapo(config=AnalysisConfig()).analyze_packets(packets)[0]
             analyzer = FlowAnalyzer(analysis.flow, config=AnalysisConfig())
             analyzer.run()
-            if analyzer.tracker._last_unordered >= 0:
+            if analyzer.tracker and analyzer.tracker._last_unordered >= 0:
                 seen.add("unordered")
             if analysis.spurious_retransmissions:
                 seen.add("dsack")
@@ -816,45 +855,12 @@ class TestColumnDrivenReplay:
             "unordered", "dsack", "stall", "zero-window", "sack", "wrap"
         }
 
-    def test_lane_chosen_from_odd_rows_is_the_replays_own_verdict(self):
-        """``fast_replay_flow`` turns a flow away on its ``odd`` rows
-        before reading one; the flows it turns away are exactly those
-        the row-by-row replay bails on, not one more or fewer."""
-        config = AnalysisConfig()
-
-        def by_rows(flow):
-            try:
-                return _replay(flow, flow._store, config)
-            except Exception:
-                return None
-
-        traces = [generate_trace(seed) for seed in PARITY_SEEDS]
-        traces += [lossy_flow(random.Random(seed)) for seed in range(40)]
-        turned_away = prescreened = 0
-        for packets in traces:
-            flows = _lazy_flows(packets)
-            missed = {
-                f.key for f in flows if fast_replay_flow(f, config) is None
-            }
-            assert missed == {f.key for f in flows if by_rows(f) is None}
-            turned_away += len(missed)
-            prescreened += sum(
-                any(
-                    store.src_pk[row] != store.server_pk
-                    and not store.flags[row] & FLAG_SYN
-                    for row in store.odd
-                )
-                for store in (f._store for f in flows)
-            )
-        # Both ways out are taken: SACK-bearing flows never start the
-        # replay, stalled-but-SACK-free ones bail inside it.
-        assert 0 < prescreened < turned_away
-
     def test_request_retransmit_regression(self):
         """Scenario ``short_flows:20711``: a client request
-        retransmitted while the response is outstanding must send the
-        fast replay to the analyzer, which logs the Disorder
-        excursion — both pipelines, same ``state_log``."""
+        retransmitted while the response is outstanding repeats
+        snd_una — a duplicate ACK, which promotes the flow off the
+        in-order branch and logs the Disorder excursion — both
+        pipelines, same ``state_log``."""
         packets = _request_retransmit_flow()
         (flow,) = _lazy_flows(packets)
         assert fast_replay_flow(flow, AnalysisConfig()) is None
@@ -909,6 +915,136 @@ class TestColumnDrivenReplay:
         report_a.add(first)
         report_b.add(second)
         assert report_a.to_json() == report_b.to_json()
+
+
+def _replayed(flow, config, promote_at=None) -> tuple:
+    """The classified analysis of ``flow`` as canonical JSON, and the
+    analyzer's segment tracker and state machine at the end (a flow
+    still on the branch is promoted after its last row to show them):
+    the natural run, or with the flow promoted off the in-order branch
+    before row ``promote_at`` (0: the general loop throughout)."""
+    rows = list(flow.rows())
+    analyzer = FlowAnalyzer(flow, config=config)
+    if promote_at is None:
+        analyzer.feed_rows(rows)
+    else:
+        analyzer.feed_rows(rows[:promote_at])
+        analyzer.promote()
+        analyzer.feed_rows(rows[promote_at:])
+    analysis = analyzer.finish() if rows else analyzer.analysis
+    classify_flow(analysis, analyzer.tracker)
+    analysis_json = json.dumps(
+        ServiceReport._flow_dict(analysis), sort_keys=True
+    )
+    analyzer.promote()
+    return analysis_json, vars(analyzer.tracker), vars(analyzer.ca)
+
+
+def _branch_oracle(flow, config=AnalysisConfig()) -> tuple[int, int]:
+    """Hold the in-order branch to the general loop on ``flow``: the
+    natural run equals promotion forced at row 0 and at every row the
+    branch takes — analysis, tracker and state machine — and feeding
+    one row per call equals :meth:`run`.
+    Returns ``(rows the branch took, stalls it recorded)``."""
+    natural = _replayed(flow, config)
+    branch = FlowAnalyzer(flow, config=config)
+    branch._feed_in_order(iter(flow.rows()))
+    taken = branch._fed
+    for promote_at in range(taken + 1):
+        assert _replayed(flow, config, promote_at) == natural, promote_at
+    by_row = FlowAnalyzer(flow, config=config)
+    for row in flow.rows():
+        by_row.feed_rows((row,))
+    rows = len(flow.packets)
+    assert by_row._fed == rows
+    assert (by_row.tracker is None) == (taken == rows)
+    if rows:
+        by_row.finish()
+    classify_flow(by_row.analysis, by_row.tracker)
+    assert json.dumps(
+        ServiceReport._flow_dict(by_row.analysis), sort_keys=True
+    ) == natural[0]
+    return taken, len(branch.analysis.stalls)
+
+
+def _ledger_workloads():
+    """The perf benchmark's workload module (read, never changed)."""
+    path = Path(__file__).parents[1] / "benchmarks" / "perf" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perf_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestInOrderBranch:
+    """Every flow starts on ``FlowAnalyzer``'s in-order branch and is
+    promoted to the general loop at the first row the branch cannot
+    take.  The differential oracle: promoting at any earlier row —
+    row 0 is the general loop alone — must not move one byte of the
+    classified analysis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_generated_flows(self, rng, lossy):
+        """:func:`lossy_flow`, which promotes early, and
+        :func:`clean_flow`, which the branch mostly settles whole — as
+        the record list's own flow and as the demux's column-backed
+        one."""
+        packets = (lossy_flow if lossy else clean_flow)(rng)
+        (lazy,) = _lazy_flows(packets)
+        for flow in (columnar_pipeline.one_flow(packets), lazy):
+            _branch_oracle(flow)
+
+    def test_clean_flows_stay_on_the_branch(self):
+        """The branch, not promotion, settles clean flows: stalls,
+        stretch ACKs and zero-window probes included."""
+        settled = stalls = 0
+        for seed in range(20):
+            packets = clean_flow(random.Random(seed))
+            taken, branch_stalls = _branch_oracle(
+                columnar_pipeline.one_flow(packets)
+            )
+            settled += taken == len(packets)
+            stalls += branch_stalls
+        assert settled >= 10 and stalls
+
+    @pytest.mark.parametrize(
+        "policy, kwargs", TestSimulatedTraces.POLICIES,
+        ids=[name for name, _ in TestSimulatedTraces.POLICIES],
+    )
+    def test_simulated_traces(self, policy, kwargs):
+        """The ``sim_policies`` traces, each as its own flow."""
+        scenarios = generate_flows(
+            get_profile("web_search"), 137, seed=20141222,
+            policy=policy, policy_kwargs=kwargs,
+        )
+        settled = branch_stalls = promoted = 0
+        for trace in run_flows(scenarios, workers=1).traces:
+            flow = columnar_pipeline.one_flow(trace)
+            taken, stalls = _branch_oracle(flow)
+            settled += taken == len(trace)
+            promoted += taken < len(trace)
+            branch_stalls += stalls
+        # Both ways out are taken, and the branch records stalls itself.
+        assert settled and promoted and branch_stalls
+
+    @pytest.mark.parametrize(
+        "name", ("stalled_bulk", "clean_bulk", "short_flows")
+    )
+    def test_ledger_capture_flows(self, name, tmp_path):
+        """The flows of the perf benchmark's captures (at a small
+        packet budget), read back from the pcap as column-backed
+        flows."""
+        workloads = _ledger_workloads()
+        workload = workloads.scaled(workloads.WORKLOADS[name], 0.02)
+        results, _, _ = workloads.simulate_to_budget(workload, 20141222)
+        capture = tmp_path / f"{name}.pcap"
+        workloads.write_capture(results, capture, workload.mean_gap, 20141222)
+        analyses = Tapo(config=AnalysisConfig()).analyze_pcap(capture)
+        assert analyses
+        for analysis in analyses:
+            _branch_oracle(analysis.flow)
 
 
 class TestFlattenedLoop:
@@ -1033,6 +1169,8 @@ class TestFlattenedLoop:
         analyzer.rto_est.backoff = 3
         analyzer.feed_rows(rows)
         assert analyzer._fed == 5
+        assert analyzer.tracker is None  # all on the in-order branch
+        analyzer.promote()
         assert analyzer.tracker.snd_una == iss + 1  # nothing acked
         assert analyzer.analysis.in_flight_on_ack == [0, 1]
         assert analyzer._last_new_ack_time == 0.2   # ...yet a new ACK
@@ -1047,6 +1185,7 @@ class TestFlattenedLoop:
             analyzer = FlowAnalyzer(None, config=AnalysisConfig())
             ack = (iss + 1 + delta) & _MASK
             analyzer.feed_rows(rows[:4] + [(*rows[4][:3], ack, *rows[4][4:])])
+            analyzer.promote()
             assert analyzer.tracker.snd_una == snd_una
             assert analyzer._last_new_ack_time == new_ack_time
 
@@ -1105,8 +1244,9 @@ class TestFlowCounters:
 
     @pytest.mark.parametrize("fast_replay", (True, False))
     def test_stream_registry(self, fast_replay):
-        """``record_series`` keeps every flow off the fast replay (it
-        has no series to record) — and on its columns all the same."""
+        """``record_series`` promotes every flow at row 0 (the in-order
+        branch records no kernel series) — on its columns all the
+        same."""
         from repro.obs.metrics import MetricsRegistry
 
         packets = generate_trace(3)

@@ -10,6 +10,7 @@ evicting flows as soon as the stream shows they are over.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from array import array
 from unittest import mock
@@ -28,6 +29,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.packet.columnar import OPT_ODD, PacketColumns
 from repro.packet.flow import (
     FlowKey,
+    FlowTrace,
     StreamDemuxer,
     StreamStats,
     demux,
@@ -1043,10 +1045,11 @@ def _batch_cases():
 
 
 class TestOneFlowIngest:
-    """A record list of one connection becomes its one flow in one
-    pass (:func:`columnar_pipeline.one_flow`), exactly as the
-    record-level batch demux hands it over; batch mode takes that path
-    and nothing else does."""
+    """A record list of one connection is its one flow: a
+    :class:`FlowTrace` of the records themselves
+    (:func:`columnar_pipeline.one_flow`), equal to the flow the
+    record-level batch demux hands over; batch mode takes that path and
+    nothing else does."""
 
     @pytest.mark.parametrize("case", sorted(_batch_cases()))
     def test_matches_the_batch_demux(self, case):
@@ -1070,21 +1073,27 @@ class TestOneFlowIngest:
             None,
         )
 
-    @staticmethod
-    def _check(packets, predicate):
+    @classmethod
+    def _check(cls, packets, predicate):
         reference = StreamDemuxer(
             predicate, idle_timeout=None, close_linger=None
         )
         for record in packets:
             reference.feed(record)
-        expected = [_reference_image(flow) for flow in reference.finish()]
+        expected = reference.finish()
         flow = columnar_pipeline.one_flow(packets, predicate)
         if len({FlowKey.from_packet(packet) for packet in packets}) != 1:
             assert flow is None
         else:
-            assert [_columnar_image(flow)] == expected
+            assert type(flow) is FlowTrace
+            assert [flow] == expected  # key, endpoints, packets, directions
+        tapo = Tapo()
+        one = flow is not None
+        with cls._skipping_the_demux() if one else contextlib.nullcontext():
+            analyses = tapo.analyze_packets(packets, predicate)
+        assert tapo.materialized_flows == 0
         analyzed, expected_report = ServiceReport("a"), ServiceReport("a")
-        for analysis in Tapo().analyze_packets(packets, predicate):
+        for analysis in analyses:
             analyzed.add(analysis)
         for analysis in reference_analyze(packets, None, predicate)[0]:
             expected_report.add(analysis)
@@ -1110,19 +1119,28 @@ class TestOneFlowIngest:
     def _forbidden(*args, **kwargs):
         raise AssertionError("a one-connection list was re-batched")
 
+    @classmethod
+    @contextlib.contextmanager
+    def _skipping_the_demux(cls):
+        with mock.patch.object(
+            PacketColumns, "from_records", cls._forbidden
+        ), mock.patch.object(
+            tapo_module, "demux_columns_stream", cls._forbidden
+        ):
+            yield
+
     def test_single_connection_lists_skip_batching_and_the_demux(self):
         from repro import api
 
         packets = tiny_flow(0, 0.0)
-        with mock.patch.object(
-            PacketColumns, "from_records", self._forbidden
-        ), mock.patch.object(
-            tapo_module, "demux_columns_stream", self._forbidden
-        ):
+        with self._skipping_the_demux():
             assert len(api.analyze(packets)) == 1
-            assert len(Tapo().analyze_packets(packets)) == 1
-            report = Tapo().report([packets, tiny_flow(1, 0.5)])
+            tapo = Tapo()
+            assert len(tapo.analyze_packets(packets)) == 1
+            report = tapo.report([packets, tiny_flow(1, 0.5)])
             assert len(report.flows) == 2
+            # Their packet objects were handed in, not built.
+            assert tapo.materialized_flows == 0
 
     def test_everything_else_is_demuxed(self):
         demux = tapo_module.demux_columns_stream
