@@ -6,7 +6,8 @@ dataclasses in :mod:`repro.config` (``AnalysisConfig``, ``RunConfig``):
 ======================  =================================================
 :func:`analyze`         pcap/packets -> list of classified flow analyses
 :func:`analyze_stream`  unbounded source -> analyses as flows complete,
-                        memory bounded by open-flow state
+                        memory bounded by open-flow state, which grows
+                        with each open connection's length
 :func:`analyze_cluster` capture(s) -> merged report from an N-shard
                         worker fleet, byte-identical to a single
                         process (:class:`repro.cluster.Coordinator`
@@ -195,10 +196,11 @@ def analyze_stream(
     Yields each flow's analysis as the flow *completes* (FIN/RST close
     or idle timeout).  A pcap ``source`` (a path, a FIFO or
     ``/dev/stdin``) is read one window at a time, so memory is one read
-    window plus open-flow state.  ``run`` controls eviction bounds, worker
-    processes, and backpressure; classifications are identical to
-    :func:`analyze` on the same trace.  See
-    :meth:`repro.core.tapo.Tapo.analyze_stream`.
+    window plus open-flow state; a flow's rows are held until it
+    closes, so that state grows with each open connection's length.
+    ``run`` controls eviction bounds, worker processes, and
+    backpressure; classifications are identical to :func:`analyze` on
+    the same trace.  See :meth:`repro.core.tapo.Tapo.analyze_stream`.
     """
     return Tapo(config=config).analyze_stream(
         source, server_side, run=run, stats=stats, registry=registry

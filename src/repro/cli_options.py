@@ -81,6 +81,9 @@ def _bounded(convert, accept, what: str):
 positive_int = _bounded(int, lambda n: n > 0, "a positive integer")
 non_negative_int = _bounded(int, lambda n: n >= 0, "a non-negative integer")
 positive_float = _bounded(float, lambda x: 0 < x < math.inf, "a number > 0")
+non_negative_float = _bounded(
+    float, lambda x: 0 <= x < math.inf, "a number >= 0"
+)
 
 
 _ERRORS_HELP = (
@@ -332,7 +335,7 @@ def add_heartbeat(
     """``--heartbeat-interval`` / ``--heartbeat-deadline`` pair."""
     parser.add_argument(
         "--heartbeat-interval",
-        type=float,
+        type=non_negative_float,
         default=interval,
         metavar="SECONDS",
         help=(
@@ -342,7 +345,7 @@ def add_heartbeat(
     )
     parser.add_argument(
         "--heartbeat-deadline",
-        type=float,
+        type=non_negative_float,
         default=deadline,
         metavar="SECONDS",
         help=(

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     cli_options.add_heartbeat(parser)
     parser.add_argument(
         "--worker-grace",
-        type=float,
+        type=cli_options.non_negative_float,
         default=30.0,
         metavar="SECONDS",
         help=(

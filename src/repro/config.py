@@ -122,11 +122,6 @@ class RunConfig:
     chunk_flows:
         Flows per work unit shipped to a worker.  ``None`` picks a
         size automatically.
-    max_in_flight_chunks:
-        Backpressure bound for streaming analysis: at most this many
-        chunks may be queued or executing at once; submission blocks
-        (and upstream packet reading pauses) when the bound is hit.
-        ``None`` derives ``2 * workers``.
     idle_timeout:
         Streaming demux: a flow with no packets for this many seconds
         (trace time) is considered finished and evicted.  ``None``
@@ -147,7 +142,6 @@ class RunConfig:
     workers: int | None = 1
     use_cache: bool = True
     chunk_flows: int | None = None
-    max_in_flight_chunks: int | None = None
     idle_timeout: float | None = 60.0
     close_linger: float | None = 5.0
     max_retries: int = 2

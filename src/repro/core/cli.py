@@ -230,10 +230,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         print(
-            f"replay: {tapo.fast_flows} flows on the clean fast "
-            f"replay, {tapo.fallback_flows} replayed by the "
-            f"analyzer, {tapo.materialized_flows} materialized as "
-            "packet objects",
+            f"replay: {tapo.fast_flows} flows settled on the in-order "
+            f"branch, {tapo.fallback_flows} promoted to the general loop",
             file=sys.stderr,
         )
         print(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
-from copy import copy
 from operator import attrgetter
 
 import numpy as np
@@ -56,7 +55,6 @@ _CLOSE_FLAGS = FLAG_SYN | FLAG_FIN | FLAG_RST
 # this tuple:
 #
 # ``slab``     the ten :attr:`_FlowStore.COLUMNS`, rows in group order;
-# ``records``  the source records in that order, or ``None``;
 # ``rows``     the slab row at each grouped position (capture order
 #              inside a group);
 # ``starts``   each group's first position; ``lo``/``hi`` its packed
@@ -110,7 +108,6 @@ def _group_sorted(
         cols.window, cols.payload_len, cols.ts_val, cols.ts_ecr,
         cols.optbits,
     ]
-    records = cols.source_records
     if (lo != lo[0]).any() or (hi != hi[0]).any():
         order = np.lexsort((hi, lo))
         lo, hi = lo[order], hi[order]
@@ -127,10 +124,6 @@ def _group_sorted(
             _owned(column.typecode, np.asarray(column)[order])
             for column in slab
         ]
-        if records is not None:
-            gathered = np.empty(count, dtype=object)
-            gathered[:] = records
-            records = gathered[order].tolist()
     else:
         # One connection: the slab is its own group, nothing to sort
         # or gather.
@@ -148,8 +141,7 @@ def _group_sorted(
         range(len(starts)), key=[rows[at] for at in starts].__getitem__
     )
     return (
-        slab, records, rows, starts, lo, hi,
-        flagged, flagged_at, odd, odd_at, visit,
+        slab, rows, starts, lo, hi, flagged, flagged_at, odd, odd_at, visit,
     )
 
 
@@ -165,9 +157,6 @@ class _FlowStore:
     connection at a time; ``src_pk`` keeps the packed
     source endpoint so direction is derivable once the server is
     known (which, for pending flows, is only at resolution time).
-    When every appended row came from a batch that kept its source
-    :class:`PacketRecord` objects, ``records`` preserves them so
-    materialization returns the *original* objects.
     """
 
     #: The per-row columns, in the order a slab lists them.
@@ -175,16 +164,12 @@ class _FlowStore:
         "times", "src_pk", "seq", "ack", "flags", "window",
         "payload", "ts_val", "ts_ecr", "optbits",
     )
-    __slots__ = ("pk_a", "pk_b", "server_pk", *COLUMNS, "odd", "records")
+    __slots__ = ("pk_a", "pk_b", "server_pk", *COLUMNS, "odd")
     columns = property(attrgetter(*COLUMNS))
 
-    def __init__(
-        self, pk_a: int, pk_b: int, columns: list[array],
-        records: list[PacketRecord] | None,
-    ):
+    def __init__(self, pk_a: int, pk_b: int, columns: list[array]):
         """A flow whose first rows are ``columns`` (owned arrays, in
-        :attr:`COLUMNS` order) and, if the batch kept them, their
-        source ``records``."""
+        :attr:`COLUMNS` order)."""
         self.pk_a = pk_a
         self.pk_b = pk_b
         self.server_pk: int | None = None
@@ -194,24 +179,16 @@ class _FlowStore:
             self.optbits,
         ) = columns
         self.odd: dict[int, TCPOptions] = {}
-        self.records = records
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def extend(
-        self, slab: list[array], start: int, end: int,
-        records: list[PacketRecord] | None,
-    ) -> None:
+    def extend(self, slab: list[array], start: int, end: int) -> None:
         """Append rows ``start..end`` of a slab's columns.  Slicing an
         ``array`` copies, so the store owns its rows and keeps no slab
         alive."""
         for column, source in zip(self.columns, slab):
             column.extend(source[start:end])
-        if records is None:
-            self.records = None
-        elif self.records is not None:
-            self.records.extend(records[start:end])
 
     def options_at(self, index: int) -> TCPOptions:
         bits = self.optbits[index]
@@ -257,15 +234,6 @@ class _FlowStore:
         """Materialize the rows exactly as the object demux would
         have buffered them."""
         server = self.server_pk
-        records = self.records
-        if records is not None and len(records) == len(self.times):
-            return [
-                (
-                    record,
-                    Direction.IN if src != server else Direction.OUT,
-                )
-                for record, src in zip(records, self.src_pk)
-            ]
         out: list[tuple[PacketRecord, Direction]] = []
         for index, src in enumerate(self.src_pk):
             dst = self.pk_b if src == self.pk_a else self.pk_a
@@ -366,16 +334,10 @@ class LazyFlowTrace(FlowTrace):
     def __reduce__(self):
         """Pickle as columns, never as packet objects: a flow crosses
         a process boundary as arrays and is replayed on them there."""
-        store = copy(self._store)
-        store.records = None
-        return LazyFlowTrace, (self.key, self.server, self.client, store)
+        return LazyFlowTrace, (self.key, self.server, self.client, self._store)
 
     def rows(self, start: int = 0) -> Iterator[PacketRow]:
         return self._store.rows(start)
-
-    @property
-    def materialized(self) -> bool:
-        return self.packets._store is None
 
     @property
     def first_time(self) -> float:
@@ -512,8 +474,8 @@ class ColumnarStreamDemuxer:
             return
         cuts = self._sweep_rows(cols.timestamps)
         (
-            slab, records, rows, starts, lo, hi,
-            flagged, flagged_at, odd, odd_at, visit,
+            slab, rows, starts, lo, hi, flagged, flagged_at, odd, odd_at,
+            visit,
         ) = _group_sorted(cols, cuts, self._flags)
         ends = [*starts[1:], count]
 
@@ -553,7 +515,6 @@ class ColumnarStreamDemuxer:
                 store = _FlowStore(
                     lo[group], hi[group],
                     [column[start:end] for column in slab],
-                    None if records is None else records[start:end],
                 )
                 base = -start
                 stats.flows_started += 1
@@ -562,7 +523,7 @@ class ColumnarStreamDemuxer:
                 stats.active_flows += 1
             else:
                 base = len(store) - start
-                store.extend(slab, start, end, records)
+                store.extend(slab, start, end)
             for row in flagged[flagged_at[group]:flagged_at[group + 1]]:
                 bits = flag_col[row]
                 if bits & FLAG_SYN and waiting and identifying is None:

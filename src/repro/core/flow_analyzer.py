@@ -25,15 +25,14 @@ from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 
 from ..config import AnalysisConfig
-from ..packet.flow import Direction, FlowTrace, PacketRow, packet_row
+from ..packet.flow import FlowTrace, PacketRow
 from ..packet.headers import FLAG_ACK, FLAG_FIN, FLAG_SYN
 from ..packet.options import TCPOptions
-from ..packet.packet import PacketRecord
 from ..packet.seqnum import SEQ_HALF, SEQ_MASK, seq_before, seq_leq
 from ..tcp.constants import ts_to_time
 from ..tcp.rto import RTOEstimator
 from .segments import AnalyzedSegment, SegmentTracker
-from .state_machine import FAST, PROBE, RTO, CaStateTracker, ShadowWindow
+from .state_machine import FAST, RTO, CaStateTracker, ShadowWindow
 from .stalls import CaState, Stall, StallContext
 
 
@@ -129,7 +128,7 @@ class FlowAnalyzer:
     the general loop (:meth:`_feed_general`) carries on at the same
     row.  Only the rare events (client SYN, stall snapshot,
     sequence-based RTT sampling, retransmission classification) are
-    methods.  :meth:`feed` is the packet-object adapter.
+    methods.
     """
 
     def __init__(self, flow: FlowTrace,
@@ -178,18 +177,6 @@ class FlowAnalyzer:
         without packets keeps its untouched analysis)."""
         self.feed_rows(self.flow.rows())
         return self.finish() if self._fed else self.analysis
-
-    def feed(self, pkt: PacketRecord, direction: Direction) -> None:
-        """Process one packet object incrementally.
-
-        The analyzer's own state is O(window) — the segment tracker
-        and estimators drop segments as they are cumulatively acked —
-        so a caller that feeds packets as they arrive (instead of
-        materializing the flow first and calling :meth:`run`) holds no
-        per-trace state here.  Feeding the whole flow in order then
-        calling :meth:`finish` is exactly :meth:`run`.
-        """
-        self.feed_rows((packet_row(pkt, direction),))
 
     def feed_rows(self, rows: Iterable[PacketRow]) -> None:
         """Process :data:`~repro.packet.flow.PacketRow` tuples, in order:

@@ -253,18 +253,6 @@ class ServiceReport:
             result[cause] = entry
         return result
 
-    def category_breakdown(self) -> dict[str, BreakdownEntry]:
-        """Server / client / network shares (Table 3 row groups)."""
-        by_cause = self.cause_breakdown()
-        result: dict[str, BreakdownEntry] = {}
-        for cause, entry in by_cause.items():
-            bucket = result.setdefault(cause.category, BreakdownEntry())
-            bucket.count += entry.count
-            bucket.time += entry.time
-            bucket.volume_share += entry.volume_share
-            bucket.time_share += entry.time_share
-        return result
-
     # -- Fig. 6 / Table 4 -----------------------------------------------------
     def init_rwnd_values(self) -> list[int]:
         """Initial receive window per flow, in MSS units."""

@@ -77,19 +77,6 @@ class AnalyzedSegment:
     def sacked(self) -> bool:
         return self.sacked_at is not None
 
-    def first_retrans_kind(self) -> str | None:
-        """'fast', 'rto' or 'probe' — trigger of the first retransmission."""
-        candidates = []
-        if self.fast_retrans_times:
-            candidates.append(("fast", self.fast_retrans_times[0]))
-        if self.rto_retrans_times:
-            candidates.append(("rto", self.rto_retrans_times[0]))
-        if self.probe_retrans_times:
-            candidates.append(("probe", self.probe_retrans_times[0]))
-        if not candidates:
-            return None
-        return min(candidates, key=lambda item: item[1])[0]
-
 
 class SegmentTracker:
     """Reconstructed retransmission queue for one flow."""

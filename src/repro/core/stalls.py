@@ -28,22 +28,6 @@ class StallCause(enum.Enum):
     RETRANSMISSION = "retransmission"  # network: timeout retransmission
     UNDETERMINED = "undetermined"
 
-    @property
-    def category(self) -> str:
-        """server / client / network / undetermined (Table 3 rows)."""
-        return _CATEGORY[self]
-
-
-_CATEGORY = {
-    StallCause.DATA_UNAVAILABLE: "server",
-    StallCause.RESOURCE_CONSTRAINT: "server",
-    StallCause.CLIENT_IDLE: "client",
-    StallCause.ZERO_RWND: "client",
-    StallCause.PACKET_DELAY: "network",
-    StallCause.RETRANSMISSION: "network",
-    StallCause.UNDETERMINED: "undetermined",
-}
-
 
 class RetxCause(enum.Enum):
     """Breakdown of timeout-retransmission stalls (Table 5), listed in
@@ -102,10 +86,6 @@ class StallContext:
     response_started: bool = False
     #: Bytes of response data the server has sent so far (for file_pos).
     bytes_sent: int = 0
-
-    @property
-    def rwnd_segments(self) -> int:
-        return self.rwnd // self.mss if self.mss else 0
 
 
 @dataclass

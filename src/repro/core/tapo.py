@@ -18,7 +18,9 @@ flows as they close, and completed flows — column-backed, replayed
 without building packet objects, pickled as their columns — fan out to
 analyzer workers with bounded in-flight chunks
 (:class:`repro.experiments.parallel.AnalysisPool`).  Memory is bounded
-by open-flow state, never by trace length.  The batch entry points
+by open-flow state, never by trace length; that state still grows with
+each open connection's length, since a flow's rows are held until it
+closes and only then replayed.  The batch entry points
 (:meth:`Tapo.analyze_packets`, :meth:`Tapo.analyze_pcap`,
 :meth:`Tapo.report`) are thin wrappers over the same core with
 eviction disabled; there a record list of one connection, what the
@@ -122,19 +124,17 @@ class Tapo:
         #: ``faults.skipped``.
         self.faults = FaultStats()
         #: Flows the analyzer settled on its in-order branch (the fast
-        #: replay), flows it promoted to its general loop, and flows
-        #: whose packet objects were built from columns, for the most
-        #: recent multi-flow call on *this* instance (worker processes
-        #: count on their own instances).
+        #: replay) and flows it promoted to its general loop, for the
+        #: most recent multi-flow call on *this* instance (worker
+        #: processes count on their own instances).
         #: Diagnostic only — results are identical either way.
         self.fast_flows = 0
         self.fallback_flows = 0
-        self.materialized_flows = 0
 
     def _reset(self) -> None:
         """Start a multi-flow call: fresh faults and flow counts."""
         self.faults = FaultStats()
-        self.fast_flows = self.fallback_flows = self.materialized_flows = 0
+        self.fast_flows = self.fallback_flows = 0
 
     def _open(self, path: str | Path) -> PcapReader:
         return PcapReader(
@@ -143,25 +143,22 @@ class Tapo:
             verify_checksums=self.config.verify_checksums,
         )
 
-    def flow_counts(self) -> tuple[int, int, int]:
-        """``(fast, replayed, materialized)`` flow counts."""
-        return self.fast_flows, self.fallback_flows, self.materialized_flows
+    def flow_counts(self) -> tuple[int, int]:
+        """``(fast, replayed)`` flow counts."""
+        return self.fast_flows, self.fallback_flows
 
-    def add_flow_counts(self, fast: int, replayed: int, materialized: int) -> None:
+    def add_flow_counts(self, fast: int, replayed: int) -> None:
         """Fold in the counts of flows a worker process analyzed."""
         self.fast_flows += fast
         self.fallback_flows += replayed
-        self.materialized_flows += materialized
 
     def flow_counts_to_registry(self, registry) -> None:
-        """Export the flow counts — the fast-replay miss rate and what
-        it costs in packet objects — to a metrics registry."""
+        """Export the flow counts — how many flows the in-order branch
+        settled and how many it promoted — to a metrics registry."""
         for name, help_text, value in zip(
-            ("repro_flows_fast_total", "repro_flows_replayed_total",
-             "repro_flows_materialized_total"),
+            ("repro_flows_fast_total", "repro_flows_replayed_total"),
             ("Flows settled on the analyzer's in-order branch",
-             "Flows promoted to the analyzer's general loop",
-             "Flows whose packet objects were built from columns"),
+             "Flows promoted to the analyzer's general loop"),
             self.flow_counts(),
         ):
             registry.counter(name, help_text).inc(value)
@@ -197,8 +194,6 @@ class Tapo:
                 self.fast_flows += 1
             else:
                 self.fallback_flows += 1
-            if flow.materialized:
-                self.materialized_flows += 1
         except ReproError:
             raise
         except Exception as exc:
@@ -299,9 +294,9 @@ class Tapo:
 
         With ``run.workers > 1``, completed flows fan out to a worker
         pool in chunks of ``run.chunk_flows``, with at most
-        ``run.max_in_flight_chunks`` outstanding — when the bound is
-        hit, the packet source is not read further until a chunk
-        retires (backpressure).  Results arrive in flow-completion
+        ``2 * workers`` outstanding — when the bound is hit, the
+        packet source is not read further until a chunk retires
+        (backpressure).  Results arrive in flow-completion
         order for any worker count.
 
         ``stats`` (a :class:`~repro.packet.flow.StreamStats`) and
@@ -321,7 +316,6 @@ class Tapo:
             config=self.config,
             workers=run.workers,
             chunk_flows=run.chunk_flows,
-            max_in_flight=run.max_in_flight_chunks,
             max_retries=run.max_retries,
             retry_backoff=run.retry_backoff,
             faults=self.faults,

@@ -22,7 +22,6 @@ from .parallel import run_flows_parallel
 from .validation import ValidationResult, validate_inference
 from .illustrative import IllustrativeResult, run_illustrative_flow
 from .mitigation import (
-    LARGE_FLOW_MIN_BYTES,
     POLICIES,
     SHORT_FLOW_MAX_BYTES,
     MitigationComparison,
@@ -57,7 +56,6 @@ __all__ = [
     "DatasetRun",
     "FlowRunResult",
     "IllustrativeResult",
-    "LARGE_FLOW_MIN_BYTES",
     "MitigationComparison",
     "PacingAblation",
     "GALLERY",

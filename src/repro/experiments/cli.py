@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--flows",
-        type=int,
+        type=cli_options.positive_int,
         default=_DATASET["flows_per_service"].default,
         help=(
             "flows per service for the measurement study "
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mitigation-flows",
-        type=int,
+        type=cli_options.positive_int,
         default=_SWEEP["flows"].default,
         help="flows per policy for Tables 8/9 (default %(default)s)",
     )

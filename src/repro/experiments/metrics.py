@@ -80,12 +80,6 @@ class RunMetrics:
         return self.packets / self.wall_time
 
     @property
-    def flows_per_sec(self) -> float:
-        if self.wall_time <= 0:
-            return 0.0
-        return self.flows / self.wall_time
-
-    @property
     def utilization(self) -> float:
         """Fraction of the worker pool's capacity spent simulating."""
         if self.wall_time <= 0 or self.workers <= 0:

@@ -52,9 +52,6 @@ POLICY_LABELS: dict[str, str] = {
 #: flow sizes here are scaled by ~7x, hence 60 KB.
 SHORT_FLOW_MAX_BYTES = 60_000
 
-#: Large-flow threshold for the throughput comparison.
-LARGE_FLOW_MIN_BYTES = 60_000
-
 
 @dataclass
 class PolicyOutcome:
@@ -62,7 +59,6 @@ class PolicyOutcome:
 
     policy: str
     latencies: list[float] = field(default_factory=list)
-    throughputs: list[float] = field(default_factory=list)  # bytes/sec
     retransmissions: int = 0
     data_segments: int = 0
     flows: int = 0
@@ -94,10 +90,6 @@ class PolicyOutcome:
     @property
     def mean_latency(self) -> float:
         return sum(self.latencies) / max(1, len(self.latencies))
-
-    @property
-    def mean_throughput(self) -> float:
-        return sum(self.throughputs) / max(1, len(self.throughputs))
 
 
 def make_short_flow_profile(base: ServiceProfile) -> ServiceProfile:
@@ -146,11 +138,10 @@ def run_policy(
     """Run one service under one recovery policy.
 
     Per-request latencies are restricted to requests whose response is
-    a "short flow" when ``short_flow_max`` is set; throughputs are
-    collected from large responses.  ``policy_kwargs`` overrides the
-    policy constructor arguments; when ``None`` (the default, and the
-    Table 8/9 path) S-RTO receives ``t1``/``t2`` and every other
-    policy its defaults.
+    a "short flow" when ``short_flow_max`` is set.  ``policy_kwargs``
+    overrides the policy constructor arguments; when ``None`` (the
+    default, and the Table 8/9 path) S-RTO receives ``t1``/``t2`` and
+    every other policy its defaults.
     """
     if policy_kwargs is None:
         policy_kwargs = {"t1": t1, "t2": t2} if policy == "srto" else {}
@@ -179,13 +170,6 @@ def run_policy(
                 or request.response_bytes <= short_flow_max
             ):
                 outcome.latencies.append(timing.latency)
-            if (
-                request.response_bytes >= LARGE_FLOW_MIN_BYTES
-                and timing.latency > 0
-            ):
-                outcome.throughputs.append(
-                    request.response_bytes / timing.latency
-                )
     return outcome
 
 
@@ -212,12 +196,6 @@ class MitigationComparison:
         if base == 0:
             return 0.0
         return (self.outcomes[policy].mean_latency - base) / base
-
-    def throughput_improvement(self, policy: str) -> float:
-        base = self.outcomes["native"].mean_throughput
-        if base == 0:
-            return 0.0
-        return (self.outcomes[policy].mean_throughput - base) / base
 
     def retransmission_ratios(self) -> dict[str, float]:
         """Table 9: retransmitted fraction of data packets."""

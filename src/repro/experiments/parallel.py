@@ -324,11 +324,11 @@ _ANALYZE_CHUNK_FLOWS = 32
 
 def _analyze_chunk(
     flows: list[FlowTrace], config: AnalysisConfig
-) -> tuple[list, list[SkippedFlow], tuple[int, int, int]]:
+) -> tuple[list, list[SkippedFlow], tuple[int, int]]:
     """Worker entry point: run TAPO over one chunk of completed flows.
 
     Returns ``(analyses, skipped, flow_counts)``, the last being the
-    worker's ``(fast, replayed, materialized)`` flow counts (see
+    worker's ``(fast, replayed)`` flow counts (see
     :meth:`Tapo.flow_counts <repro.core.tapo.Tapo.flow_counts>`).
     Under a tolerant
     ``config.errors`` budget a crashing flow is quarantined into the
@@ -358,8 +358,8 @@ class AnalysisPool:
     ``workers=1`` analyzes inline with no pool and no pickling.
     ``analyzer`` is the :class:`~repro.core.tapo.Tapo` the caller
     watches: the inline path runs on it and worker chunks fold their
-    flow counts into it, so its ``fast_flows`` / ``fallback_flows`` /
-    ``materialized_flows`` are live whatever the worker count.
+    flow counts into it, so its ``fast_flows`` / ``fallback_flows``
+    are live whatever the worker count.
 
     Worker failures go down :func:`map_ordered`'s ladder (module
     docstring); a :class:`~repro.errors.ReproError` from a worker
@@ -431,7 +431,7 @@ class AnalysisPool:
 
     def _poison_chunk(
         self, chunk: list[FlowTrace], cause: Exception
-    ) -> tuple[list, list[SkippedFlow], tuple[int, int, int]]:
+    ) -> tuple[list, list[SkippedFlow], tuple[int, int]]:
         """Quarantine a chunk that killed every worker that ran it."""
         self.stats.chunks_poisoned += 1
         self.faults.tasks_poisoned += 1
@@ -443,7 +443,7 @@ class AnalysisPool:
         if not self.config.errors.tolerant:
             raise error from cause
         skipped = [SkippedFlow.from_exception(flow, error) for flow in chunk]
-        return [], skipped, (0, 0, 0)
+        return [], skipped, (0, 0)
 
 
 def _assemble(

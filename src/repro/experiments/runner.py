@@ -185,13 +185,6 @@ class DatasetRun:
     def total_packets(self) -> int:
         return sum(len(result.packets) for result in self.results)
 
-    def merged_trace_events(self) -> list[TraceEvent]:
-        """All flows' flight-recorder events, deterministically ordered
-        by (flow, sim-time, record index)."""
-        from ..obs.recorder import merge_events
-
-        return merge_events(result.trace_events for result in self.results)
-
 
 def run_flows(
     scenarios: Iterable[FlowScenario],

@@ -172,20 +172,6 @@ def ack_delay_scenario() -> FlowAnalysis:
     )
 
 
-def small_rwnd_scenario() -> FlowAnalysis:
-    """A 2-MSS-window client drops a segment: no dupacks possible."""
-    return _run(
-        _single(response=60_000),
-        path=PathConfig(
-            delay=0.05, rate_bps=10e6, data_loss=ScriptedDrop([20])
-        ),
-        client_kwargs=dict(
-            rcv_buf=2896, max_rcv_buf=2896, rcv_buf_auto_grow=False, wscale=0
-        ),
-        server_kwargs=dict(**CACHED_METRICS),
-    )
-
-
 #: name -> (builder, expected top-level cause, expected retx cause).
 GALLERY: dict[
     str,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from ..core.report import ServiceReport, cdf_points, percentile
+from ..core.report import ServiceReport, percentile
 from ..core.stalls import CaState, DoubleKind, RetxCause, StallCause
 from .mitigation import MitigationComparison
 
@@ -305,12 +305,3 @@ def format_table9(comparisons: Iterable[MitigationComparison]) -> str:
             f"{ratios['srto'] * 100:>9.1f}%"
         )
     return "\n".join(lines)
-
-
-def cdf_table(values: list[float], points: int = 10) -> list[tuple[float, float]]:
-    """Down-sampled CDF series for plotting or inspection."""
-    full = cdf_points(values)
-    if len(full) <= points:
-        return full
-    step = len(full) / points
-    return [full[min(len(full) - 1, int(i * step))] for i in range(1, points + 1)]

@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--top-k",
-        type=int,
+        type=cli_options.non_negative_int,
         default=10,
         metavar="K",
         help="most-stalled flows tracked per window (default 10)",
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--alert-log-max-bytes",
-        type=int,
+        type=cli_options.non_negative_int,
         default=16 * 1024 * 1024,
         metavar="BYTES",
         help=(
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--alert-log-backups",
-        type=int,
+        type=cli_options.positive_int,
         default=3,
         metavar="N",
         help="rotated alert-log generations to keep (default 3)",
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-interval",
-        type=float,
+        type=cli_options.non_negative_float,
         default=30.0,
         metavar="SECONDS",
         help="seconds between periodic checkpoints (default 30)",
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--poll-interval",
-        type=float,
+        type=cli_options.positive_float,
         default=0.5,
         metavar="SECONDS",
         help="sleep between polls when the source is idle (default 0.5)",

@@ -102,13 +102,6 @@ class GilbertElliottLoss(LossModel):
     def reset(self) -> None:
         self._bad = False
 
-    def steady_state_loss(self) -> float:
-        """Long-run average drop probability of the chain."""
-        if self.p_gb == 0 and self.p_bg == 0:
-            return self.good_loss
-        pi_bad = self.p_gb / (self.p_gb + self.p_bg)
-        return pi_bad * self.bad_loss + (1 - pi_bad) * self.good_loss
-
 
 class TimedBurstLoss(LossModel):
     """Burst loss with *time-based* state sojourns.
@@ -164,11 +157,6 @@ class TimedBurstLoss(LossModel):
     def reset(self) -> None:
         self._bad = False
         self._next_transition = None
-
-    def steady_state_loss(self) -> float:
-        """Long-run average drop probability."""
-        pi_bad = self.mean_bad / (self.mean_good + self.mean_bad)
-        return pi_bad * self.bad_loss + (1 - pi_bad) * self.good_loss
 
 
 class ScriptedDrop(LossModel):

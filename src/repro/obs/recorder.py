@@ -92,9 +92,6 @@ class TraceEvent:
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in EVENT_FIELDS}
 
-    def as_row(self) -> tuple:
-        return tuple(getattr(self, name) for name in EVENT_FIELDS)
-
 
 class FlightRecorder:
     """Bounded, per-flow store of :class:`TraceEvent` objects."""

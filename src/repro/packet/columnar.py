@@ -90,16 +90,12 @@ class PacketColumns:
     :data:`OPT_ODD` means the fully-decoded
     :class:`~repro.packet.options.TCPOptions` sits in
     :attr:`odd_options`; ``0`` means the option area was empty.
-
-    Batches built from already-materialized records (see
-    :meth:`from_records`) keep the original objects in
-    :attr:`source_records`, so :meth:`record` returns them unchanged.
     """
 
     __slots__ = (
         "timestamps", "src_ip", "dst_ip", "src_port", "dst_port",
         "seq", "ack", "flags", "window", "payload_len",
-        "ts_val", "ts_ecr", "optbits", "odd_options", "source_records",
+        "ts_val", "ts_ecr", "optbits", "odd_options",
     )
 
     def __init__(self) -> None:
@@ -117,7 +113,6 @@ class PacketColumns:
         self.ts_ecr = array(_U32)
         self.optbits = array("B")
         self.odd_options: dict[int, TCPOptions] = {}
-        self.source_records: list[PacketRecord] | None = None
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -126,16 +121,11 @@ class PacketColumns:
     @classmethod
     def from_records(cls, records: list[PacketRecord]) -> "PacketColumns":
         """Wrap materialized records into columns (for callers that
-        enter the pipeline with objects, e.g. ``analyze_packets``).
-
-        The originals are kept, so materializing a flow back out of
-        these columns is free and exact.
-        """
+        enter the pipeline with objects, e.g. ``analyze_packets``)."""
         cols = cls()
         append = cols._append_record
         for record in records:
             append(record)
-        cols.source_records = list(records)
         return cols
 
     def _append_record(self, record: PacketRecord) -> None:
@@ -172,9 +162,6 @@ class PacketColumns:
 
     def record(self, index: int) -> PacketRecord:
         """Materialize packet ``index`` as a full object record."""
-        source = self.source_records
-        if source is not None:
-            return source[index]
         return PacketRecord(
             timestamp=self.timestamps[index],
             src_ip=self.src_ip[index],
@@ -247,9 +234,6 @@ class PacketColumns:
             for new_index, old_index in enumerate(indices)
             if optbits[old_index] & OPT_ODD
         }
-        source = self.source_records
-        if source is not None:
-            out.source_records = [source[i] for i in indices]
         return out
 
     def select_shard(self, shard: int, n_shards: int) -> "PacketColumns":

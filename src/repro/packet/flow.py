@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .packet import PacketRecord
 
@@ -96,16 +96,6 @@ ServerPredicate = Callable[[PacketRecord], bool]
 PacketRow = tuple
 
 
-def packet_row(pkt: PacketRecord, direction: "Direction") -> PacketRow:
-    """The :data:`PacketRow` of one packet object."""
-    options = pkt.options
-    return (
-        pkt.timestamp, direction is Direction.IN, pkt.seq, pkt.ack,
-        pkt.flags, pkt.window, pkt.payload_len, options.ts_ecr or 0,
-        options,
-    )
-
-
 def server_by_ip(*server_ips: int) -> ServerPredicate:
     """Predicate: the server endpoint is any of the given IPs."""
     ips = frozenset(server_ips)
@@ -149,8 +139,7 @@ class FlowTrace:
         self.packets.append((pkt, self.direction_of(pkt)))
 
     def rows(self, start: int = 0) -> Iterator[PacketRow]:
-        """The packets from index ``start`` on as :data:`PacketRow`\\ s
-        (:func:`packet_row` of each).
+        """The packets from index ``start`` on as :data:`PacketRow`\\ s.
 
         What the analyzer and the classifier's lookahead read, so that
         a column-backed trace
@@ -168,12 +157,6 @@ class FlowTrace:
         ])
 
     @property
-    def materialized(self) -> bool:
-        """Whether the pipeline built this flow's packet objects from
-        columns: never for a trace that was handed its packets."""
-        return False
-
-    @property
     def first_time(self) -> float:
         return self.packets[0][0].timestamp if self.packets else 0.0
 
@@ -184,15 +167,6 @@ class FlowTrace:
     @property
     def duration(self) -> float:
         return self.last_time - self.first_time
-
-    def out_packets(self) -> list[PacketRecord]:
-        return [p for p, d in self.packets if d is Direction.OUT]
-
-    def in_packets(self) -> list[PacketRecord]:
-        return [p for p, d in self.packets if d is Direction.IN]
-
-    def bytes_out(self) -> int:
-        return sum(p.payload_len for p, d in self.packets if d is Direction.OUT)
 
 
 class FlowDemuxer:

@@ -191,10 +191,6 @@ class TCPHeader:
     def ack_flag(self) -> bool:
         return bool(self.flags & FLAG_ACK)
 
-    @property
-    def psh(self) -> bool:
-        return bool(self.flags & FLAG_PSH)
-
     def header_length(self) -> int:
         return self.BASE_LEN + self.options.wire_length()
 

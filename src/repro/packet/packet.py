@@ -70,10 +70,6 @@ class PacketRecord:
         return bool(self.flags & FLAG_ACK)
 
     @property
-    def psh(self) -> bool:
-        return bool(self.flags & FLAG_PSH)
-
-    @property
     def sack_blocks(self) -> list[SackBlock]:
         return self.options.sack_blocks
 

@@ -414,6 +414,3 @@ class ReceiverHalf:
         self._delack_pending = 0
         self._last_ack_sent = self.rcv_nxt
         self._send_ack()
-
-    def ack_is_pending(self) -> bool:
-        return self._delack_pending > 0

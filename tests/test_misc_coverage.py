@@ -4,28 +4,12 @@ import random
 
 import pytest
 
-from repro.experiments.tables import cdf_table
 from repro.netsim.engine import EventLoop
 from repro.netsim.trace import CaptureTap
 from repro.packet.headers import FLAG_ACK
 from repro.packet.packet import PacketRecord
 from repro.packet.pcap import read_pcap
 from repro.tcp.receiver import IntervalReader, ReceiverHalf
-
-
-class TestCdfTable:
-    def test_downsamples(self):
-        values = [float(i) for i in range(100)]
-        table = cdf_table(values, points=10)
-        assert len(table) == 10
-        assert table[-1][1] == 1.0
-
-    def test_small_input_passthrough(self):
-        table = cdf_table([1.0, 2.0], points=10)
-        assert len(table) == 2
-
-    def test_empty(self):
-        assert cdf_table([]) == []
 
 
 class TestCaptureTapPcap:

@@ -156,7 +156,7 @@ def test_parallel_trace_merge_matches_serial():
     def signature(run):
         return [
             (e.flow, e.index, e.time, e.kind, e.detail, e.seq, e.cwnd)
-            for e in run.merged_trace_events()
+            for e in merge_events(r.trace_events for r in run.results)
         ]
 
     assert signature(serial) == signature(parallel)

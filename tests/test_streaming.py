@@ -268,16 +268,19 @@ class TestBatchStreamEquivalence:
             assert signature(stream[key]) == signature(batch[key])
 
     def test_parallel_equivalence_and_order(self, sim_packets):
+        from repro.experiments.parallel import AnalysisPool
+
         tapo = Tapo()
         batch = tapo.analyze_packets(sim_packets)
+        pool = AnalysisPool(workers=2, chunk_flows=2, max_in_flight=2)
         stream = list(
-            tapo.analyze_stream(
-                sim_packets,
-                run=RunConfig(
-                    workers=2, chunk_flows=2, max_in_flight_chunks=2
-                ),
+            pool.map_stream(
+                columnar_pipeline.demux_columns_stream(
+                    columnar_pipeline.batch_records(sim_packets)
+                )
             )
         )
+        assert pool.stats.peak_in_flight_chunks <= 2
         assert len(stream) == len(batch)
         assert {signature(a) for a in stream} == {
             signature(a) for a in batch
@@ -473,13 +476,13 @@ class TestAnalyzerFeedPath:
         for flow in flows:
             batch = FlowAnalyzer(flow, config=AnalysisConfig()).run()
             incremental = FlowAnalyzer(flow, config=AnalysisConfig())
-            for packet, direction in flow.packets:
-                incremental.feed(packet, direction)
+            for row in flow.rows():
+                incremental.feed_rows((row,))
             streamed = incremental.finish()
             assert signature(streamed) == signature(batch)
 
     def test_feed_finish_equals_run_on_sack_heavy_flows(self):
-        """One packet per ``feed`` call writes the loop's locals back
+        """One row per ``feed_rows`` call writes the loop's locals back
         after every row; lossy flows (SACK blocks, retransmissions,
         stalls) must come out field for field as from one ``run``."""
         from repro.core.flow_analyzer import FlowAnalyzer
@@ -504,8 +507,8 @@ class TestAnalyzerFeedPath:
             whole = FlowAnalyzer(flow, config=AnalysisConfig())
             batch = whole.run()
             incremental = FlowAnalyzer(flow, config=AnalysisConfig())
-            for packet, direction in flow.packets:
-                incremental.feed(packet, direction)
+            for row in flow.rows():
+                incremental.feed_rows((row,))
             assert incremental.finish() == batch
             assert incremental.tracker.segments == whole.tracker.segments
             assert incremental._fed == whole._fed == len(flow.packets)
@@ -860,7 +863,7 @@ class TestSlabDemuxProperty:
         slabs, one slab (flows evicted and re-opened inside it under
         the short timeouts), timestamps that step backwards across a
         sweep boundary, flows tied on ``first_time``, a server
-        predicate — and the original record objects handed through."""
+        predicate — and records equal to the originals handed back."""
         from repro.testing.traces import SERVER_IP
 
         packets = self._perturbed(seed, flows, quantum, steps_back)
@@ -881,15 +884,15 @@ class TestSlabDemuxProperty:
             if by_predicate else None
         )
         self._compare(slabs, packets, predicate, *eviction)
-        # Materialization returned the objects that went in.
+        # Materialization rebuilds records equal to the ones that went in.
         demuxer = ColumnarStreamDemuxer(idle_timeout=None, close_linger=None)
         for slab in slabs:
             demuxer.feed_columns(slab)
-        out = {
-            id(record)
-            for trace in demuxer.finish() for record, _ in trace.packets
-        }
-        assert out == {id(record) for record in packets}
+        for trace in demuxer.finish():
+            assert [record for record, _ in trace.packets] == [
+                record for record in packets
+                if FlowKey.from_packet(record) == trace.key
+            ]
 
     @pytest.mark.parametrize("case", sorted(_small_slab_cases()))
     def test_small_slab_cases(self, case):
@@ -1091,7 +1094,6 @@ class TestOneFlowIngest:
         one = flow is not None
         with cls._skipping_the_demux() if one else contextlib.nullcontext():
             analyses = tapo.analyze_packets(packets, predicate)
-        assert tapo.materialized_flows == 0
         analyzed, expected_report = ServiceReport("a"), ServiceReport("a")
         for analysis in analyses:
             analyzed.add(analysis)
@@ -1139,8 +1141,6 @@ class TestOneFlowIngest:
             assert len(tapo.analyze_packets(packets)) == 1
             report = tapo.report([packets, tiny_flow(1, 0.5)])
             assert len(report.flows) == 2
-            # Their packet objects were handed in, not built.
-            assert tapo.materialized_flows == 0
 
     def test_everything_else_is_demuxed(self):
         demux = tapo_module.demux_columns_stream
